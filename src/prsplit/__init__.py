@@ -9,10 +9,8 @@ a CLI that reproduces the head-to-head iteration/quality comparison.
 from .bench import BenchConfig, BenchRow, emit_table, parse_csv, run_bench, trial_seed
 from .linalg import (
     NotPositiveDefiniteError,
-    PowerIterationError,
     SpdFactorization,
     gaussian_matrix,
-    solve,
     spd_factor,
     spectral_norm_sq,
 )
@@ -21,6 +19,7 @@ from .oracles import (
     BoxSet,
     ProxOracle,
     ProxShiftError,
+    RankDeficientError,
     ShiftedQuadraticProx,
     SmoothOracle,
     SparseBoxSet,

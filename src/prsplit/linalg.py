@@ -6,6 +6,10 @@ PRNG whose normal variates come from the ziggurat transform); the stream
 for a given seed is stable across runs and platforms for a fixed numpy
 version. Matrices are plain row-major float64 ndarrays, vectors are 1-d
 float64 ndarrays; nothing here is sparse.
+
+The one-off dense kernels (eigenvalues, Cholesky) call numpy's LAPACK, not
+scipy's: the two packages link separate OpenBLAS builds whose thread pools
+contend when their calls interleave.
 """
 
 from __future__ import annotations
@@ -15,33 +19,16 @@ from scipy.linalg import solve_triangular
 
 __all__ = [
     "NotPositiveDefiniteError",
-    "PowerIterationError",
     "SpdFactorization",
     "gaussian_matrix",
     "rng_from_seed",
-    "solve",
     "spd_factor",
     "spectral_norm_sq",
 ]
 
-# Fixed stream for the power-iteration start vector, so spectral_norm_sq is a
-# pure function of its matrix argument.
-_POWER_START_SEED = 0x9E3779B9
-
 
 class NotPositiveDefiniteError(ValueError):
     """Raised when a Cholesky pivot falls at or below the breakdown floor."""
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration did not settle within its iteration budget.
-
-    Carries the last eigenvalue estimate in ``last_estimate``.
-    """
-
-    def __init__(self, message: str, last_estimate: float):
-        super().__init__(message)
-        self.last_estimate = last_estimate
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -60,48 +47,24 @@ def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     return rng_from_seed(seed).standard_normal((rows, cols))
 
 
-def spectral_norm_sq(A: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest eigenvalue of A^T A by power iteration, i.e. the squared spectral norm.
+def spectral_norm_sq(A: np.ndarray, tol: float = 1e-10) -> float:
+    """Largest eigenvalue of A^T A, i.e. the squared spectral norm of A.
 
-    Iterates v <- A^T (A v) from a seeded random unit vector and returns the
-    Rayleigh quotient once successive estimates agree to a relative `tol`.
-    The Rayleigh quotient never overshoots the true eigenvalue, so callers
-    that need a certified upper bound should inflate the result.
+    Computed by LAPACK's symmetric eigensolver on the smaller Gram matrix
+    (A A^T when A is wide, A^T A otherwise), so the result is exact up to
+    rounding: its relative error is a small multiple of machine epsilon,
+    far inside the 1e-6 margin that turns it into a curvature bound.
 
-    Raises
-    ------
-    PowerIterationError
-        If the estimate has not settled after `max_iter` sweeps; the error
-        carries the last estimate.
+    `tol` must be positive and has no effect, because the result is exact;
+    it is accepted so existing positional callers keep working.
     """
     A = np.asarray(A, dtype=float)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not np.any(A):
         raise ValueError("spectral_norm_sq needs a nonzero matrix")
-
-    rng = rng_from_seed(_POWER_START_SEED)
-    n = A.shape[1]
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-
-    estimate = np.inf
-    for _ in range(max_iter):
-        u = A.T @ (A @ v)
-        norm_u = np.linalg.norm(u)
-        if norm_u == 0.0:
-            # v landed exactly in the nullspace of A; redraw from the stream.
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            continue
-        rayleigh = float(v @ u)
-        v = u / norm_u
-        if abs(rayleigh - estimate) <= tol * max(abs(rayleigh), np.finfo(float).tiny):
-            return rayleigh
-        estimate = rayleigh
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} sweeps", last_estimate=estimate
-    )
+    gram = A @ A.T if A.shape[0] < A.shape[1] else A.T @ A
+    return float(np.linalg.eigvalsh(gram)[-1])
 
 
 class SpdFactorization:
@@ -126,9 +89,11 @@ class SpdFactorization:
 def spd_factor(M: np.ndarray) -> SpdFactorization:
     """Cholesky factorization M = L L^T with an explicit breakdown threshold.
 
-    A pivot at or below 1e-12 * trace(M) / dim is treated as loss of positive
-    definiteness and raises :class:`NotPositiveDefiniteError` instead of
-    producing a garbage factor.
+    The factor comes from LAPACK (through numpy), which reads only the lower
+    triangle of M. A pivot L[j, j]^2 at or below 1e-12 * trace(M) / dim, or a
+    breakdown inside LAPACK, is treated as loss of positive definiteness and
+    raises :class:`NotPositiveDefiniteError` instead of producing a garbage
+    factor.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -137,21 +102,16 @@ def spd_factor(M: np.ndarray) -> SpdFactorization:
     if not np.allclose(M, M.T, rtol=0.0, atol=1e-10 * (1.0 + scale)):
         raise ValueError("matrix is not symmetric")
 
-    n = M.shape[0]
-    pivot_floor = 1e-12 * float(np.trace(M)) / n
-    lower = np.zeros((n, n))
-    for j in range(n):
-        pivot = M[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= pivot_floor:
-            raise NotPositiveDefiniteError(
-                f"pivot {pivot:.3e} at column {j} is at or below the floor {pivot_floor:.3e}"
-            )
-        lower[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (M[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
+    pivot_floor = 1e-12 * float(np.trace(M)) / M.shape[0]
+    try:
+        lower = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"Cholesky breakdown: {exc}") from exc
+    pivots = np.diagonal(lower) ** 2
+    low = np.flatnonzero(pivots <= pivot_floor)
+    if low.size:
+        j = int(low[0])
+        raise NotPositiveDefiniteError(
+            f"pivot {pivots[j]:.3e} at column {j} is at or below the floor {pivot_floor:.3e}"
+        )
     return SpdFactorization(lower)
-
-
-def solve(factor: SpdFactorization, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs against a factorization produced by :func:`spd_factor`."""
-    return factor.solve(rhs)

@@ -25,13 +25,14 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import SpdFactorization, spd_factor
+from .linalg import NotPositiveDefiniteError, SpdFactorization, spd_factor
 
 __all__ = [
     "AffineSet",
     "BoxSet",
     "ProxOracle",
     "ProxShiftError",
+    "RankDeficientError",
     "ShiftedQuadraticProx",
     "SmoothOracle",
     "SparseBoxSet",
@@ -48,6 +49,10 @@ __all__ = [
 
 class ProxShiftError(ValueError):
     """A shifted prox was requested with a step that destroys well-posedness."""
+
+
+class RankDeficientError(NotPositiveDefiniteError):
+    """The rows of an affine set's matrix A are linearly dependent."""
 
 
 @dataclass(frozen=True)
@@ -89,7 +94,8 @@ class AffineSet:
 
     The Gram matrix A A^T is factored once at construction so that each
     projection costs two matrix-vector products and two triangular solves.
-    Rank deficiency surfaces as the factorization breakdown error.
+    Rank deficiency surfaces as :class:`RankDeficientError`, raised from the
+    factorization breakdown.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -97,7 +103,13 @@ class AffineSet:
         self.b = np.asarray(b, dtype=float)
         if self.A.ndim != 2 or self.b.ndim != 1 or self.A.shape[0] != self.b.shape[0]:
             raise ValueError("A must be m x n and b of length m")
-        self.gram_factor: SpdFactorization = spd_factor(self.A @ self.A.T)
+        try:
+            self.gram_factor: SpdFactorization = spd_factor(self.A @ self.A.T)
+        except NotPositiveDefiniteError as exc:
+            m, n = self.A.shape
+            raise RankDeficientError(
+                f"A ({m} x {n}) does not have full row rank: its rows are linearly dependent"
+            ) from exc
 
     @property
     def dim(self) -> int:

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import svdvals
 
 from prsplit.linalg import (
     NotPositiveDefiniteError,
-    PowerIterationError,
     gaussian_matrix,
-    solve,
     spd_factor,
     spectral_norm_sq,
 )
@@ -43,12 +42,12 @@ def test_gaussian_matrix_rejects_bad_shape():
 
 
 def test_spectral_norm_sq_diagonal():
-    value = spectral_norm_sq(np.diag([2.0, 1.0]), tol=1e-12)
+    value = spectral_norm_sq(np.diag([2.0, 1.0]))
     assert_allclose(value, 4.0, rtol=1e-8)
 
 
 def test_spectral_norm_sq_identity():
-    value = spectral_norm_sq(np.eye(5), tol=1e-12)
+    value = spectral_norm_sq(np.eye(5))
     assert_allclose(value, 1.0, rtol=1e-12)
 
 
@@ -57,24 +56,30 @@ def test_spectral_norm_sq_matches_dense_eigensolver():
     for seed in range(5):
         A = gaussian_matrix(5, 7, seed)
         expected = np.linalg.eigvalsh(A.T @ A)[-1]
-        assert_allclose(spectral_norm_sq(A, tol=1e-13), expected, rtol=1e-8)
+        assert_allclose(spectral_norm_sq(A), expected, rtol=1e-8)
 
 
 def test_spectral_norm_sq_rayleigh_lower_bound():
     rng = np.random.default_rng(5)
     for seed in range(3):
         A = gaussian_matrix(6, 9, seed)
-        estimate = spectral_norm_sq(A, tol=1e-12)
+        estimate = spectral_norm_sq(A)
         for _ in range(10):
             probe = rng.standard_normal(9)
             rayleigh = np.linalg.norm(A @ probe) ** 2 / np.linalg.norm(probe) ** 2
             assert estimate >= rayleigh - 1e-9 * estimate
 
 
-def test_spectral_norm_sq_non_convergence_carries_estimate():
-    with pytest.raises(PowerIterationError) as info:
-        spectral_norm_sq(np.eye(3), tol=1e-12, max_iter=1)
-    assert np.isfinite(info.value.last_estimate)
+def test_spectral_norm_sq_matches_singular_values():
+    # Tall, wide, and column-deficient (rank 3 of 6 columns) matrices.
+    deficient = gaussian_matrix(8, 3, 21) @ gaussian_matrix(3, 6, 22)
+    for A in (gaussian_matrix(30, 7, 23), gaussian_matrix(7, 30, 24), deficient):
+        assert_allclose(spectral_norm_sq(A), svdvals(A)[0] ** 2, rtol=1e-12)
+
+
+def test_spectral_norm_sq_rejects_nonpositive_tol():
+    with pytest.raises(ValueError):
+        spectral_norm_sq(np.eye(2), 0.0)
 
 
 def test_spectral_norm_sq_rejects_zero_matrix():
@@ -91,14 +96,14 @@ def test_spd_factor_identity():
 
 def test_spd_factor_diagonal():
     M = np.diag([4.0, 9.0])
-    assert_allclose(solve(spd_factor(M), np.array([4.0, 9.0])), [1.0, 1.0], rtol=1e-14)
+    assert_allclose(spd_factor(M).solve(np.array([4.0, 9.0])), [1.0, 1.0], rtol=1e-14)
 
 
 def test_spd_factor_gram_matrix_residual():
     A = gaussian_matrix(3, 6, 11)
     M = A @ A.T
     rhs = gaussian_matrix(3, 1, 12).ravel()
-    x = solve(spd_factor(M), rhs)
+    x = spd_factor(M).solve(rhs)
     assert np.linalg.norm(M @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
@@ -116,7 +121,7 @@ def test_spd_factor_solve_round_trip_random():
         B = gaussian_matrix(dim, dim, seed)
         M = B @ B.T + 0.5 * dim * np.eye(dim)
         rhs = gaussian_matrix(dim, 1, seed + 100).ravel()
-        x = solve(spd_factor(M), rhs)
+        x = spd_factor(M).solve(rhs)
         assert np.linalg.norm(M @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
@@ -128,6 +133,12 @@ def test_spd_factor_rejects_indefinite():
 def test_spd_factor_rejects_singular():
     with pytest.raises(NotPositiveDefiniteError):
         spd_factor(np.ones((2, 2)))
+
+
+def test_spd_factor_rejects_pivot_below_floor():
+    # LAPACK factors this matrix; the pivot floor 1e-12 * trace / dim rejects it.
+    with pytest.raises(NotPositiveDefiniteError):
+        spd_factor(np.diag([1.0, 1e-14]))
 
 
 def test_spd_factor_rejects_asymmetric():

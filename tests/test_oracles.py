@@ -12,6 +12,7 @@ from prsplit.oracles import (
     BoxSet,
     ProxOracle,
     ProxShiftError,
+    RankDeficientError,
     ShiftedQuadraticProx,
     SmoothOracle,
     SparseBoxSet,
@@ -101,7 +102,7 @@ def test_project_affine_nonexpansive():
 
 def test_project_affine_rank_deficient_surfaces_factorization_error():
     A = np.array([[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(RankDeficientError, match="2 x 2.*linearly dependent"):
         AffineSet(A, np.array([1.0, 1.0]))
 
 

@@ -181,12 +181,21 @@ def test_build_constrained_ls_threshold():
     A = gaussian_matrix(5, 12, 7)
     inst = LsInstance(A=A, b=gaussian_matrix(5, 1, 8).ravel(), constraint=SparseBoxSet(r=2))
     problem = build_constrained_ls(inst)
-    lam = spectral_norm_sq(A, tol=1e-10) * (1 + 1e-6)
+    lam = spectral_norm_sq(A) * (1 + 1e-6)
     assert problem.f.strong_convexity == pytest.approx(5 * lam, rel=1e-12)
     assert problem.f.grad_lipschitz == pytest.approx(6 * lam, rel=1e-12)
     assert gamma_threshold(problem.f.strong_convexity, problem.f.grad_lipschitz) == pytest.approx(
         1.0 / (12.0 * lam), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-5, 1e-6])
+def test_build_constrained_ls_bound_covers_clustered_top_eigenvalues(delta):
+    # Eigenvalues of A^T A are 1 - delta * k: the top one is 1.0 and the gap
+    # below it is delta, where power iteration stalls or stops short of 1.
+    A = np.diag(np.sqrt(1.0 - delta * np.arange(10)))
+    problem = build_constrained_ls(LsInstance(A=A, b=np.ones(10), constraint=BoxSet(1.0)))
+    assert problem.f.prox.lam_max >= 1.0
 
 
 def test_build_constrained_ls_identity_design_stationary_at_zero():
@@ -296,3 +305,61 @@ def test_load_instance_rejects_truncated_file(tmp_path):
     path.write_text("\n".join(lines[:-2]) + "\n")
     with pytest.raises(ValueError):
         load_instance(path)
+
+
+def saved_lines(tmp_path):
+    """Lines of a saved 12 x 40 instance (r = 3): header, A rows 1-12, b, support, values."""
+    path = tmp_path / "instance.txt"
+    save_instance(gen_feasibility(12, 40, 78), path)
+    return path, path.read_text().splitlines()
+
+
+def rejects(path, lines, match):
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=match):
+        load_instance(path)
+
+
+def test_load_instance_rejects_empty_file(tmp_path):
+    path = tmp_path / "instance.txt"
+    rejects(path, [], "header line")
+
+
+def test_load_instance_rejects_short_b_line(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    lines[13] = " ".join(lines[13].split()[:-1])
+    rejects(path, lines, "b has 11 entries")
+
+
+def test_load_instance_rejects_support_value_length_mismatch(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    lines[15] = " ".join(lines[15].split()[:-1])
+    rejects(path, lines, "3 support positions but 2 values")
+
+
+def test_load_instance_rejects_out_of_range_support(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    lines[14] = " ".join(lines[14].split()[:-1] + ["40"])
+    rejects(path, lines, "must lie in")
+
+
+def test_load_instance_rejects_repeated_support(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    support = lines[14].split()
+    lines[14] = " ".join(support[:-1] + support[:1])
+    rejects(path, lines, "repeat")
+
+
+def test_load_instance_rejects_more_than_r_support_positions(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    unused = next(str(i) for i in range(40) if str(i) not in lines[14].split())
+    lines[14] += " " + unused
+    lines[15] += " 1.0"
+    rejects(path, lines, "caps them at r = 3")
+
+
+@pytest.mark.parametrize("name, line", [("A", 5), ("b", 13), ("values", 15)])
+def test_load_instance_rejects_non_finite_entries(tmp_path, name, line):
+    path, lines = saved_lines(tmp_path)
+    lines[line] = " ".join(["nan"] + lines[line].split()[1:])
+    rejects(path, lines, f"{name} holds non-finite")
