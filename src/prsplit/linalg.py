@@ -7,20 +7,21 @@ for a given seed is stable across runs and platforms for a fixed numpy
 version. Matrices are plain row-major float64 ndarrays, vectors are 1-d
 float64 ndarrays; nothing here is sparse.
 
-The one-off dense kernels (eigenvalues, Cholesky) call numpy's LAPACK, not
-scipy's: the two packages link separate OpenBLAS builds whose thread pools
-contend when their calls interleave.
+The runtime needs numpy only. The one-off dense kernels (eigenvalues,
+Cholesky, the inverse of the Cholesky factor) call numpy's LAPACK, and an
+SPD solve is two numpy matrix-vector products with the inverse factor, so
+one BLAS library is loaded and no second thread pool contends with numpy's.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = [
     "NotPositiveDefiniteError",
     "SpdFactorization",
     "gaussian_matrix",
+    "gram_top_eigenvalue",
     "rng_from_seed",
     "spd_factor",
     "spectral_norm_sq",
@@ -63,27 +64,65 @@ def spectral_norm_sq(A: np.ndarray, tol: float = 1e-10) -> float:
         raise ValueError("tol must be positive")
     if not np.any(A):
         raise ValueError("spectral_norm_sq needs a nonzero matrix")
-    gram = A @ A.T if A.shape[0] < A.shape[1] else A.T @ A
+    return gram_top_eigenvalue(A @ A.T if A.shape[0] < A.shape[1] else A.T @ A)
+
+
+def gram_top_eigenvalue(gram: np.ndarray) -> float:
+    """Largest eigenvalue of a Gram matrix A A^T or A^T A, i.e. ||A||_2^2.
+
+    For callers that already hold the Gram matrix of A: both orientations
+    give the same value up to rounding, and it is bit-identical to
+    :func:`spectral_norm_sq` when that forms the same orientation.
+    """
+    if not np.any(gram):
+        raise ValueError("the Gram matrix of a zero matrix has no positive eigenvalue")
     return float(np.linalg.eigvalsh(gram)[-1])
 
 
+# Triangular blocks at or below this order are inverted by LAPACK directly;
+# larger ones are split in two (see `_invert_lower`).
+_INVERSE_LEAF = 32
+
+
 class SpdFactorization:
-    """Lower-triangular Cholesky factor L of a symmetric positive-definite M.
+    """Inverse L^{-1} of the lower Cholesky factor L of an SPD matrix M.
 
     Built through :func:`spd_factor`; immutable afterwards. ``solve`` applies
-    M^{-1} through two triangular solves against L and L^T.
+    M^{-1} = L^{-T} L^{-1} as two matrix-vector products, one with L^{-1} and
+    one with its transpose, with no triangular solve at call time.
     """
 
-    def __init__(self, lower: np.ndarray):
-        self.lower = lower
-        self.dim = lower.shape[0]
+    def __init__(self, inv_lower: np.ndarray):
+        self.inv_lower = inv_lower
+        self.dim = inv_lower.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.dim:
             raise ValueError(f"rhs has length {rhs.shape[0]}, factor has dimension {self.dim}")
-        halfway = solve_triangular(self.lower, rhs, lower=True)
-        return solve_triangular(self.lower.T, halfway, lower=False)
+        if not np.isfinite(rhs).all():
+            raise ValueError("rhs contains NaN or infinite entries")
+        return self.inv_lower.T @ (self.inv_lower @ rhs)
+
+
+def _invert_lower(L: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix, by 2x2 blocks.
+
+    With L = [[A, 0], [B, C]], L^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]];
+    the halves recurse down to leaves of order at most `_INVERSE_LEAF`, and
+    the strictly upper triangle of the result is exactly zero.
+    """
+    n = L.shape[0]
+    if n <= _INVERSE_LEAF:
+        return np.tril(np.linalg.inv(L))
+    h = n // 2
+    a_inv = _invert_lower(L[:h, :h])
+    c_inv = _invert_lower(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h] = a_inv
+    out[h:, h:] = c_inv
+    out[h:, :h] = -(c_inv @ (L[h:, :h] @ a_inv))
+    return out
 
 
 def spd_factor(M: np.ndarray) -> SpdFactorization:
@@ -93,7 +132,8 @@ def spd_factor(M: np.ndarray) -> SpdFactorization:
     triangle of M. A pivot L[j, j]^2 at or below 1e-12 * trace(M) / dim, or a
     breakdown inside LAPACK, is treated as loss of positive definiteness and
     raises :class:`NotPositiveDefiniteError` instead of producing a garbage
-    factor.
+    factor. The checked factor is then inverted once, at about the cost of a
+    second Cholesky, and only L^{-1} is kept.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -114,4 +154,4 @@ def spd_factor(M: np.ndarray) -> SpdFactorization:
         raise NotPositiveDefiniteError(
             f"pivot {pivots[j]:.3e} at column {j} is at or below the floor {pivot_floor:.3e}"
         )
-    return SpdFactorization(lower)
+    return SpdFactorization(_invert_lower(lower))

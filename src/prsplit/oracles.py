@@ -93,7 +93,8 @@ class AffineSet:
     """The set C = {x in R^n : A x = b} for full-row-rank A.
 
     The Gram matrix A A^T is factored once at construction so that each
-    projection costs two matrix-vector products and two triangular solves.
+    projection costs two matrix-vector products with A and two with the
+    m x m inverse Cholesky factor of A A^T (see :class:`SpdFactorization`).
     Rank deficiency surfaces as :class:`RankDeficientError`, raised from the
     factorization breakdown.
     """
@@ -209,18 +210,22 @@ class ShiftedQuadraticProx:
 
         [(5 gamma lam_max + 1) I + gamma A^T A] y = w + gamma A^T b,
 
-    so the per-step cost must be a pair of triangular solves: the system
-    factorization is computed once per distinct gamma and reused. The cache
-    write is last-wins, so concurrent first calls at the same gamma can at
-    worst factor redundantly. For wide matrices (m < n/2) the solve is
-    routed through the m x m Gram system
+    so the per-step cost must be two matrix-vector products with a cached
+    inverse Cholesky factor: the system is factored once per distinct gamma
+    and reused. The cache write is last-wins, so concurrent first calls at
+    the same gamma can at worst factor redundantly. For wide matrices
+    (m < n/2) the solve is routed through the m x m Gram system
 
         y = (v - gamma A^T (c I + gamma A A^T)^{-1} A v) / c,  c = 1 + 5 gamma lam_max,
 
     which is the same inverse pushed through the Woodbury identity.
+
+    The Gram matrix (A A^T when wide, A^T A otherwise; see :meth:`gram_of`)
+    is formed at construction unless `gram` passes in the one the caller
+    already holds, for instance to read lam_max from it.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, lam_max: float):
+    def __init__(self, A: np.ndarray, b: np.ndarray, lam_max: float, gram: np.ndarray | None = None):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         m, n = self.A.shape
@@ -232,8 +237,18 @@ class ShiftedQuadraticProx:
         self.dim = n
         self.Atb = self.A.T @ self.b
         self._wide = m < n / 2
-        self._gram = self.A @ self.A.T if self._wide else self.A.T @ self.A
+        self._gram = self.gram_of(self.A) if gram is None else gram
+        order = m if self._wide else n
+        if self._gram.shape != (order, order):
+            raise ValueError(f"gram has shape {self._gram.shape}, expected ({order}, {order})")
         self._factors: dict[float, SpdFactorization] = {}
+
+    @staticmethod
+    def gram_of(A: np.ndarray) -> np.ndarray:
+        """The Gram matrix the prox factors: A A^T if m < n/2, else A^T A."""
+        A = np.asarray(A, dtype=float)
+        m, n = A.shape
+        return A @ A.T if m < n / 2 else A.T @ A
 
     def _factor(self, gamma: float) -> SpdFactorization:
         factor = self._factors.get(gamma)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import rng_from_seed, spectral_norm_sq
+from .linalg import gram_top_eigenvalue, rng_from_seed
 from .oracles import (
     AffineSet,
     BoxSet,
@@ -215,9 +215,16 @@ def build_constrained_ls(inst: LsInstance) -> SplitProblem:
     below the true value even when the top eigenvalues nearly coincide;
     valid steps are gamma < 1 / (12 lam) and the g-prox needs
     gamma < 1 / (5 lam).
+
+    The eigenvalue is read from the Gram matrix the smooth prox factors, so
+    it is formed once. That is A A^T for m < n/2 and A^T A otherwise, the
+    same orientation :func:`spectral_norm_sq` picks except for
+    n/2 <= m < n, where the eigensolver gets the n x n A^T A instead of the
+    m x m A A^T: the same value up to rounding, at a larger eigensolve.
     """
-    lam = spectral_norm_sq(inst.A) * _CURVATURE_MARGIN
-    smooth_prox = ShiftedQuadraticProx(inst.A, inst.b, lam)
+    gram = ShiftedQuadraticProx.gram_of(inst.A)
+    lam = gram_top_eigenvalue(gram) * _CURVATURE_MARGIN
+    smooth_prox = ShiftedQuadraticProx(inst.A, inst.b, lam, gram=gram)
     dset = inst.constraint
 
     def f_value(y: np.ndarray) -> float:

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import svdvals
 
+from prsplit import linalg
 from prsplit.linalg import (
     NotPositiveDefiniteError,
     gaussian_matrix,
@@ -89,7 +90,7 @@ def test_spectral_norm_sq_rejects_zero_matrix():
 
 def test_spd_factor_identity():
     factor = spd_factor(np.eye(3))
-    assert_allclose(factor.lower, np.eye(3), atol=0)
+    assert_allclose(factor.inv_lower, np.eye(3), atol=0)
     b = np.array([1.0, -2.0, 3.0])
     assert_allclose(factor.solve(b), b, atol=0)
 
@@ -112,8 +113,10 @@ def test_spd_factor_reconstructs_matrix():
         B = gaussian_matrix(dim, dim, seed)
         M = B @ B.T + 0.5 * dim * np.eye(dim)
         factor = spd_factor(M)
-        rebuilt = factor.lower @ factor.lower.T
-        assert np.linalg.norm(rebuilt - M) <= 1e-8 * np.linalg.norm(M)
+        # L^{-1} M L^{-T} = I exactly when L L^T = M.
+        whitened = factor.inv_lower @ M @ factor.inv_lower.T
+        assert np.linalg.norm(whitened - np.eye(dim)) <= 1e-8 * np.sqrt(dim)
+        assert not np.any(np.triu(factor.inv_lower, 1))
 
 
 def test_spd_factor_solve_round_trip_random():
@@ -150,3 +153,31 @@ def test_solve_rejects_dimension_mismatch():
     factor = spd_factor(np.eye(3))
     with pytest.raises(ValueError):
         factor.solve(np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_non_finite_rhs(bad):
+    factor = spd_factor(np.diag([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError):
+        factor.solve(np.array([1.0, bad, 0.0]))
+
+
+LEAF = linalg._INVERSE_LEAF
+
+
+@pytest.mark.parametrize("dim", [1, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF, 2 * LEAF + 1, 200])
+@pytest.mark.parametrize("cond", [1e2, 1e6, 1e10])
+def test_spd_factor_solve_accuracy_across_block_sizes(dim, cond):
+    # M = Q diag(d) Q^T with eigenvalues spread log-uniformly over [1/cond, 1];
+    # the sizes straddle the leaf of the blocked inverse and its first splits.
+    Q, _ = np.linalg.qr(gaussian_matrix(dim, dim, dim))
+    d = np.logspace(0.0, -np.log10(cond), dim) if dim > 1 else np.ones(1)
+    M = (Q * d) @ Q.T
+    M = 0.5 * (M + M.T)
+    x_true = gaussian_matrix(dim, 1, dim + 1).ravel()
+    rhs = M @ x_true
+    x = spd_factor(M).solve(rhs)
+    forward = np.linalg.norm(x - x_true) / np.linalg.norm(x_true)
+    residual = np.linalg.norm(M @ x - rhs) / (np.linalg.norm(M, 2) * np.linalg.norm(x))
+    assert forward <= 1e-15 * cond
+    assert residual <= 1e-13
