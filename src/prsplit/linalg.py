@@ -128,18 +128,22 @@ def _invert_lower(L: np.ndarray) -> np.ndarray:
 def spd_factor(M: np.ndarray) -> SpdFactorization:
     """Cholesky factorization M = L L^T with an explicit breakdown threshold.
 
-    The factor comes from LAPACK (through numpy), which reads only the lower
-    triangle of M. A pivot L[j, j]^2 at or below 1e-12 * trace(M) / dim, or a
-    breakdown inside LAPACK, is treated as loss of positive definiteness and
-    raises :class:`NotPositiveDefiniteError` instead of producing a garbage
-    factor. The checked factor is then inverted once, at about the cost of a
-    second Cholesky, and only L^{-1} is kept.
+    M must be finite and symmetric to within 1e-10 * (1 + max |M_ij|) in
+    every entry; either failure raises ValueError. The factor comes from
+    LAPACK (through numpy), which reads only the lower triangle of M. A
+    pivot L[j, j]^2 at or below 1e-12 * trace(M) / dim, or a breakdown
+    inside LAPACK, is treated as loss of positive definiteness and raises
+    :class:`NotPositiveDefiniteError` instead of producing a garbage factor.
+    The checked factor is then inverted once, at about the cost of a second
+    Cholesky, and only L^{-1} is kept.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    scale = np.max(np.abs(M)) if M.size else 0.0
-    if not np.allclose(M, M.T, rtol=0.0, atol=1e-10 * (1.0 + scale)):
+    if not np.isfinite(M).all():
+        raise ValueError("matrix contains NaN or infinite entries")
+    scale = np.max(np.abs(M), initial=0.0)
+    if np.abs(M - M.T).max(initial=0.0) > 1e-10 * (1.0 + scale):
         raise ValueError("matrix is not symmetric")
 
     pivot_floor = 1e-12 * float(np.trace(M)) / M.shape[0]

@@ -183,16 +183,27 @@ def project_sparse_box(dset: SparseBoxSet, w: np.ndarray) -> np.ndarray:
     """Nearest-point selection for the cardinality-capped box.
 
     Keeps the `r` entries of largest magnitude (ties broken toward the lowest
-    index), zeroes the rest, then clips the survivors to [-bound, bound].
-    The clip never moves a kept entry for the huge default bound, in which
+    index, NaN entries last), zeroes the rest, then clips the survivors to
+    [-bound, bound]; the r-th largest magnitude comes from a partition, not
+    a full sort. The clip never moves a kept entry for the huge default bound, in which
     case this is an exact nearest point; with an active bound it is the
     documented keep-then-clip selection.
     """
     w = np.asarray(w, dtype=float)
-    if w.shape[0] < dset.r:
-        raise ValueError(f"point has length {w.shape[0]} but the cap keeps {dset.r} entries")
-    # Stable sort on -|w| keeps the lowest index first among tied magnitudes.
-    keep = np.argsort(-np.abs(w), kind="stable")[: dset.r]
+    r = dset.r
+    if w.shape[0] < r:
+        raise ValueError(f"point has length {w.shape[0]} but the cap keeps {r} entries")
+    # Ordering by -|w| puts NaN last, as the stable sort below does, so the
+    # r-th smallest key is NaN only when fewer than r entries are numbers.
+    key = -np.abs(w)
+    threshold = np.partition(key, r - 1)[r - 1]
+    if np.isnan(threshold):
+        # Stable sort on -|w| keeps the lowest index first among tied magnitudes.
+        keep = np.argsort(key, kind="stable")[:r]
+    else:
+        above = np.flatnonzero(key < threshold)
+        tied = np.flatnonzero(key == threshold)[: r - above.size]
+        keep = np.concatenate((above, tied))
     out = np.zeros_like(w)
     out[keep] = np.clip(w[keep], -dset.bound, dset.bound)
     return out
@@ -204,25 +215,27 @@ def project_box(bset: BoxSet, w: np.ndarray) -> np.ndarray:
 
 
 class ShiftedQuadraticProx:
-    """Prox of f(y) = ||Ay - b||^2 / 2 + (5 lam_max / 2) ||y||^2 with cached factors.
+    """Prox of f(y) = ||Ay - b||^2 / 2 + (5 lam_max / 2) ||y||^2 with a cached factor.
 
     Evaluating ``prox(gamma, w)`` solves
 
         [(5 gamma lam_max + 1) I + gamma A^T A] y = w + gamma A^T b,
 
     so the per-step cost must be two matrix-vector products with a cached
-    inverse Cholesky factor: the system is factored once per distinct gamma
-    and reused. The cache write is last-wins, so concurrent first calls at
-    the same gamma can at worst factor redundantly. For wide matrices
-    (m < n/2) the solve is routed through the m x m Gram system
+    inverse Cholesky factor. One (gamma, factor) slot is kept: a call at
+    another gamma forms the Gram matrix again from A, factors the new
+    system and replaces the slot. PR's step only ever shrinks, so a run
+    factors once per step size it uses. For wide matrices (m < n/2) the
+    solve is routed through the m x m Gram system
 
         y = (v - gamma A^T (c I + gamma A A^T)^{-1} A v) / c,  c = 1 + 5 gamma lam_max,
 
     which is the same inverse pushed through the Woodbury identity.
 
     The Gram matrix (A A^T when wide, A^T A otherwise; see :meth:`gram_of`)
-    is formed at construction unless `gram` passes in the one the caller
-    already holds, for instance to read lam_max from it.
+    is not retained: `gram` may pass in the one the caller already holds,
+    for instance to read lam_max from it, and the first factor is built from
+    it and then drops it.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, lam_max: float, gram: np.ndarray | None = None):
@@ -237,11 +250,11 @@ class ShiftedQuadraticProx:
         self.dim = n
         self.Atb = self.A.T @ self.b
         self._wide = m < n / 2
-        self._gram = self.gram_of(self.A) if gram is None else gram
         order = m if self._wide else n
-        if self._gram.shape != (order, order):
-            raise ValueError(f"gram has shape {self._gram.shape}, expected ({order}, {order})")
-        self._factors: dict[float, SpdFactorization] = {}
+        if gram is not None and gram.shape != (order, order):
+            raise ValueError(f"gram has shape {gram.shape}, expected ({order}, {order})")
+        self._gram = gram
+        self._slot: tuple[float, SpdFactorization] | None = None
 
     @staticmethod
     def gram_of(A: np.ndarray) -> np.ndarray:
@@ -251,15 +264,15 @@ class ShiftedQuadraticProx:
         return A @ A.T if m < n / 2 else A.T @ A
 
     def _factor(self, gamma: float) -> SpdFactorization:
-        factor = self._factors.get(gamma)
-        if factor is None:
-            c = 1.0 + 5.0 * gamma * self.lam_max
-            if self._wide:
-                system = gamma * self._gram + c * np.eye(self.A.shape[0])
-            else:
-                system = gamma * self._gram + c * np.eye(self.dim)
-            factor = spd_factor(system)
-            self._factors[gamma] = factor
+        if self._slot is not None and self._slot[0] == gamma:
+            return self._slot[1]
+        gram = self.gram_of(self.A) if self._gram is None else self._gram
+        self._gram = None
+        system = gamma * gram
+        del gram  # freed before the factorization's own n x n work arrays
+        system.flat[:: system.shape[0] + 1] += 1.0 + 5.0 * gamma * self.lam_max
+        factor = spd_factor(system)
+        self._slot = (gamma, factor)
         return factor
 
     def __call__(self, gamma: float, w: np.ndarray) -> np.ndarray:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import svdvals
 
 from prsplit import linalg
 from prsplit.linalg import (
@@ -72,10 +71,12 @@ def test_spectral_norm_sq_rayleigh_lower_bound():
 
 
 def test_spectral_norm_sq_matches_singular_values():
-    # Tall, wide, and column-deficient (rank 3 of 6 columns) matrices.
+    # LAPACK's SVD, independent of the symmetric eigensolver under test, on
+    # tall, wide, and column-deficient (rank 3 of 6 columns) matrices.
     deficient = gaussian_matrix(8, 3, 21) @ gaussian_matrix(3, 6, 22)
     for A in (gaussian_matrix(30, 7, 23), gaussian_matrix(7, 30, 24), deficient):
-        assert_allclose(spectral_norm_sq(A), svdvals(A)[0] ** 2, rtol=1e-12)
+        sigma_max = np.linalg.svd(A, compute_uv=False)[0]
+        assert_allclose(spectral_norm_sq(A), sigma_max**2, rtol=1e-12)
 
 
 def test_spectral_norm_sq_rejects_nonpositive_tol():
@@ -147,6 +148,27 @@ def test_spd_factor_rejects_pivot_below_floor():
 def test_spd_factor_rejects_asymmetric():
     with pytest.raises(ValueError):
         spd_factor(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("factor, rejected", [(1.01, True), (0.99, False)])
+def test_spd_factor_symmetry_tolerance_boundary(factor, rejected):
+    # The tolerance is 1e-10 * (1 + max|M_ij|) = 3e-10 for this M.
+    M = 2.0 * np.eye(2)
+    M[0, 1] = factor * 3e-10
+    if rejected:
+        with pytest.raises(ValueError, match="not symmetric"):
+            spd_factor(M)
+    else:
+        assert_allclose(spd_factor(M).solve(np.array([2.0, 4.0])), [1.0, 2.0], rtol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spd_factor_rejects_non_finite_matrix(bad):
+    M = np.eye(3)
+    M[1, 1] = bad
+    with pytest.raises(ValueError, match="NaN or infinite") as info:
+        spd_factor(M)
+    assert not isinstance(info.value, NotPositiveDefiniteError)
 
 
 def test_solve_rejects_dimension_mismatch():

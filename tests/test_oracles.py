@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from prsplit.linalg import gaussian_matrix
+from prsplit import oracles
+from prsplit.linalg import gaussian_matrix, spd_factor
 from prsplit.oracles import (
     AffineSet,
     BoxSet,
@@ -106,6 +107,14 @@ def test_project_affine_rank_deficient_surfaces_factorization_error():
         AffineSet(A, np.array([1.0, 1.0]))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+def test_affine_set_with_infinite_entry_is_not_called_rank_deficient():
+    A = np.array([[1.0, 0.0, 0.0], [0.0, np.inf, 1.0]])
+    with pytest.raises(ValueError, match="NaN or infinite") as info:
+        AffineSet(A, np.array([1.0, 1.0]))
+    assert not isinstance(info.value, RankDeficientError)
+
+
 def test_project_sparse_box_two_largest():
     dset = SparseBoxSet(r=2)
     assert_allclose(project_sparse_box(dset, np.array([3.0, -1.0, 2.0])), [3.0, 0.0, 2.0])
@@ -127,6 +136,38 @@ def test_project_sparse_box_matches_enumeration():
             sparse_box_best_distance(w, 3, dset.bound),
             atol=1e-12,
         )
+
+
+def reference_sparse_box(dset, w):
+    """Oracle: stable argsort on -|w| (lowest index first among ties, NaN last)."""
+    keep = np.argsort(-np.abs(w), kind="stable")[: dset.r]
+    out = np.zeros_like(w)
+    out[keep] = np.clip(w[keep], -dset.bound, dset.bound)
+    return out
+
+
+def sparse_box_inputs(seed):
+    """Random points of several kinds: continuous, tied, infinite, NaN."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    yield rng.standard_normal(n)
+    yield rng.integers(-2, 3, n).astype(float)  # magnitudes 0, 1, 2 tie often
+    for specials in ([np.inf, -np.inf], [np.nan], [np.nan, np.inf, -np.inf]):
+        w = rng.integers(-2, 3, n).astype(float)
+        hit = rng.random(n) < 0.3
+        w[hit] = rng.choice(specials, int(hit.sum()))
+        yield w
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_project_sparse_box_partition_matches_stable_argsort(seed):
+    for w in sparse_box_inputs(seed):
+        for r in sorted({1, (w.shape[0] + 1) // 2, w.shape[0]}):
+            for bound in (1.5, 1e6):
+                dset = SparseBoxSet(r, bound)
+                np.testing.assert_array_equal(
+                    project_sparse_box(dset, w), reference_sparse_box(dset, w)
+                )
 
 
 def test_project_sparse_box_clips_to_bound():
@@ -195,17 +236,39 @@ def test_shifted_quadratic_prox_woodbury_matches_dense_solve():
         assert_allclose(ShiftedQuadraticProx(A, b, lam)(gamma, w), expected, rtol=1e-10, atol=1e-12)
 
 
-def test_shifted_quadratic_prox_caches_factor_per_gamma():
+def test_shifted_quadratic_prox_caches_factor_per_gamma(monkeypatch):
+    # One (gamma, factor) slot: repeats at the slot's gamma reuse the factor,
+    # any other gamma refactors and replaces it.
+    calls = []
+    monkeypatch.setattr(oracles, "spd_factor", lambda M: calls.append(M) or spd_factor(M))
     A = gaussian_matrix(3, 12, 3)
     prox = ShiftedQuadraticProx(A, np.zeros(3), 10.0)
     w = np.ones(12)
     first = prox(0.001, w)
-    assert len(prox._factors) == 1
+    assert len(calls) == 1
     second = prox(0.001, w)
-    assert len(prox._factors) == 1
+    assert len(calls) == 1
     assert_allclose(first, second, atol=0)
     prox(0.0005, w)
-    assert len(prox._factors) == 2
+    assert len(calls) == 2
+    prox(0.0005, w)
+    assert len(calls) == 2
+    prox(0.001, w)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("shape", [(3, 12), (12, 5)], ids=["wide", "tall"])
+def test_shifted_quadratic_prox_refactor_is_bit_identical(shape):
+    m, n = shape
+    A = gaussian_matrix(m, n, 31)
+    b = gaussian_matrix(m, 1, 32).ravel()
+    w = gaussian_matrix(n, 1, 33).ravel()
+    lam = float(np.linalg.eigvalsh(A.T @ A)[-1])
+    gram = ShiftedQuadraticProx.gram_of(A)
+    prox = ShiftedQuadraticProx(A, b, lam, gram=gram)
+    for gamma in (1.0 / (20.0 * lam), 1.0 / (40.0 * lam), 1.0 / (20.0 * lam)):
+        fresh = ShiftedQuadraticProx(A, b, lam)(gamma, w)
+        np.testing.assert_array_equal(prox(gamma, w), fresh)
 
 
 def test_prox_shifted_halfsqdist_origin_fixed_point():

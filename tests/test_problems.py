@@ -1,5 +1,8 @@
 """Tests for instance generation, problem builders, and classification."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -196,6 +199,26 @@ def test_build_constrained_ls_bound_covers_clustered_top_eigenvalues(delta):
     A = np.diag(np.sqrt(1.0 - delta * np.arange(10)))
     problem = build_constrained_ls(LsInstance(A=A, b=np.ones(10), constraint=BoxSet(1.0)))
     assert problem.f.prox.lam_max >= 1.0
+
+
+def test_build_constrained_ls_retains_one_factor_and_no_gram():
+    # After one prox call the problem holds A, b and one 300 x 300 inverse
+    # factor; the 300 x 300 Gram matrix it was built from is released.
+    m, n = 600, 300
+    A = gaussian_matrix(m, n, 41)
+    inst = LsInstance(A=A, b=gaussian_matrix(m, 1, 42).ravel(), constraint=BoxSet(1.0))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        problem = build_constrained_ls(inst)
+        gamma = 0.99 * gamma_threshold(problem.f.strong_convexity, problem.f.grad_lipschitz)
+        problem.f.prox(gamma, np.zeros(n))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= n * n * 8 + 32 * n * 8
 
 
 def test_build_constrained_ls_identity_design_stationary_at_zero():
