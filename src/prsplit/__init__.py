@@ -23,12 +23,7 @@ from .oracles import (
     ShiftedQuadraticProx,
     SmoothOracle,
     SparseBoxSet,
-    project_affine,
-    project_box,
-    project_sparse_box,
     prox_halfsqdist,
-    prox_shifted_halfsqdist,
-    prox_shifted_quadratic,
     quadratic_oracle,
     shift_split,
 )
@@ -44,7 +39,6 @@ from .problems import (
     gen_feasibility,
     load_instance,
     save_instance,
-    shifted_feasibility_problem,
 )
 from .splitting import (
     HeuristicConfig,

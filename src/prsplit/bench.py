@@ -8,13 +8,15 @@ Per-trial seeds are derived from (base seed, m, n, trial) with a splitmix64
 mix, so every row is reproducible in isolation and the whole table is a
 pure function of its configuration (wall time aside).
 
-Both engines run the step-size heuristic by default: PR starts at 0.19 and
-decays toward 1/12 (its stationary cap for this problem), the DR baseline
-starts at 50 and decays toward 1/3 should the iterates ever destabilize. A
-large starting step makes the DR smooth prox behave like a near-projection
-onto the affine set, which favors solution quality over speed; the DR
-constants are a calibrated working choice, not an output of the step-size
-analysis, and both can be overridden.
+Both engines run the step-size heuristic by default, from the (start,
+floor) steps of :data:`METHOD_STEPS`, the one place those constants live.
+PR starts 5% below 1/5, where its shifted g-prox stops being well-posed,
+and decays toward 1/12, its stationary cap for this problem. The DR
+baseline starts large and decays toward its floor should the iterates ever
+destabilize. A large starting step makes the DR smooth prox behave like a
+near-projection onto the affine set, which favors solution quality over
+speed; the DR constants are a calibrated working choice, not an output of
+the step-size analysis, and both can be overridden.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "CSV_HEADER",
     "DESK_PAIRS",
     "FULL_PAIRS",
+    "METHOD_STEPS",
     "emit_table",
     "format_fval",
     "parse_csv",
@@ -48,6 +51,10 @@ FULL_PAIRS = tuple((m, n) for m in (100, 200, 300, 400, 500) for n in (4000, 500
 
 CSV_HEADER = "m,n,method,iter,fval_max,fval_min,succ,fail,undecided,seconds"
 
+# Default heuristic (gamma0, gamma1) of each method: the start step and the
+# floor it decays toward. BenchConfig and both CLI subcommands read them here.
+METHOD_STEPS = {"pr": (0.95 / 5.0, 1.0 / 12.0), "dr": (50.0, 1.0 / 3.0)}
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -61,10 +68,10 @@ class BenchConfig:
     methods: tuple[str, ...] = ("pr", "dr")
     tol: float = 1e-8
     max_iter: int = 50_000
-    pr_gamma0: float = 0.95 / 5.0
-    pr_gamma1: float = 1.0 / 12.0
-    dr_gamma0: float = 50.0
-    dr_gamma1: float = 1.0 / 3.0
+    pr_gamma0: float = METHOD_STEPS["pr"][0]
+    pr_gamma1: float = METHOD_STEPS["pr"][1]
+    dr_gamma0: float = METHOD_STEPS["dr"][0]
+    dr_gamma1: float = METHOD_STEPS["dr"][1]
 
     def __post_init__(self):
         if not self.pairs:

@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .bench import DESK_PAIRS, FULL_PAIRS, BenchConfig, emit_table, run_bench, solver_config
+from .bench import DESK_PAIRS, FULL_PAIRS, METHOD_STEPS, BenchConfig, emit_table, run_bench
 from .problems import (
     build_feasibility_dr,
     build_feasibility_pr,
@@ -70,10 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--tol", type=float, default=1e-8)
     bench.add_argument("--max-iter", type=int, default=50_000)
-    bench.add_argument("--pr-gamma0", type=float, default=0.95 / 5.0)
-    bench.add_argument("--pr-gamma1", type=float, default=1.0 / 12.0)
-    bench.add_argument("--dr-gamma0", type=float, default=50.0)
-    bench.add_argument("--dr-gamma1", type=float, default=1.0 / 3.0)
+    for method, (gamma0, gamma1) in METHOD_STEPS.items():
+        bench.add_argument(f"--{method}-gamma0", type=float, default=gamma0)
+        bench.add_argument(f"--{method}-gamma1", type=float, default=gamma1)
     bench.add_argument("--out", default=None, help="output path (default stdout)")
     bench.add_argument("--format", choices=("csv", "markdown"), default="csv")
     bench.add_argument("--quiet", action="store_true", help="suppress per-cell progress on stderr")
@@ -129,14 +128,10 @@ def _cmd_solve(args) -> int:
     if args.save_instance is not None:
         save_instance(inst, args.save_instance)
 
-    if args.method == "pr":
-        problem = build_feasibility_pr(inst)
-        gamma0 = 0.95 / 5.0 if args.gamma0 is None else args.gamma0
-        gamma1 = 1.0 / 12.0 if args.gamma1 is None else args.gamma1
-    else:
-        problem = build_feasibility_dr(inst)
-        gamma0 = 50.0 if args.gamma0 is None else args.gamma0
-        gamma1 = 1.0 / 3.0 if args.gamma1 is None else args.gamma1
+    problem = (build_feasibility_pr if args.method == "pr" else build_feasibility_dr)(inst)
+    default0, default1 = METHOD_STEPS[args.method]
+    gamma0 = default0 if args.gamma0 is None else args.gamma0
+    gamma1 = default1 if args.gamma1 is None else args.gamma1
     if args.fixed_gamma is not None:
         cfg = SolverConfig(gamma0=args.fixed_gamma, method=args.method, tol=args.tol, max_iter=args.max_iter)
     else:

@@ -9,13 +9,13 @@ Two oracle shapes drive everything:
   function through one deterministic selection from its proximal map plus a
   plain value callable (which may return +inf outside the domain).
 
-The concrete maps implemented here are the ones the solvers need: projection
-onto an affine set {x : Ax = b}, projection onto a cardinality-capped
-infinity-norm ball (hard thresholding then clipping), projection onto a plain
-box, the prox of the ridge-shifted least-squares block, the prox of half the
-squared distance to an affine set (shifted and unshifted), and the generic
-"move the quadratic shift across the split" transformer
-:func:`shift_split`.
+The concrete maps implemented here are the ones the solvers need. The sets
+carry their projections as methods: the affine set {x : Ax = b}, the
+cardinality-capped infinity-norm ball (hard thresholding then clipping) and
+the plain box. Besides those come the prox of the ridge-shifted
+least-squares block, the prox of half the squared distance to an affine
+set, and the generic "move the quadratic shift across the split"
+transformer :func:`shift_split`, the one way a shifted prox is built.
 """
 
 from __future__ import annotations
@@ -36,12 +36,7 @@ __all__ = [
     "ShiftedQuadraticProx",
     "SmoothOracle",
     "SparseBoxSet",
-    "project_affine",
-    "project_box",
-    "project_sparse_box",
     "prox_halfsqdist",
-    "prox_shifted_halfsqdist",
-    "prox_shifted_quadratic",
     "quadratic_oracle",
     "shift_split",
 ]
@@ -96,7 +91,8 @@ class AffineSet:
     projection costs two matrix-vector products with A and two with the
     m x m inverse Cholesky factor of A A^T (see :class:`SpdFactorization`).
     Rank deficiency surfaces as :class:`RankDeficientError`, raised from the
-    factorization breakdown.
+    factorization breakdown. A row of A holding NaN or inf, or too large for
+    its squared norm to be finite, raises ValueError naming that row.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -104,8 +100,18 @@ class AffineSet:
         self.b = np.asarray(b, dtype=float)
         if self.A.ndim != 2 or self.b.ndim != 1 or self.A.shape[0] != self.b.shape[0]:
             raise ValueError("A must be m x n and b of length m")
+        # The diagonal of the Gram matrix holds the squared row norms, so a
+        # bad row shows there without an m x n isfinite temporary.
+        with np.errstate(invalid="ignore", over="ignore"):
+            gram = self.A @ self.A.T
+        bad_rows = np.flatnonzero(~np.isfinite(np.diagonal(gram)))
+        if bad_rows.size:
+            i = int(bad_rows[0])
+            if np.isfinite(self.A[i]).all():
+                raise ValueError(f"A row {i} is too large: its squared norm overflows")
+            raise ValueError(f"A holds NaN or infinite entries, first in row {i}")
         try:
-            self.gram_factor: SpdFactorization = spd_factor(self.A @ self.A.T)
+            self.gram_factor: SpdFactorization = spd_factor(gram)
         except NotPositiveDefiniteError as exc:
             m, n = self.A.shape
             raise RankDeficientError(
@@ -138,7 +144,33 @@ class SparseBoxSet:
             raise ValueError("bound must be positive")
 
     def project(self, w: np.ndarray) -> np.ndarray:
-        return project_sparse_box(self, w)
+        """Nearest-point selection for the cardinality-capped box.
+
+        Keeps the `r` entries of largest magnitude (ties broken toward the
+        lowest index, NaN entries last), zeroes the rest, then clips the
+        survivors to [-bound, bound]; the r-th largest magnitude comes from a
+        partition, not a full sort. The clip never moves a kept entry for the
+        huge default bound, in which case this is an exact nearest point; with
+        an active bound it is the documented keep-then-clip selection.
+        """
+        w = np.asarray(w, dtype=float)
+        r = self.r
+        if w.shape[0] < r:
+            raise ValueError(f"point has length {w.shape[0]} but the cap keeps {r} entries")
+        # Ordering by -|w| puts NaN last, as the stable sort below does, so the
+        # r-th smallest key is NaN only when fewer than r entries are numbers.
+        key = -np.abs(w)
+        threshold = np.partition(key, r - 1)[r - 1]
+        if np.isnan(threshold):
+            # Stable sort on -|w| keeps the lowest index first among tied magnitudes.
+            keep = np.argsort(key, kind="stable")[:r]
+        else:
+            above = np.flatnonzero(key < threshold)
+            tied = np.flatnonzero(key == threshold)[: r - above.size]
+            keep = np.concatenate((above, tied))
+        out = np.zeros_like(w)
+        out[keep] = np.clip(w[keep], -self.bound, self.bound)
+        return out
 
     def contains(self, z: np.ndarray, tol: float = 0.0) -> bool:
         z = np.asarray(z, dtype=float)
@@ -162,7 +194,8 @@ class BoxSet:
             raise ValueError("bound must be positive")
 
     def project(self, w: np.ndarray) -> np.ndarray:
-        return project_box(self, w)
+        """Componentwise clip of w to [-bound, bound]."""
+        return np.clip(np.asarray(w, dtype=float), -self.bound, self.bound)
 
     def contains(self, z: np.ndarray, tol: float = 0.0) -> bool:
         z = np.asarray(z, dtype=float)
@@ -172,46 +205,6 @@ class BoxSet:
         # Tolerant membership so that convex averages of projected points,
         # which may overshoot by rounding, still count as inside.
         return 0.0 if self.contains(z, tol=1e-9) else np.inf
-
-
-def project_affine(cset: AffineSet, w: np.ndarray) -> np.ndarray:
-    """Nearest point of {x : Ax = b} to w, i.e. w - A^T (A A^T)^{-1} (A w - b)."""
-    return cset.project(w)
-
-
-def project_sparse_box(dset: SparseBoxSet, w: np.ndarray) -> np.ndarray:
-    """Nearest-point selection for the cardinality-capped box.
-
-    Keeps the `r` entries of largest magnitude (ties broken toward the lowest
-    index, NaN entries last), zeroes the rest, then clips the survivors to
-    [-bound, bound]; the r-th largest magnitude comes from a partition, not
-    a full sort. The clip never moves a kept entry for the huge default bound, in which
-    case this is an exact nearest point; with an active bound it is the
-    documented keep-then-clip selection.
-    """
-    w = np.asarray(w, dtype=float)
-    r = dset.r
-    if w.shape[0] < r:
-        raise ValueError(f"point has length {w.shape[0]} but the cap keeps {r} entries")
-    # Ordering by -|w| puts NaN last, as the stable sort below does, so the
-    # r-th smallest key is NaN only when fewer than r entries are numbers.
-    key = -np.abs(w)
-    threshold = np.partition(key, r - 1)[r - 1]
-    if np.isnan(threshold):
-        # Stable sort on -|w| keeps the lowest index first among tied magnitudes.
-        keep = np.argsort(key, kind="stable")[:r]
-    else:
-        above = np.flatnonzero(key < threshold)
-        tied = np.flatnonzero(key == threshold)[: r - above.size]
-        keep = np.concatenate((above, tied))
-    out = np.zeros_like(w)
-    out[keep] = np.clip(w[keep], -dset.bound, dset.bound)
-    return out
-
-
-def project_box(bset: BoxSet, w: np.ndarray) -> np.ndarray:
-    """Componentwise clip of w to [-bound, bound]."""
-    return np.clip(np.asarray(w, dtype=float), -bset.bound, bset.bound)
 
 
 class ShiftedQuadraticProx:
@@ -289,25 +282,6 @@ class ShiftedQuadraticProx:
         return factor.solve(v)
 
 
-def prox_shifted_quadratic(
-    A: np.ndarray, b: np.ndarray, lam_max: float, gamma: float, w: np.ndarray
-) -> np.ndarray:
-    """One-shot form of :class:`ShiftedQuadraticProx` (no factor reuse across calls)."""
-    return ShiftedQuadraticProx(A, b, lam_max)(gamma, w)
-
-
-def prox_shifted_halfsqdist(cset: AffineSet, gamma: float, w: np.ndarray) -> np.ndarray:
-    """Prox of f(y) = dist(y, C)^2 / 2 + (5/2) ||y||^2 at step gamma.
-
-    Closed form: (gamma * P_C(w / (1 + 5 gamma)) + w) / (6 gamma + 1).
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    w = np.asarray(w, dtype=float)
-    anchor = cset.project(w / (1.0 + 5.0 * gamma))
-    return (gamma * anchor + w) / (6.0 * gamma + 1.0)
-
-
 def prox_halfsqdist(cset: AffineSet, gamma: float, w: np.ndarray) -> np.ndarray:
     """Prox of f(y) = dist(y, C)^2 / 2: returns (w + gamma * P_C(w)) / (1 + gamma)."""
     if gamma <= 0:
@@ -373,8 +347,9 @@ def quadratic_oracle(Q: np.ndarray, c: np.ndarray | None = None) -> SmoothOracle
     """Smooth oracle for f(y) = y^T Q y / 2 + c^T y with Q symmetric PSD.
 
     The moduli are measured from the spectrum of Q, and the prox solves the
-    linear system (I + gamma Q) y = w - gamma c with one cached factorization
-    per distinct gamma.
+    linear system (I + gamma Q) y = w - gamma c. As in
+    :class:`ShiftedQuadraticProx`, one (gamma, factor) slot is kept: a call
+    at another gamma factors the new system and replaces the slot.
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
@@ -382,14 +357,12 @@ def quadratic_oracle(Q: np.ndarray, c: np.ndarray | None = None) -> SmoothOracle
     eigenvalues = np.linalg.eigvalsh(Q)
     if eigenvalues[0] < -1e-10 * max(1.0, abs(eigenvalues[-1])):
         raise ValueError("quadratic_oracle needs a positive semidefinite Q")
-    factors: dict[float, SpdFactorization] = {}
+    slot: list[tuple[float, SpdFactorization]] = []
 
     def prox(gamma: float, w: np.ndarray) -> np.ndarray:
-        factor = factors.get(gamma)
-        if factor is None:
-            factor = spd_factor(np.eye(n) + gamma * Q)
-            factors[gamma] = factor
-        return factor.solve(w - gamma * c)
+        if not slot or slot[0][0] != gamma:
+            slot[:] = [(gamma, spd_factor(np.eye(n) + gamma * Q))]
+        return slot[0][1].solve(w - gamma * c)
 
     return SmoothOracle(
         value=lambda y: 0.5 * float(y @ (Q @ y)) + float(c @ y),

@@ -2,7 +2,9 @@
 
 Sparse feasibility: find a point in C intersect D where C = {x : Ax = b} is
 an affine set and D caps both the cardinality and the magnitude of the
-entries. The PR splitting runs on the shifted decomposition
+entries. The DR baseline runs on the pair f = dist(., C)^2 / 2 (sigma = 0,
+L = 1), g = indicator_D. The PR splitting is :func:`shift_split` of that
+pair with weight 5, the decomposition
 
     f(y) = dist(y, C)^2 / 2 + (5/2) |y|^2       (sigma = 5, L = 6)
     g(z) = indicator_D(z) - (5/2) |z|^2         (prox: P_D(w / (1 - 5 gamma)))
@@ -10,8 +12,7 @@ entries. The PR splitting runs on the shifted decomposition
 which keeps f + g equal to the original objective while satisfying the
 strong-convexity requirement of the PR engine; valid steps are
 gamma < 1/12, and the g-prox additionally needs gamma < 1/5 to stay
-well-posed. The DR baseline runs on the unshifted pair f = dist^2/2
-(sigma = 0, L = 1), g = indicator_D.
+well-posed.
 
 Constrained least squares: minimize |Au - b|^2 / 2 over u in D, through the
 same shift with weight 5 lam, lam an upper bound on the largest eigenvalue
@@ -42,7 +43,7 @@ from .oracles import (
     SmoothOracle,
     SparseBoxSet,
     prox_halfsqdist,
-    prox_shifted_halfsqdist,
+    shift_split,
 )
 from .splitting import SplitProblem
 
@@ -58,7 +59,6 @@ __all__ = [
     "gen_feasibility",
     "load_instance",
     "save_instance",
-    "shifted_feasibility_problem",
 ]
 
 SUCCESS_THRESHOLD = 1e-12
@@ -139,45 +139,14 @@ def gen_feasibility(m: int, n: int, seed: int, bound: float = 1e6) -> Feasibilit
     return FeasibilityInstance(A=A, b=A @ x_true, r=r, bound=bound, seed=seed, x_true=x_true)
 
 
-def shifted_feasibility_problem(cset: AffineSet, dset) -> SplitProblem:
-    """PR-ready shifted splitting of dist(., C)^2 / 2 + indicator_D.
-
-    Works for any constraint object with ``project`` and ``indicator``;
-    the sparse-box D gives the benchmark problem, a plain box gives its
-    convex counterpart.
-    """
-
-    def f_value(y: np.ndarray) -> float:
-        gap = y - cset.project(y)
-        return 0.5 * float(gap @ gap) + 2.5 * float(y @ y)
-
-    def f_gradient(y: np.ndarray) -> np.ndarray:
-        return (y - cset.project(y)) + 5.0 * y
-
-    def g_prox(gamma: float, w: np.ndarray) -> np.ndarray:
-        scale = 1.0 - 5.0 * gamma
-        if scale <= 0.0:
-            raise ProxShiftError(
-                f"shift destroys prox well-posedness: gamma = {gamma} >= 1/5"
-            )
-        return dset.project(w / scale)
-
-    f = SmoothOracle(
-        value=f_value,
-        gradient=f_gradient,
-        strong_convexity=5.0,
-        grad_lipschitz=6.0,
-        prox=lambda gamma, w: prox_shifted_halfsqdist(cset, gamma, w),
-    )
-    g = ProxOracle(
-        prox=g_prox,
-        value=lambda z: dset.indicator(z) - 2.5 * float(z @ z),
-    )
-    return SplitProblem(f=f, g=g, dim=cset.dim)
-
-
 def distance_feasibility_problem(cset: AffineSet, dset) -> SplitProblem:
-    """Unshifted splitting dist(., C)^2 / 2 + indicator_D for the DR baseline."""
+    """Unshifted splitting dist(., C)^2 / 2 + indicator_D for the DR baseline.
+
+    Works for any constraint object D with ``project`` and ``indicator``:
+    the sparse-box D gives the benchmark problem, a plain box its convex
+    counterpart. The closures read ``cset.project`` at call time, so a
+    projection swapped onto the instance afterwards is the one they use.
+    """
 
     def f_value(y: np.ndarray) -> float:
         gap = y - cset.project(y)
@@ -199,7 +168,9 @@ def distance_feasibility_problem(cset: AffineSet, dset) -> SplitProblem:
 
 def build_feasibility_pr(inst: FeasibilityInstance) -> SplitProblem:
     """Shifted PR splitting of a sparse-feasibility instance (steps in (0, 1/12))."""
-    return shifted_feasibility_problem(inst.affine_set(), inst.sparse_set())
+    dr = build_feasibility_dr(inst)
+    f, g = shift_split(dr.f, dr.g, 5.0)
+    return SplitProblem(f=f, g=g, dim=dr.dim)
 
 
 def build_feasibility_dr(inst: FeasibilityInstance) -> SplitProblem:

@@ -272,31 +272,22 @@ def stationarity_residual(
 
 
 def heuristic_update(
-    gamma: float,
-    t: int,
-    y_t: np.ndarray,
-    y_prev: np.ndarray,
-    gamma1: float,
-    *,
-    shrink: float = 0.5,
-    settle: float = 0.9999,
-    step_limit: float = 1000.0,
-    norm_limit: float = 1e10,
+    gamma: float, t: int, y_t: np.ndarray, y_prev: np.ndarray, h: HeuristicConfig
 ) -> float:
-    """Shrink gamma toward settle*gamma1 when the iterates look unstable.
+    """Shrink gamma toward h.settle * h.gamma1 when the iterates look unstable.
 
-    No-op unless gamma > gamma1 and the trigger fires: |y_t - y_prev| >
-    step_limit / t or |y_t| > norm_limit. On a trigger the new value is
-    max(shrink * gamma, settle * gamma1), so gamma lands just below gamma1
-    after finitely many shrinks and then never moves again.
+    No-op unless gamma > h.gamma1 and the trigger fires: |y_t - y_prev| >
+    h.step_limit / t or |y_t| > h.norm_limit. On a trigger the new value is
+    max(h.shrink * gamma, h.settle * h.gamma1), so gamma lands just below
+    h.gamma1 after finitely many shrinks and then never moves again.
     """
-    if gamma <= 0 or gamma1 <= 0:
-        raise ValueError("gamma and gamma1 must be positive")
-    if gamma <= gamma1:
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    if gamma <= h.gamma1:
         return gamma
     drift = float(np.linalg.norm(y_t - y_prev))
-    if drift > step_limit / t or float(np.linalg.norm(y_t)) > norm_limit:
-        return max(shrink * gamma, settle * gamma1)
+    if drift > h.step_limit / t or float(np.linalg.norm(y_t)) > h.norm_limit:
+        return max(h.shrink * gamma, h.settle * h.gamma1)
     return gamma
 
 
@@ -381,18 +372,8 @@ def run(
                 break
 
         if config.heuristic is not None:
-            h = config.heuristic
-            gamma = heuristic_update(
-                gamma,
-                t,
-                state.y,
-                prev.y if prev.y is not None else state.y,
-                h.gamma1,
-                shrink=h.shrink,
-                settle=h.settle,
-                step_limit=h.step_limit,
-                norm_limit=h.norm_limit,
-            )
+            y_prev = prev.y if prev.y is not None else state.y
+            gamma = heuristic_update(gamma, t, state.y, y_prev, config.heuristic)
 
     residual = None
     if state.t > 0:

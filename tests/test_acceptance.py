@@ -35,17 +35,16 @@ from prsplit.oracles import (
     BoxSet,
     ProxOracle,
     SparseBoxSet,
-    project_affine,
-    project_sparse_box,
     quadratic_oracle,
+    shift_split,
 )
 from prsplit.problems import (
     LsInstance,
     build_constrained_ls,
     build_feasibility_dr,
     build_feasibility_pr,
+    distance_feasibility_problem,
     gen_feasibility,
-    shifted_feasibility_problem,
 )
 from prsplit.splitting import (
     SolverConfig,
@@ -85,7 +84,7 @@ def make_quadratic_sparse_problem(seed, dim=20, r=5):
     c = rng.standard_normal(dim)
     f = quadratic_oracle(Q, c)
     dset = SparseBoxSet(r=r)
-    g = ProxOracle(prox=lambda gamma, w: project_sparse_box(dset, w), value=dset.indicator)
+    g = ProxOracle(prox=lambda gamma, w: dset.project(w), value=dset.indicator)
     return SplitProblem(f=f, g=g, dim=dim)
 
 
@@ -148,7 +147,8 @@ def convex_box_suite():
         A = rng.standard_normal((m, n))
         x_feasible = 0.5 * rng.standard_normal(n)
         box = BoxSet(1.0 + 2.0 * float(np.max(np.abs(x_feasible))))
-        problem = shifted_feasibility_problem(AffineSet(A, A @ x_feasible), box)
+        dr = distance_feasibility_problem(AffineSet(A, A @ x_feasible), box)
+        problem = SplitProblem(*shift_split(dr.f, dr.g, 5.0), dim=n)
         reference = run(problem, SolverConfig(gamma0=gamma, tol=1e-12, max_iter=50_000), np.zeros(n))
         trace = run(
             problem, SolverConfig(gamma0=gamma, tol=0.0, max_iter=1001, record_trace=True), np.zeros(n)
@@ -216,7 +216,7 @@ def test_criterion_3_merit_formula_equivalence():
         for k in range(1000):
             problem = problems[k % len(problems)]
             y, x = rng.standard_normal((2, 12))
-            z = project_sparse_box(dset, rng.standard_normal(12))
+            z = dset.project(rng.standard_normal(12))
             gamma = float(rng.uniform(0.05, 2.0))
             fy, gz = problem.f.value(y), problem.g.value(z)
             base = fy + gz
@@ -247,7 +247,7 @@ def test_criterion_4_projection_oracles():
                 w = rng.choice([-2.0, -1.0, 1.0, 2.0], size=n)  # forced magnitude ties
             bound = 1e6 if case % 3 else float(np.median(np.abs(w)) + 1e-3)
             dset = SparseBoxSet(r=r, bound=bound)
-            projected = project_sparse_box(dset, w)
+            projected = dset.project(w)
             best = np.inf
             for support in itertools.combinations(range(n), r):
                 z = np.zeros(n)
@@ -263,7 +263,7 @@ def test_criterion_4_projection_oracles():
             w = rng.standard_normal(n)
             system = np.block([[np.eye(n), A.T], [A, np.zeros((m, m))]])
             expected = np.linalg.solve(system, np.concatenate([w, b]))[:n]
-            assert_allclose(project_affine(AffineSet(A, b), w), expected, atol=1e-8, rtol=1e-8)
+            assert_allclose(AffineSet(A, b).project(w), expected, atol=1e-8, rtol=1e-8)
 
 
 def test_criterion_5_ergodic_bound(convex_box_suite):

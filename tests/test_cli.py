@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from prsplit.bench import parse_csv
-from prsplit.cli import main
+from prsplit.bench import METHOD_STEPS, BenchConfig, parse_csv
+from prsplit.cli import _build_parser, main
 from prsplit.problems import load_instance
 
 
@@ -101,6 +101,18 @@ def test_solve_fixed_gamma(capsys):
     code = main(["solve", "--m", "10", "--n", "40", "--seed", "2", "--fixed-gamma", "0.08"])
     assert code == 0
     assert "final gamma : 0.08" in capsys.readouterr().out
+
+
+def test_step_defaults_come_from_method_steps(capsys):
+    bench = _build_parser().parse_args(["bench"])
+    cfg = BenchConfig()
+    for method, (gamma0, gamma1) in METHOD_STEPS.items():
+        assert getattr(bench, f"{method}_gamma0") == getattr(cfg, f"{method}_gamma0") == gamma0
+        assert getattr(bench, f"{method}_gamma1") == getattr(cfg, f"{method}_gamma1") == gamma1
+        # One iteration runs at the heuristic's start step.
+        code = main(["solve", "--m", "10", "--n", "40", "--method", method, "--max-iter", "1"])
+        assert code == 0
+        assert f"final gamma : {gamma0:.6g}\n" in capsys.readouterr().out
 
 
 def test_solve_rejects_missing_instance(capsys):

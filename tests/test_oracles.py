@@ -1,6 +1,7 @@
 """Tests for the prox/projection toolkit, each against an independent oracle."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -17,15 +18,11 @@ from prsplit.oracles import (
     ShiftedQuadraticProx,
     SmoothOracle,
     SparseBoxSet,
-    project_affine,
-    project_box,
-    project_sparse_box,
     prox_halfsqdist,
-    prox_shifted_halfsqdist,
-    prox_shifted_quadratic,
     quadratic_oracle,
     shift_split,
 )
+from prsplit.problems import FeasibilityInstance, build_feasibility_pr
 
 
 def kkt_projection(A, b, w):
@@ -33,6 +30,22 @@ def kkt_projection(A, b, w):
     m, n = A.shape
     system = np.block([[np.eye(n), A.T], [A, np.zeros((m, m))]])
     return np.linalg.solve(system, np.concatenate([w, b]))[:n]
+
+
+def shifted_halfsqdist_prox_reference(A, b, gamma, w):
+    """Oracle: prox of dist(., C)^2 / 2 + (5/2)|.|^2 at step gamma, C = {x : Ax = b},
+    from a dense solve of its optimality system
+    (A^T (A A^T)^-1 A + 5 I + I / gamma) y = w / gamma + A^T (A A^T)^-1 b."""
+    row_pinv = A.T @ np.linalg.inv(A @ A.T)
+    system = row_pinv @ A + (5.0 + 1.0 / gamma) * np.eye(A.shape[1])
+    return np.linalg.solve(system, w / gamma + row_pinv @ b)
+
+
+def pr_feasibility_f_prox(A, b):
+    """The smooth prox of the PR feasibility problem for C = {x : Ax = b}."""
+    x = np.linalg.lstsq(A, b, rcond=None)[0]
+    inst = FeasibilityInstance(A=A, b=b, r=A.shape[1], bound=1e6, seed=0, x_true=x)
+    return build_feasibility_pr(inst).f.prox
 
 
 def sparse_box_best_distance(w, r, bound):
@@ -50,14 +63,14 @@ def sparse_box_best_distance(w, r, bound):
 
 def test_project_affine_line():
     cset = AffineSet(np.array([[1.0, 0.0]]), np.array([1.0]))
-    assert_allclose(project_affine(cset, np.zeros(2)), [1.0, 0.0], atol=1e-14)
+    assert_allclose(cset.project(np.zeros(2)), [1.0, 0.0], atol=1e-14)
 
 
 def test_project_affine_fixes_feasible_points():
     A = gaussian_matrix(3, 6, 0)
     x_feasible = gaussian_matrix(6, 1, 1).ravel()
     cset = AffineSet(A, A @ x_feasible)
-    assert_allclose(project_affine(cset, x_feasible), x_feasible, atol=1e-12)
+    assert_allclose(cset.project(x_feasible), x_feasible, atol=1e-12)
 
 
 def test_project_affine_matches_kkt_oracle():
@@ -66,7 +79,7 @@ def test_project_affine_matches_kkt_oracle():
         b = gaussian_matrix(3, 1, seed + 50).ravel()
         w = gaussian_matrix(6, 1, seed + 100).ravel()
         cset = AffineSet(A, b)
-        assert_allclose(project_affine(cset, w), kkt_projection(A, b, w), atol=1e-8)
+        assert_allclose(cset.project(w), kkt_projection(A, b, w), atol=1e-8)
 
 
 def test_project_affine_output_is_feasible_and_orthogonal():
@@ -74,7 +87,7 @@ def test_project_affine_output_is_feasible_and_orthogonal():
     b = gaussian_matrix(4, 1, 3).ravel()
     cset = AffineSet(A, b)
     w = gaussian_matrix(10, 1, 4).ravel()
-    p = project_affine(cset, w)
+    p = cset.project(w)
     assert np.linalg.norm(A @ p - b) <= 1e-9 * (1.0 + np.linalg.norm(b))
     # w - p lies in the row space of A: projecting it onto the nullspace gives 0.
     nullspace_part = (w - p) - A.T @ np.linalg.solve(A @ A.T, A @ (w - p))
@@ -86,8 +99,8 @@ def test_project_affine_idempotent():
     b = gaussian_matrix(3, 1, 6).ravel()
     cset = AffineSet(A, b)
     w = gaussian_matrix(7, 1, 7).ravel()
-    once = project_affine(cset, w)
-    assert np.linalg.norm(project_affine(cset, once) - once) <= 1e-10 * (1 + np.linalg.norm(once))
+    once = cset.project(w)
+    assert np.linalg.norm(cset.project(once) - once) <= 1e-10 * (1 + np.linalg.norm(once))
 
 
 def test_project_affine_nonexpansive():
@@ -97,7 +110,7 @@ def test_project_affine_nonexpansive():
     rng = np.random.default_rng(10)
     for _ in range(20):
         u, v = rng.standard_normal((2, 8))
-        gap = np.linalg.norm(project_affine(cset, u) - project_affine(cset, v))
+        gap = np.linalg.norm(cset.project(u) - cset.project(v))
         assert gap <= np.linalg.norm(u - v) * (1 + 1e-12)
 
 
@@ -107,22 +120,35 @@ def test_project_affine_rank_deficient_surfaces_factorization_error():
         AffineSet(A, np.array([1.0, 1.0]))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 def test_affine_set_with_infinite_entry_is_not_called_rank_deficient():
     A = np.array([[1.0, 0.0, 0.0], [0.0, np.inf, 1.0]])
-    with pytest.raises(ValueError, match="NaN or infinite") as info:
-        AffineSet(A, np.array([1.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^A holds NaN or infinite entries, first in row 1") as info:
+            AffineSet(A, np.array([1.0, 1.0]))
     assert not isinstance(info.value, RankDeficientError)
+
+
+def test_affine_set_names_the_row_of_a_nan_or_an_overflowing_norm():
+    cases = [
+        (np.array([[1.0, 0.0], [np.nan, 1.0], [np.inf, 0.0]]), "NaN or infinite entries, first in row 1"),
+        (np.array([[1.0, 0.0], [0.0, 1.0], [1e200, 0.0]]), "row 2 is too large"),
+    ]
+    for A, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=f"^A .*{message}"):
+                AffineSet(A, np.ones(3))
 
 
 def test_project_sparse_box_two_largest():
     dset = SparseBoxSet(r=2)
-    assert_allclose(project_sparse_box(dset, np.array([3.0, -1.0, 2.0])), [3.0, 0.0, 2.0])
+    assert_allclose(dset.project(np.array([3.0, -1.0, 2.0])), [3.0, 0.0, 2.0])
 
 
 def test_project_sparse_box_tie_lowest_index():
     dset = SparseBoxSet(r=1)
-    assert_allclose(project_sparse_box(dset, np.array([5.0, 5.0])), [5.0, 0.0])
+    assert_allclose(dset.project(np.array([5.0, 5.0])), [5.0, 0.0])
 
 
 def test_project_sparse_box_matches_enumeration():
@@ -130,7 +156,7 @@ def test_project_sparse_box_matches_enumeration():
     dset = SparseBoxSet(r=3)
     for _ in range(20):
         w = rng.standard_normal(8)
-        projected = project_sparse_box(dset, w)
+        projected = dset.project(w)
         assert_allclose(
             np.linalg.norm(projected - w),
             sparse_box_best_distance(w, 3, dset.bound),
@@ -165,14 +191,12 @@ def test_project_sparse_box_partition_matches_stable_argsort(seed):
         for r in sorted({1, (w.shape[0] + 1) // 2, w.shape[0]}):
             for bound in (1.5, 1e6):
                 dset = SparseBoxSet(r, bound)
-                np.testing.assert_array_equal(
-                    project_sparse_box(dset, w), reference_sparse_box(dset, w)
-                )
+                np.testing.assert_array_equal(dset.project(w), reference_sparse_box(dset, w))
 
 
 def test_project_sparse_box_clips_to_bound():
     dset = SparseBoxSet(r=2, bound=1.5)
-    out = project_sparse_box(dset, np.array([4.0, -3.0, 0.5]))
+    out = dset.project(np.array([4.0, -3.0, 0.5]))
     assert_allclose(out, [1.5, -1.5, 0.0])
     assert dset.contains(out)
 
@@ -181,13 +205,13 @@ def test_project_sparse_box_idempotent():
     rng = np.random.default_rng(12)
     dset = SparseBoxSet(r=3)
     w = rng.standard_normal(9)
-    once = project_sparse_box(dset, w)
-    assert_allclose(project_sparse_box(dset, once), once, atol=1e-10)
+    once = dset.project(w)
+    assert_allclose(dset.project(once), once, atol=1e-10)
 
 
 def test_project_box_is_clip():
     bset = BoxSet(2.0)
-    assert_allclose(project_box(bset, np.array([3.0, -5.0, 1.0])), [2.0, -2.0, 1.0])
+    assert_allclose(bset.project(np.array([3.0, -5.0, 1.0])), [2.0, -2.0, 1.0])
     assert bset.indicator(np.array([2.0, 0.0])) == 0.0
     assert bset.indicator(np.array([2.1, 0.0])) == np.inf
 
@@ -199,14 +223,14 @@ def test_prox_shifted_quadratic_identity_design():
     # A = I, b = 0 collapses the solve to w / (6 gamma + 1).
     w = np.array([1.0, -2.0, 0.5])
     for gamma in (0.05, 1.0 / 24.0):
-        out = prox_shifted_quadratic(np.eye(3), np.zeros(3), 1.0, gamma, w)
+        out = ShiftedQuadraticProx(np.eye(3), np.zeros(3), 1.0)(gamma, w)
         assert_allclose(out, w / (6.0 * gamma + 1.0), rtol=1e-12)
 
 
 def test_prox_shifted_quadratic_zero_fixed_point():
     A = gaussian_matrix(4, 6, 13)
     lam = np.linalg.eigvalsh(A.T @ A)[-1]
-    out = prox_shifted_quadratic(A, np.zeros(4), lam, 0.01, np.zeros(6))
+    out = ShiftedQuadraticProx(A, np.zeros(4), lam)(0.01, np.zeros(6))
     assert_allclose(out, np.zeros(6), atol=1e-14)
 
 
@@ -217,7 +241,7 @@ def test_prox_shifted_quadratic_first_order_condition():
         w = gaussian_matrix(6, 1, seed + 60).ravel()
         lam = np.linalg.eigvalsh(A.T @ A)[-1]
         gamma = 1.0 / (24.0 * lam)
-        y = prox_shifted_quadratic(A, b, lam, gamma, w)
+        y = ShiftedQuadraticProx(A, b, lam)(gamma, w)
         grad = A.T @ (A @ y - b) + 5.0 * lam * y + (y - w) / gamma
         assert np.linalg.norm(grad) <= 1e-8
 
@@ -272,15 +296,15 @@ def test_shifted_quadratic_prox_refactor_is_bit_identical(shape):
 
 
 def test_prox_shifted_halfsqdist_origin_fixed_point():
-    cset = AffineSet(np.array([[1.0, 1.0]]), np.array([0.0]))  # 0 in C
-    out = prox_shifted_halfsqdist(cset, 0.04, np.zeros(2))
+    prox = pr_feasibility_f_prox(np.array([[1.0, 1.0]]), np.array([0.0]))  # 0 in C
+    out = prox(0.04, np.zeros(2))
     assert_allclose(out, np.zeros(2), atol=1e-14)
 
 
 def test_prox_shifted_halfsqdist_hand_case():
     # C = {x: x1 = 1} in R^2, gamma = 1/24, w = 0: anchor is (1,0), output (1/30, 0).
-    cset = AffineSet(np.array([[1.0, 0.0]]), np.array([1.0]))
-    out = prox_shifted_halfsqdist(cset, 1.0 / 24.0, np.zeros(2))
+    prox = pr_feasibility_f_prox(np.array([[1.0, 0.0]]), np.array([1.0]))
+    out = prox(1.0 / 24.0, np.zeros(2))
     assert_allclose(out, [1.0 / 30.0, 0.0], rtol=1e-14)
 
 
@@ -296,7 +320,7 @@ def test_prox_shifted_halfsqdist_local_minimality():
         gap = y - cset.project(y)
         return 0.5 * gap @ gap + 2.5 * y @ y + (y - w) @ (y - w) / (2 * gamma)
 
-    y_star = prox_shifted_halfsqdist(cset, gamma, w)
+    y_star = pr_feasibility_f_prox(A, b)(gamma, w)
     base = objective(y_star)
     for _ in range(20):
         assert base <= objective(y_star + 1e-3 * rng.standard_normal(6)) + 1e-12
@@ -357,13 +381,13 @@ def test_shift_split_sparse_projection_form():
     # With G the sparse-box indicator and alpha = 5, the shifted g-prox is
     # exactly the projection of w / (1 - 5 gamma).
     dset = SparseBoxSet(r=2)
-    G = ProxOracle(prox=lambda gamma, w: project_sparse_box(dset, w), value=dset.indicator)
+    G = ProxOracle(prox=lambda gamma, w: dset.project(w), value=dset.indicator)
     cset = AffineSet(np.array([[1.0, 0.0, 0.0]]), np.array([1.0]))
     _, g = shift_split(_halfsqdist_oracle(cset), G, alpha=5.0)
     rng = np.random.default_rng(30)
     for gamma in (0.02, 1.0 / 13.0, 0.19):
         w = rng.standard_normal(3)
-        assert_allclose(g.prox(gamma, w), project_sparse_box(dset, w / (1.0 - 5.0 * gamma)), rtol=1e-12)
+        assert_allclose(g.prox(gamma, w), dset.project(w / (1.0 - 5.0 * gamma)), rtol=1e-12)
 
 
 def test_shift_split_sum_identity():
@@ -378,15 +402,16 @@ def test_shift_split_sum_identity():
 
 
 def test_shift_split_f_prox_matches_closed_form():
-    # Dual route: generic composed prox against the dedicated closed form.
-    cset = AffineSet(gaussian_matrix(3, 8, 34), gaussian_matrix(3, 1, 35).ravel())
-    F = _halfsqdist_oracle(cset)
+    # Dual route: generic composed prox against a dense solve of the
+    # shifted prox's optimality system.
+    A, b = gaussian_matrix(3, 8, 34), gaussian_matrix(3, 1, 35).ravel()
+    F = _halfsqdist_oracle(AffineSet(A, b))
     G = ProxOracle(prox=lambda gamma, w: w, value=lambda z: 0.0)
     f, _ = shift_split(F, G, alpha=5.0)
     rng = np.random.default_rng(36)
     for gamma in (0.01, 0.05, 1.0 / 12.5):
         w = rng.standard_normal(8)
-        assert_allclose(f.prox(gamma, w), prox_shifted_halfsqdist(cset, gamma, w), atol=1e-10)
+        assert_allclose(f.prox(gamma, w), shifted_halfsqdist_prox_reference(A, b, gamma, w), atol=1e-10)
 
 
 def test_shift_split_ill_posed_prox_raises():
@@ -421,6 +446,23 @@ def test_quadratic_oracle_moduli_and_prox():
     gamma, w = 0.2, rng.standard_normal(5)
     y = oracle.prox(gamma, w)
     assert np.linalg.norm(Q @ y + c + (y - w) / gamma) <= 1e-10
+
+
+def test_quadratic_oracle_keeps_one_factor(monkeypatch):
+    # One (gamma, factor) slot: a return to an earlier gamma factors again,
+    # and every result is bit-identical to a fresh oracle's.
+    rng = np.random.default_rng(39)
+    B = rng.standard_normal((6, 6))
+    Q, c, w = B @ B.T, rng.standard_normal(6), rng.standard_normal(6)
+    gammas = (0.2, 0.1, 0.2)
+    fresh = [quadratic_oracle(Q, c).prox(gamma, w) for gamma in gammas]
+    calls = []
+    monkeypatch.setattr(oracles, "spd_factor", lambda M: calls.append(M) or spd_factor(M))
+    oracle = quadratic_oracle(Q, c)
+    for gamma, expected in zip(gammas, fresh):
+        np.testing.assert_array_equal(oracle.prox(gamma, w), expected)
+        np.testing.assert_array_equal(oracle.prox(gamma, w), expected)
+    assert len(calls) == 3
 
 
 def test_quadratic_oracle_gradient_matches_finite_differences():

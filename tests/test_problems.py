@@ -15,7 +15,6 @@ from prsplit.oracles import (
     ProxShiftError,
     SmoothOracle,
     SparseBoxSet,
-    project_sparse_box,
     shift_split,
 )
 from prsplit.problems import (
@@ -98,7 +97,7 @@ def test_build_feasibility_pr_gprox_scaling():
     rng = np.random.default_rng(0)
     for gamma in (0.02, 1.0 / 13.0):
         w = rng.standard_normal(4)
-        assert_allclose(problem.g.prox(gamma, w), project_sparse_box(dset, w / (1 - 5 * gamma)))
+        assert_allclose(problem.g.prox(gamma, w), dset.project(w / (1 - 5 * gamma)))
 
 
 def test_build_feasibility_pr_gprox_ill_posed():
@@ -116,7 +115,7 @@ def test_feasibility_pr_step_matches_hand_formulas():
     out = pr_step(initial_state(x0), problem, gamma)
     # Direct evaluation of the three closed-form updates.
     y1 = (gamma * cset.project(x0 / (1 + 5 * gamma)) + x0) / (6 * gamma + 1)
-    z1 = project_sparse_box(inst.sparse_set(), (2 * y1 - x0) / (1 - 5 * gamma))
+    z1 = inst.sparse_set().project((2 * y1 - x0) / (1 - 5 * gamma))
     x1 = x0 + 2 * (z1 - y1)
     assert_allclose(out.y, y1, atol=1e-14)
     assert_allclose(out.z, z1, atol=1e-14)
@@ -131,7 +130,7 @@ def test_feasibility_dr_step_matches_hand_formulas():
     x0 = np.array([0.5, -1.0, 2.0, 0.0])
     out = dr_step(initial_state(x0), problem, gamma)
     y1 = (x0 + gamma * cset.project(x0)) / (1 + gamma)
-    z1 = project_sparse_box(inst.sparse_set(), 2 * y1 - x0)
+    z1 = inst.sparse_set().project(2 * y1 - x0)
     assert_allclose(out.y, y1, atol=1e-14)
     assert_allclose(out.z, z1, atol=1e-14)
     assert_allclose(out.x, x0 + (z1 - y1), atol=1e-14)
@@ -147,34 +146,29 @@ def test_build_feasibility_dr_oracle_contracts():
 
 
 def test_feasibility_pr_matches_generic_shift_split():
-    # Dual route: the dedicated closed forms against the generic transformer.
+    # Dual route: the shift_split-built problem against dense references.
+    # The f-prox solves its optimality system
+    # (A^T (A A^T)^-1 A + 5 I + I / gamma) y = w / gamma + A^T (A A^T)^-1 b.
     inst = gen_feasibility(6, 15, 3)
     problem = build_feasibility_pr(inst)
-    cset = inst.affine_set()
+    A, b = inst.A, inst.b
+    row_pinv = A.T @ np.linalg.inv(A @ A.T)
     dset = inst.sparse_set()
 
-    def f_value(y):
-        gap = y - cset.project(y)
-        return 0.5 * float(gap @ gap)
-
-    F = SmoothOracle(
-        value=f_value,
-        gradient=lambda y: y - cset.project(y),
-        strong_convexity=0.0,
-        grad_lipschitz=1.0,
-        prox=lambda gamma, w: (w + gamma * cset.project(w)) / (1 + gamma),
-    )
-    G = ProxOracle(prox=lambda gamma, w: project_sparse_box(dset, w), value=dset.indicator)
-    f_ref, g_ref = shift_split(F, G, alpha=5.0)
+    def f_ref_value(y):
+        gap = row_pinv @ (A @ y - b)
+        return 0.5 * float(gap @ gap) + 2.5 * float(y @ y)
 
     rng = np.random.default_rng(4)
     for gamma in (0.01, 0.05, 0.08):
         w = rng.standard_normal(15)
-        assert_allclose(problem.f.prox(gamma, w), f_ref.prox(gamma, w), atol=1e-10)
-        assert_allclose(problem.g.prox(gamma, w), g_ref.prox(gamma, w), atol=1e-10)
-        assert_allclose(problem.f.value(w), f_ref.value(w), atol=1e-10)
+        system = row_pinv @ A + (5.0 + 1.0 / gamma) * np.eye(15)
+        f_ref_prox = np.linalg.solve(system, w / gamma + row_pinv @ b)
+        assert_allclose(problem.f.prox(gamma, w), f_ref_prox, atol=1e-10)
+        assert_allclose(problem.g.prox(gamma, w), dset.project(w / (1 - 5 * gamma)), atol=1e-10)
+        assert_allclose(problem.f.value(w), f_ref_value(w), atol=1e-10)
         z = problem.g.prox(gamma, w)
-        assert_allclose(problem.g.value(z), g_ref.value(z), atol=1e-10)
+        assert_allclose(problem.g.value(z), dset.indicator(z) - 2.5 * float(z @ z), atol=1e-10)
 
 
 # ------------------------------------------------------- constrained least sq.
@@ -237,7 +231,7 @@ def test_build_constrained_ls_gprox_scaling():
     lam = problem.f.strong_convexity / 5.0
     gamma = 1.0 / (24.0 * lam)
     w = gaussian_matrix(9, 1, 11).ravel()
-    assert_allclose(problem.g.prox(gamma, w), project_sparse_box(dset, w / (1 - 5.0 / 24.0)))
+    assert_allclose(problem.g.prox(gamma, w), dset.project(w / (1 - 5.0 / 24.0)))
     with pytest.raises(ProxShiftError):
         problem.g.prox(1.0 / (4.0 * lam), w)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from prsplit.oracles import ProxOracle, SmoothOracle, SparseBoxSet, project_sparse_box, quadratic_oracle
+from prsplit.oracles import ProxOracle, SmoothOracle, SparseBoxSet, quadratic_oracle
 from prsplit.splitting import (
     HeuristicConfig,
     SolverConfig,
@@ -49,7 +49,7 @@ def random_quadratic_sparse_problem(seed, dim=12, r=4):
     c = rng.standard_normal(dim)
     f = quadratic_oracle(Q, c)
     dset = SparseBoxSet(r=r)
-    g = ProxOracle(prox=lambda gamma, w: project_sparse_box(dset, w), value=dset.indicator)
+    g = ProxOracle(prox=lambda gamma, w: dset.project(w), value=dset.indicator)
     return SplitProblem(f=f, g=g, dim=dim)
 
 
@@ -149,7 +149,7 @@ def test_merit_pr_three_forms_agree():
     rng = np.random.default_rng(4)
     for _ in range(50):
         y, x = rng.standard_normal((2, 12))
-        z = project_sparse_box(SparseBoxSet(r=4), rng.standard_normal(12))
+        z = SparseBoxSet(r=4).project(rng.standard_normal(12))
         gamma = rng.uniform(0.05, 2.0)
         fy, gz = problem.f.value(y), problem.g.value(z)
         base = fy + gz
@@ -173,7 +173,7 @@ def test_merit_dr_minus_pr_is_gap_term():
     rng = np.random.default_rng(6)
     for _ in range(20):
         y, x = rng.standard_normal((2, 12))
-        z = project_sparse_box(SparseBoxSet(r=4), rng.standard_normal(12))
+        z = SparseBoxSet(r=4).project(rng.standard_normal(12))
         gamma = rng.uniform(0.05, 2.0)
         diff = merit_dr(y, z, x, problem, gamma) - merit_pr(y, z, x, problem, gamma)
         assert_allclose(diff, np.linalg.norm(y - z) ** 2 / gamma, rtol=1e-9, atol=1e-12)
@@ -295,25 +295,25 @@ def test_run_heuristic_shrinks_gamma_on_unstable_iterates():
 
 def test_heuristic_update_shrinks_on_trigger():
     y = np.full(3, 1e11)  # norm trigger
-    out = heuristic_update(0.19, 5, y, y, gamma1=1.0 / 12.0)
+    out = heuristic_update(0.19, 5, y, y, HeuristicConfig(gamma1=1.0 / 12.0))
     assert_allclose(out, 0.095, rtol=1e-15)
 
 
 def test_heuristic_update_settles_just_below_floor():
     y_prev = np.zeros(3)
     y = np.full(3, 1e3)  # step trigger at t = 1
-    out = heuristic_update(0.09, 1, y, y_prev, gamma1=1.0 / 12.0)
+    out = heuristic_update(0.09, 1, y, y_prev, HeuristicConfig(gamma1=1.0 / 12.0))
     assert_allclose(out, 0.9999 / 12.0, rtol=1e-15)
 
 
 def test_heuristic_update_noop_below_floor():
     y = np.full(3, 1e11)
-    assert heuristic_update(0.05, 5, y, y, gamma1=1.0 / 12.0) == 0.05
+    assert heuristic_update(0.05, 5, y, y, HeuristicConfig(gamma1=1.0 / 12.0)) == 0.05
 
 
 def test_heuristic_update_noop_without_trigger():
     y = np.ones(3)
-    assert heuristic_update(0.19, 1000, y, y, gamma1=1.0 / 12.0) == 0.19
+    assert heuristic_update(0.19, 1000, y, y, HeuristicConfig(gamma1=1.0 / 12.0)) == 0.19
 
 
 # --------------------------------------------------------- trace inequalities
