@@ -92,7 +92,8 @@ class AffineSet:
     m x m inverse Cholesky factor of A A^T (see :class:`SpdFactorization`).
     Rank deficiency surfaces as :class:`RankDeficientError`, raised from the
     factorization breakdown. A row of A holding NaN or inf, or too large for
-    its squared norm to be finite, raises ValueError naming that row.
+    its squared norm to be finite, raises ValueError naming that row; a NaN
+    or inf in b raises ValueError naming b.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -100,6 +101,8 @@ class AffineSet:
         self.b = np.asarray(b, dtype=float)
         if self.A.ndim != 2 or self.b.ndim != 1 or self.A.shape[0] != self.b.shape[0]:
             raise ValueError("A must be m x n and b of length m")
+        if not np.isfinite(self.b).all():
+            raise ValueError("b holds NaN or infinite entries")
         # The diagonal of the Gram matrix holds the squared row norms, so a
         # bad row shows there without an m x n isfinite temporary.
         with np.errstate(invalid="ignore", over="ignore"):

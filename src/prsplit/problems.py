@@ -116,6 +116,9 @@ class LsInstance:
     def __post_init__(self):
         if self.A.ndim != 2 or self.b.shape != (self.A.shape[0],):
             raise ValueError("A must be m x n with b of length m")
+        for name, data in (("A", self.A), ("b", self.b)):
+            if not np.isfinite(data).all():
+                raise ValueError(f"{name} holds NaN or infinite entries")
 
 
 def gen_feasibility(m: int, n: int, seed: int, bound: float = 1e6) -> FeasibilityInstance:

@@ -101,7 +101,7 @@ class HeuristicConfig:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Engine selection, step size, termination, and trace options.
+    """Engine selection, step size and termination.
 
     With ``gamma0`` unset and no heuristic, the engine uses the fixed step
     0.99 * gamma_threshold(sigma, L) of the problem it is given. A heuristic
@@ -113,7 +113,6 @@ class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 50_000
     heuristic: HeuristicConfig | None = None
-    record_trace: bool = False
 
     def __post_init__(self):
         if self.method not in ("pr", "dr"):
@@ -148,10 +147,10 @@ class IterateState:
 class SolverReport:
     """Everything a finished run exposes.
 
-    Per-iteration traces always hold the merit value (PR or DR merit to
-    match the engine), the gamma used, |z - y|, and |x - x_prev|; the full
-    state trajectory is kept only when the config asked for it. The
-    stationarity residual pair is None only for runs that took no step.
+    Per-iteration traces hold the merit value (PR or DR merit to match the
+    engine), the gamma used, |z - y|, and |x - x_prev|; ``run(...,
+    observer=lambda state, gamma: states.append(state))`` keeps the states.
+    The stationarity residual pair is None only for runs that took no step.
     """
 
     state: IterateState
@@ -162,7 +161,6 @@ class SolverReport:
     gap_trace: np.ndarray
     step_trace: np.ndarray
     residual: "StationarityResidual | None"
-    states: list[IterateState] | None = None
 
 
 class StationarityResidual(NamedTuple):
@@ -187,13 +185,14 @@ def _step(state: IterateState, problem: SplitProblem, gamma: float, factor: floa
         raise ValueError("gamma must be positive")
     x = state.x
     y = problem.f.prox(gamma, x)
-    z = problem.g.prox(gamma, 2.0 * y - x)
+    w = 2.0 * y - x
+    z = problem.g.prox(gamma, w)
     return IterateState(
         x=x + factor * (z - y),
         y=y,
         z=z,
         t=state.t + 1,
-        g_subgrad=(2.0 * y - x - z) / gamma,
+        g_subgrad=(w - z) / gamma,
     )
 
 
@@ -207,13 +206,13 @@ def dr_step(state: IterateState, problem: SplitProblem, gamma: float) -> Iterate
     return _step(state, problem, gamma, 1.0)
 
 
-def _coupling_terms(y: np.ndarray, z: np.ndarray, x: np.ndarray) -> tuple[float, ...]:
-    dyz = float(np.linalg.norm(y - z)) ** 2
-    dxy = float(np.linalg.norm(x - y)) ** 2
-    dxz = float(np.linalg.norm(x - z)) ** 2
-    refl = float(np.linalg.norm(2.0 * y - z - x)) ** 2
-    inner = float((x - y) @ (z - y))
-    return dyz, dxy, dxz, refl, inner
+def _merit(fy: float, gz: float, dyz: float, inner: float, gamma: float, coupling: float) -> float:
+    """f(y) + g(z) - coupling |y-z|^2/gamma + <x-y, z-y>/gamma from its parts."""
+    if not np.isfinite(gz):
+        raise ValueError("merit undefined: g is infinite at z (z outside dom g)")
+    if not np.isfinite(fy):
+        raise ValueError("merit undefined: f is infinite at y")
+    return fy + gz - coupling * dyz / gamma + inner / gamma
 
 
 def merit_pr(
@@ -221,27 +220,12 @@ def merit_pr(
 ) -> float:
     """PR merit f(y) + g(z) - 3|y-z|^2/(2 gamma) + <x-y, z-y>/gamma.
 
-    The value is cross-checked against its two expanded forms (the inner
-    product rewritten through either the reflected point 2y - z - x or the
-    difference of |x-y|^2 and |x-z|^2); disagreement beyond rounding level
-    means corrupted inputs and raises ArithmeticError.
+    Acceptance criterion 3 checks it against its two expanded forms, with the
+    inner product rewritten through 2y - z - x or through |x-y|^2 - |x-z|^2.
     """
-    fy = problem.f.value(y)
-    gz = problem.g.value(z)
-    if not np.isfinite(gz):
-        raise ValueError("merit undefined: g is infinite at z (z outside dom g)")
-    if not np.isfinite(fy):
-        raise ValueError("merit undefined: f is infinite at y")
-    dyz, dxy, dxz, refl, inner = _coupling_terms(y, z, x)
-    base = fy + gz
-    first = base - 1.5 * dyz / gamma + inner / gamma
-    second = base + (refl - dxy) / (2.0 * gamma) - 2.0 * dyz / gamma
-    third = base + (dxy - dxz - 2.0 * dyz) / (2.0 * gamma)
-    # Identity check relative to the size of the terms being cancelled.
-    scale = abs(fy) + abs(gz) + (dyz + dxy + dxz + refl) / (2.0 * gamma) + 1.0
-    if max(abs(first - second), abs(first - third)) > 1e-9 * scale:
-        raise ArithmeticError("merit formulas disagree beyond rounding; inputs look corrupted")
-    return first
+    dyz = float(np.linalg.norm(y - z)) ** 2
+    inner = float((x - y) @ (z - y))
+    return _merit(problem.f.value(y), problem.g.value(z), dyz, inner, gamma, 1.5)
 
 
 def merit_dr(
@@ -249,7 +233,8 @@ def merit_dr(
 ) -> float:
     """DR merit f(y) + g(z) - |y-z|^2/(2 gamma) + <x-y, z-y>/gamma."""
     dyz = float(np.linalg.norm(y - z)) ** 2
-    return merit_pr(y, z, x, problem, gamma) + dyz / gamma
+    inner = float((x - y) @ (z - y))
+    return _merit(problem.f.value(y), problem.g.value(z), dyz, inner, gamma, 0.5)
 
 
 def stationarity_residual(
@@ -271,22 +256,17 @@ def stationarity_residual(
     return StationarityResidual(identity, practical)
 
 
-def heuristic_update(
-    gamma: float, t: int, y_t: np.ndarray, y_prev: np.ndarray, h: HeuristicConfig
-) -> float:
+def heuristic_update(gamma: float, t: int, drift: float, y_norm: float, h: HeuristicConfig) -> float:
     """Shrink gamma toward h.settle * h.gamma1 when the iterates look unstable.
 
-    No-op unless gamma > h.gamma1 and the trigger fires: |y_t - y_prev| >
-    h.step_limit / t or |y_t| > h.norm_limit. On a trigger the new value is
-    max(h.shrink * gamma, h.settle * h.gamma1), so gamma lands just below
-    h.gamma1 after finitely many shrinks and then never moves again.
+    No-op unless gamma > h.gamma1 and drift = |y_t - y_{t-1}| (0 at t = 1)
+    exceeds h.step_limit / t or y_norm = |y_t| exceeds h.norm_limit. Then the
+    new value is max(h.shrink * gamma, h.settle * h.gamma1), so gamma lands
+    just below h.gamma1 after finitely many shrinks and never moves again.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if gamma <= h.gamma1:
-        return gamma
-    drift = float(np.linalg.norm(y_t - y_prev))
-    if drift > h.step_limit / t or float(np.linalg.norm(y_t)) > h.norm_limit:
+    if gamma > h.gamma1 and (drift > h.step_limit / t or y_norm > h.norm_limit):
         return max(h.shrink * gamma, h.settle * h.gamma1)
     return gamma
 
@@ -299,11 +279,11 @@ def initial_state(x0: np.ndarray) -> IterateState:
     return IterateState(x=x0)
 
 
-def _is_diverging(state: IterateState) -> bool:
-    for vec in (state.y, state.z, state.x):
-        if not np.all(np.isfinite(vec)) or np.linalg.norm(vec) > _DIVERGENCE_NORM:
-            return True
-    return False
+def _norms(state: IterateState) -> tuple[float, float, float] | None:
+    """(|x|, |y|, |z|) of a post-step state, or None past the divergence guard
+    (a NaN or inf entry makes the norm NaN or inf, which fails the test too)."""
+    norms = tuple(float(np.linalg.norm(vec)) for vec in (state.x, state.y, state.z))
+    return norms if all(norm <= _DIVERGENCE_NORM for norm in norms) else None
 
 
 def run(
@@ -323,7 +303,7 @@ def run(
     every kept step with the new state and the gamma that produced it.
     """
     step = pr_step if config.method == "pr" else dr_step
-    merit = merit_pr if config.method == "pr" else merit_dr
+    coupling = 1.5 if config.method == "pr" else 0.5
 
     if config.gamma0 is not None:
         gamma = config.gamma0
@@ -331,49 +311,43 @@ def run(
         gamma = 0.99 * gamma_threshold(problem.f.strong_convexity, problem.f.grad_lipschitz)
 
     state = initial_state(x0)
+    prev_norms = None
     merits: list[float] = []
     gammas: list[float] = []
     gaps: list[float] = []
     steps: list[float] = []
-    states: list[IterateState] | None = [] if config.record_trace else None
 
     reason = "max_iter"
     for t in range(1, config.max_iter + 1):
         prev = state
         new = step(prev, problem, gamma)
-        if _is_diverging(new):
+        norms = _norms(new)
+        if norms is None:
             reason = "diverged"
             break
         state = new
+        x, y, z = state.x, state.y, state.z
 
-        merits.append(merit(state.y, state.z, state.x, problem, gamma))
+        gap = float(np.linalg.norm(z - y))
+        inner = float((x - y) @ (z - y))
+        merits.append(_merit(problem.f.value(y), problem.g.value(z), gap**2, inner, gamma, coupling))
         gammas.append(gamma)
-        gaps.append(float(np.linalg.norm(state.z - state.y)))
-        steps.append(float(np.linalg.norm(state.x - prev.x)))
-        if states is not None:
-            states.append(state)
+        gaps.append(gap)
+        steps.append(float(np.linalg.norm(x - prev.x)))
         if observer is not None:
             observer(state, gamma)
 
-        if prev.y is not None:
-            change = max(
-                steps[-1],
-                float(np.linalg.norm(state.y - prev.y)),
-                float(np.linalg.norm(state.z - prev.z)),
-            )
-            anchor = max(
-                float(np.linalg.norm(prev.x)),
-                float(np.linalg.norm(prev.y)),
-                float(np.linalg.norm(prev.z)),
-                1.0,
-            )
-            if change < config.tol * anchor:
+        drift = 0.0
+        if prev_norms is not None:
+            drift = float(np.linalg.norm(y - prev.y))
+            change = max(steps[-1], drift, float(np.linalg.norm(z - prev.z)))
+            if change < config.tol * max(*prev_norms, 1.0):
                 reason = "converged"
                 break
+        prev_norms = norms
 
         if config.heuristic is not None:
-            y_prev = prev.y if prev.y is not None else state.y
-            gamma = heuristic_update(gamma, t, state.y, y_prev, config.heuristic)
+            gamma = heuristic_update(gamma, t, drift, norms[1], config.heuristic)
 
     residual = None
     if state.t > 0:
@@ -387,7 +361,6 @@ def run(
         gap_trace=np.asarray(gaps),
         step_trace=np.asarray(steps),
         residual=residual,
-        states=states,
     )
 
 

@@ -101,9 +101,10 @@ def quad_suite():
         sigma = problem.f.strong_convexity
         lipschitz = problem.f.grad_lipschitz
         gamma = 0.99 * gamma_threshold(sigma, lipschitz)
-        config = SolverConfig(gamma0=gamma, tol=0.0, max_iter=2000, record_trace=True)
-        report = run(problem, config, np.zeros(problem.dim))
-        records.append((problem, gamma, report))
+        config = SolverConfig(gamma0=gamma, tol=0.0, max_iter=2000)
+        states = []
+        report = run(problem, config, np.zeros(problem.dim), observer=lambda s, g: states.append(s))
+        records.append((problem, gamma, report, states))
     return records, time.perf_counter() - start
 
 
@@ -150,10 +151,14 @@ def convex_box_suite():
         dr = distance_feasibility_problem(AffineSet(A, A @ x_feasible), box)
         problem = SplitProblem(*shift_split(dr.f, dr.g, 5.0), dim=n)
         reference = run(problem, SolverConfig(gamma0=gamma, tol=1e-12, max_iter=50_000), np.zeros(n))
+        states = []
         trace = run(
-            problem, SolverConfig(gamma0=gamma, tol=0.0, max_iter=1001, record_trace=True), np.zeros(n)
+            problem,
+            SolverConfig(gamma0=gamma, tol=0.0, max_iter=1001),
+            np.zeros(n),
+            observer=lambda s, g: states.append(s),
         )
-        records.append((problem, gamma, reference, trace))
+        records.append((problem, gamma, reference, trace, states))
     return records
 
 
@@ -176,8 +181,14 @@ def ls_box_suite():
         b /= scale
         problem = build_constrained_ls(LsInstance(A=A, b=b, constraint=BoxSet(0.3)))
         reference = run(problem, SolverConfig(tol=1e-13, max_iter=50_000), np.zeros(12))
-        working = run(problem, SolverConfig(tol=1e-8, max_iter=50_000, record_trace=True), np.zeros(12))
-        records.append((problem, reference, working))
+        states = []
+        working = run(
+            problem,
+            SolverConfig(tol=1e-8, max_iter=50_000),
+            np.zeros(12),
+            observer=lambda s, g: states.append(s),
+        )
+        records.append((problem, reference, working, states))
     return records
 
 
@@ -187,7 +198,7 @@ def ls_box_suite():
 def test_criterion_1_merit_monotone(quad_suite):
     records, elapsed = quad_suite
     with criterion("1", "PR merit nonincreasing over 2000 fixed-step iterations, 50 problems"):
-        for _, _, report in records:
+        for _, _, report, _ in records:
             merits = report.merit_trace
             violation = np.diff(merits) - 1e-9 * (1.0 + np.abs(merits[:-1]))
             assert np.max(violation) <= 0.0
@@ -197,11 +208,11 @@ def test_criterion_1_merit_monotone(quad_suite):
 def test_criterion_2_quantified_decrease(quad_suite):
     records, _ = quad_suite
     with criterion("2", "per-step merit drop below (-3*sigma + 2*L + gamma*L^2)/2 * |dy|^2"):
-        for problem, gamma, report in records:
+        for problem, gamma, report, states in records:
             sigma = problem.f.strong_convexity
             lipschitz = problem.f.grad_lipschitz
             rate = 0.5 * (-3.0 * sigma + 2.0 * lipschitz + gamma * lipschitz**2)
-            ys = [state.y for state in report.states]
+            ys = [state.y for state in states]
             for t in range(len(ys) - 1):
                 dy_sq = float(np.linalg.norm(ys[t + 1] - ys[t])) ** 2
                 drop = report.merit_trace[t + 1] - report.merit_trace[t]
@@ -268,9 +279,9 @@ def test_criterion_4_projection_oracles():
 
 def test_criterion_5_ergodic_bound(convex_box_suite):
     with criterion("5", "ergodic objective gap below its bound; scaled min-step decays"):
-        for problem, gamma, reference, trace in convex_box_suite:
+        for problem, gamma, reference, trace, states in convex_box_suite:
             objective = lambda u: problem.f.value(u) + problem.g.value(u)
-            z_iters = [state.z for state in trace.states]
+            z_iters = [state.z for state in states]
             for n_window in (10, 50, 100, 500):
                 lhs, rhs = ergodic_gap_bound(
                     z_iters,
@@ -291,10 +302,10 @@ def test_criterion_5_ergodic_bound(convex_box_suite):
 
 def test_criterion_6_linear_convergence(ls_box_suite):
     with criterion("6", "per-step contraction of |x - x_ref|^2 fits r <= 0.999 on the tail"):
-        for _, reference, working in ls_box_suite:
+        for _, reference, working, states in ls_box_suite:
             assert working.reason == "converged"
             x_ref = reference.state.x
-            xs = [state.x for state in working.states]
+            xs = [state.x for state in states]
             fitted = fit_contraction(xs, x_ref, tail=50)
             assert fitted <= 0.999
             tail = xs[-51:]
@@ -336,6 +347,35 @@ def test_criterion_7b_dr_solution_quality(bench_rows):
         assert not offenders, f"DR quality below PR on: {offenders}"
 
 
+# The desk table at the gate's seed: m, n, method, mean iterations, successes,
+# failures, undecided. Any change here is an algorithm change, not a refactor.
+# The fval columns are left out (they move at rounding level with the LAPACK
+# build), and so are the wall-time seconds.
+GATE_TABLE = (
+    (50, 500, "pr", 123.4, 9, 11, 0),
+    (50, 500, "dr", 814.95, 20, 0, 0),
+    (50, 1000, "pr", 228.25, 1, 19, 0),
+    (50, 1000, "dr", 1167.25, 19, 1, 0),
+    (100, 500, "pr", 421.65, 14, 6, 0),
+    (100, 500, "dr", 664.85, 20, 0, 0),
+    (100, 1000, "pr", 137.4, 13, 7, 0),
+    (100, 1000, "dr", 723.5, 20, 0, 0),
+    (150, 500, "pr", 965.6, 0, 20, 0),
+    (150, 500, "dr", 639.6, 20, 0, 0),
+    (150, 1000, "pr", 92.0, 17, 3, 0),
+    (150, 1000, "dr", 685.85, 20, 0, 0),
+)
+
+
+def test_gate_table_iterations_and_outcomes_are_pinned(bench_rows):
+    _, cells, _ = bench_rows
+    got = tuple(
+        (row.m, row.n, row.method, row.mean_iterations, row.successes, row.failures, row.undecided)
+        for row in cells.values()
+    )
+    assert got == GATE_TABLE
+
+
 def test_criterion_7c_pr_success_in_easiest_regime(full_scale_pr_row):
     cfg, row = full_scale_pr_row
     description = f"PR solves at least 90% of trials at the full grid's largest m/n, {row.m}x{row.n}"
@@ -370,7 +410,7 @@ def test_criterion_8_termination_contract(ls_box_suite):
             assert report.reason == "converged", f"PR at {m}x{n}, trial {trial}: {report.reason}"
             reports.append((config.tol, report))
         # Box-constrained least-squares runs from the linear-convergence suite.
-        for _, _, working in ls_box_suite:
+        for _, _, working, _ in ls_box_suite:
             reports.append((1e-8, working))
 
         converged = [(tol, report) for tol, report in reports if report.reason == "converged"]
@@ -384,13 +424,13 @@ def test_criterion_8_termination_contract(ls_box_suite):
 def test_criterion_9_boundedness(quad_suite):
     records, _ = quad_suite
     with criterion("9", "iterates stay bounded and the merit floors the shifted objective"):
-        for problem, gamma, report in records:
+        for problem, gamma, report, states in records:
             lipschitz = problem.f.grad_lipschitz
             first_merit = report.merit_trace[0]
-            for state in report.states:
+            for state in states:
                 for vec in (state.y, state.z, state.x):
                     assert float(np.linalg.norm(vec)) < 1e6
-            for state in report.states:
+            for state in states:
                 floor = (
                     problem.f.value(state.z)
                     + problem.g.value(state.z)

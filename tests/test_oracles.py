@@ -141,6 +141,12 @@ def test_affine_set_names_the_row_of_a_nan_or_an_overflowing_norm():
                 AffineSet(A, np.ones(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_affine_set_rejects_non_finite_b_at_construction(bad):
+    with pytest.raises(ValueError, match="^b holds NaN or infinite entries"):
+        AffineSet(np.eye(2, 3), np.array([bad, 1.0]))
+
+
 def test_project_sparse_box_two_largest():
     dset = SparseBoxSet(r=2)
     assert_allclose(dset.project(np.array([3.0, -1.0, 2.0])), [3.0, 0.0, 2.0])

@@ -174,6 +174,14 @@ def test_feasibility_pr_matches_generic_shift_split():
 # ------------------------------------------------------- constrained least sq.
 
 
+@pytest.mark.parametrize("name", ["A", "b"])
+def test_ls_instance_names_non_finite_data(name):
+    data = {"A": np.eye(4, 3), "b": np.ones(4)}
+    data[name][1] = np.inf if name == "A" else np.nan
+    with pytest.raises(ValueError, match=f"^{name} holds NaN or infinite entries"):
+        LsInstance(A=data["A"], b=data["b"], constraint=BoxSet(1.0))
+
+
 def test_build_constrained_ls_threshold():
     A = gaussian_matrix(5, 12, 7)
     inst = LsInstance(A=A, b=gaussian_matrix(5, 1, 8).ravel(), constraint=SparseBoxSet(r=2))

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from prsplit.oracles import ProxOracle, SmoothOracle, SparseBoxSet, quadratic_oracle
+from prsplit.bench import BenchConfig, solver_config, trial_seed
+from prsplit.oracles import BoxSet, ProxOracle, SmoothOracle, SparseBoxSet, quadratic_oracle
+from prsplit.problems import (
+    LsInstance,
+    build_constrained_ls,
+    build_feasibility_dr,
+    build_feasibility_pr,
+    gen_feasibility,
+)
 from prsplit.splitting import (
     HeuristicConfig,
     SolverConfig,
@@ -233,14 +241,15 @@ def test_run_zero_budget():
 
 def test_run_traces_have_matching_lengths():
     problem = random_quadratic_sparse_problem(10)
-    config = SolverConfig(max_iter=40, tol=0.0, record_trace=True)
-    report = run(problem, config, np.zeros(12))
+    config = SolverConfig(max_iter=40, tol=0.0)
+    states = []
+    report = run(problem, config, np.zeros(12), observer=lambda state, gamma: states.append(state))
     assert report.iterations == 40
     assert report.reason == "max_iter"
     for trace in (report.merit_trace, report.gamma_trace, report.gap_trace, report.step_trace):
         assert len(trace) == 40
-    assert len(report.states) == 40
-    assert report.states[-1].t == 40
+    assert len(states) == 40
+    assert states[-1].t == 40
 
 
 def test_run_detects_divergence():
@@ -257,6 +266,33 @@ def test_run_detects_divergence():
     assert report.reason == "diverged"
     assert np.all(np.isfinite(report.state.x))
     assert report.iterations < 1000
+
+
+def test_run_ends_diverged_on_a_nan_iterate():
+    calls = []
+
+    def prox(gamma, w):
+        calls.append(gamma)
+        y = w / (1.0 + gamma)
+        if len(calls) == 3:
+            y[0] = np.nan
+        return y
+
+    f = SmoothOracle(
+        value=lambda y: 0.5 * float(y @ y),
+        gradient=lambda y: y,
+        strong_convexity=1.0,
+        grad_lipschitz=1.0,
+        prox=prox,
+    )
+    problem = SplitProblem(f=f, g=zero_prox_oracle(), dim=3)
+    report = run(problem, SolverConfig(gamma0=0.5, max_iter=10, tol=0.0), np.ones(3))
+    assert report.reason == "diverged"
+    assert report.iterations == 2
+    assert report.state.t == 2
+    assert np.all(np.isfinite(report.state.x))
+    assert np.all(np.isfinite(report.state.z))
+    assert len(report.merit_trace) == 2
 
 
 def test_run_observer_sees_every_kept_step():
@@ -290,30 +326,144 @@ def test_run_heuristic_shrinks_gamma_on_unstable_iterates():
     assert report.gamma_trace[-1] == pytest.approx(0.9999 * threshold)
 
 
+def reference_run(problem, config, x0):
+    """The engine loop written out plainly: every norm taken where it is used,
+    a finiteness scan per vector, and the step-size rule on the vectors."""
+    step = pr_step if config.method == "pr" else dr_step
+    gamma = config.gamma0
+    if gamma is None:
+        gamma = 0.99 * gamma_threshold(problem.f.strong_convexity, problem.f.grad_lipschitz)
+    state = initial_state(x0)
+    merits, gammas, gaps, steps = [], [], [], []
+    reason = "max_iter"
+    for t in range(1, config.max_iter + 1):
+        prev = state
+        new = step(prev, problem, gamma)
+        if any(not np.all(np.isfinite(v)) or np.linalg.norm(v) > 1e12 for v in (new.y, new.z, new.x)):
+            reason = "diverged"
+            break
+        state = new
+        merit = merit_pr(state.y, state.z, state.x, problem, gamma)
+        if config.method == "dr":
+            merit += float(np.linalg.norm(state.y - state.z)) ** 2 / gamma
+        merits.append(merit)
+        gammas.append(gamma)
+        gaps.append(float(np.linalg.norm(state.z - state.y)))
+        steps.append(float(np.linalg.norm(state.x - prev.x)))
+        if prev.y is not None:
+            change = max(
+                steps[-1],
+                float(np.linalg.norm(state.y - prev.y)),
+                float(np.linalg.norm(state.z - prev.z)),
+            )
+            anchor = max(
+                float(np.linalg.norm(prev.x)),
+                float(np.linalg.norm(prev.y)),
+                float(np.linalg.norm(prev.z)),
+                1.0,
+            )
+            if change < config.tol * anchor:
+                reason = "converged"
+                break
+        h = config.heuristic
+        if h is not None and gamma > h.gamma1:
+            y_prev = prev.y if prev.y is not None else state.y
+            drift = float(np.linalg.norm(state.y - y_prev))
+            if drift > h.step_limit / t or float(np.linalg.norm(state.y)) > h.norm_limit:
+                gamma = max(h.shrink * gamma, h.settle * h.gamma1)
+    return state, reason, merits, gammas, gaps, steps, stationarity_residual(state, problem, gammas[-1])
+
+
+def reference_case(label):
+    """(problem, config, x0) of one run to replay through `reference_run`.
+
+    PR whose heuristic shrinks gamma near t = 10, heuristic DR at 100x1000,
+    fixed-step least squares that converges, and two runs on f = |y|^2/2,
+    g = 0, whose norms shrink 2-3x per step. In "halved-anchor" the norm
+    trigger sits between |x_1| and |y_1|, and tol = 1 stops the run at t = 2
+    only against the previous step's norms. In "halved-trigger" the drift
+    at t = 2 stays below step_limit / 2 but above step_limit / 3.
+    """
+    if label == "ls-fixed":
+        rng = np.random.default_rng(4000)
+        A = rng.standard_normal((30, 12))
+        b = rng.standard_normal(30)
+        scale = np.linalg.norm(A, 2)
+        problem = build_constrained_ls(LsInstance(A=A / scale, b=b / scale, constraint=BoxSet(0.3)))
+        return problem, SolverConfig(tol=1e-8), np.zeros(12)
+    if label.startswith("halved"):
+        x0 = np.full(4, 1e6)
+        if label == "halved-anchor":
+            heuristic = HeuristicConfig(gamma1=0.1, norm_limit=1e6)
+            config = SolverConfig(gamma0=0.5, tol=1.0, heuristic=heuristic)
+        else:
+            heuristic = HeuristicConfig(gamma1=0.1, step_limit=float(np.linalg.norm(x0)))
+            config = SolverConfig(gamma0=0.5, tol=0.0, max_iter=30, heuristic=heuristic)
+        return halved_norm_problem(4), config, x0
+    method = label[:2]
+    m, n = (150, 500) if method == "pr" else (100, 1000)
+    inst = gen_feasibility(m, n, trial_seed(42, m, n, 0))
+    build = build_feasibility_pr if method == "pr" else build_feasibility_dr
+    return build(inst), solver_config(BenchConfig(), method), np.zeros(n)
+
+
+@pytest.mark.parametrize(
+    "label", ["pr-heuristic", "dr-heuristic", "ls-fixed", "halved-anchor", "halved-trigger"]
+)
+def test_run_matches_plain_reference_loop(label):
+    problem, config, x0 = reference_case(label)
+    report = run(problem, config, x0)
+    state, reason, merits, gammas, gaps, steps, residual = reference_run(problem, config, x0)
+    assert (report.iterations, report.reason) == (state.t, reason)
+    if label == "pr-heuristic":
+        assert len(set(gammas)) > 1  # the heuristic shrank gamma on this instance
+    if label in ("ls-fixed", "halved-anchor"):
+        assert reason == "converged"
+    np.testing.assert_array_equal(report.gamma_trace, gammas)
+    np.testing.assert_array_equal(report.state.z, state.z)
+    np.testing.assert_array_equal(report.state.x, state.x)
+    np.testing.assert_array_equal(report.gap_trace, gaps)
+    np.testing.assert_array_equal(report.step_trace, steps)
+    assert report.residual == residual
+    if config.method == "pr":
+        np.testing.assert_array_equal(report.merit_trace, merits)
+    else:
+        # The DR merit is summed in another order, so it moves at rounding
+        # level. Relative to the trace's scale, not elementwise: a converging
+        # feasibility run drives the merit to ~1e-16 by cancellation.
+        scale = float(np.max(np.abs(merits)))
+        assert_allclose(report.merit_trace, merits, rtol=0, atol=1e-15 * scale)
+
+
 # ------------------------------------------------------------------- heuristic
+
+
+def drift_and_norm(y, y_prev):
+    """The two floats `heuristic_update` reads: |y - y_prev| and |y|."""
+    return float(np.linalg.norm(y - y_prev)), float(np.linalg.norm(y))
 
 
 def test_heuristic_update_shrinks_on_trigger():
     y = np.full(3, 1e11)  # norm trigger
-    out = heuristic_update(0.19, 5, y, y, HeuristicConfig(gamma1=1.0 / 12.0))
+    out = heuristic_update(0.19, 5, *drift_and_norm(y, y), HeuristicConfig(gamma1=1.0 / 12.0))
     assert_allclose(out, 0.095, rtol=1e-15)
 
 
 def test_heuristic_update_settles_just_below_floor():
     y_prev = np.zeros(3)
     y = np.full(3, 1e3)  # step trigger at t = 1
-    out = heuristic_update(0.09, 1, y, y_prev, HeuristicConfig(gamma1=1.0 / 12.0))
+    out = heuristic_update(0.09, 1, *drift_and_norm(y, y_prev), HeuristicConfig(gamma1=1.0 / 12.0))
     assert_allclose(out, 0.9999 / 12.0, rtol=1e-15)
 
 
 def test_heuristic_update_noop_below_floor():
     y = np.full(3, 1e11)
-    assert heuristic_update(0.05, 5, y, y, HeuristicConfig(gamma1=1.0 / 12.0)) == 0.05
+    assert heuristic_update(0.05, 5, *drift_and_norm(y, y), HeuristicConfig(gamma1=1.0 / 12.0)) == 0.05
 
 
 def test_heuristic_update_noop_without_trigger():
     y = np.ones(3)
-    assert heuristic_update(0.19, 1000, y, y, HeuristicConfig(gamma1=1.0 / 12.0)) == 0.19
+    assert heuristic_update(0.19, 1000, *drift_and_norm(y, y), HeuristicConfig(gamma1=1.0 / 12.0)) == 0.19
 
 
 # --------------------------------------------------------- trace inequalities
@@ -324,10 +474,11 @@ def test_fixed_gamma_pr_run_satisfies_descent_inequalities():
     problem = random_quadratic_sparse_problem(13)
     sigma, lipschitz = problem.f.strong_convexity, problem.f.grad_lipschitz
     gamma = 0.99 * gamma_threshold(sigma, lipschitz)
-    config = SolverConfig(gamma0=gamma, max_iter=250, tol=0.0, record_trace=True)
-    report = run(problem, config, np.zeros(12))
-    y_list = [s.y for s in report.states]
-    z_list = [s.z for s in report.states]
+    config = SolverConfig(gamma0=gamma, max_iter=250, tol=0.0)
+    states = []
+    report = run(problem, config, np.zeros(12), observer=lambda state, gamma: states.append(state))
+    y_list = [s.y for s in states]
+    z_list = [s.z for s in states]
     decrease_rate = 0.5 * (-3.0 * sigma + 2.0 * lipschitz + gamma * lipschitz**2)
     assert decrease_rate < 0
     for t in range(len(y_list) - 1):
