@@ -41,7 +41,6 @@ from .problems import (
     save_instance,
 )
 from .splitting import (
-    HeuristicConfig,
     IterateState,
     SolverConfig,
     SolverReport,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import build_feasibility_dr, build_feasibility_pr, classify, evaluate_fval, gen_feasibility
-from .splitting import HeuristicConfig, SolverConfig, run
+from .splitting import SolverConfig, run
 
 __all__ = [
     "BenchConfig",
@@ -80,6 +80,8 @@ class BenchConfig:
             raise ValueError("trials must be at least 1")
         if not self.methods or any(m not in ("pr", "dr") for m in self.methods):
             raise ValueError(f"methods must be a nonempty subset of ('pr', 'dr'), got {self.methods}")
+        for method in self.methods:
+            solver_config(self, method)  # bad steps or tol fail here, before any solve
 
 
 @dataclass(frozen=True)
@@ -119,13 +121,7 @@ def solver_config(cfg: BenchConfig, method: str) -> SolverConfig:
         gamma0, gamma1 = cfg.pr_gamma0, cfg.pr_gamma1
     else:
         gamma0, gamma1 = cfg.dr_gamma0, cfg.dr_gamma1
-    return SolverConfig(
-        gamma0=gamma0,
-        method=method,
-        tol=cfg.tol,
-        max_iter=cfg.max_iter,
-        heuristic=HeuristicConfig(gamma1=gamma1),
-    )
+    return SolverConfig(gamma0=gamma0, gamma1=gamma1, method=method, tol=cfg.tol, max_iter=cfg.max_iter)
 
 
 def run_bench(cfg: BenchConfig, progress=None) -> list[BenchRow]:

@@ -34,7 +34,7 @@ from .problems import (
     load_instance,
     save_instance,
 )
-from .splitting import HeuristicConfig, SolverConfig, run
+from .splitting import SolverConfig, run
 
 
 def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
@@ -121,6 +121,16 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.fixed_gamma is not None:
+        if args.gamma0 is not None or args.gamma1 is not None:
+            raise ValueError("--fixed-gamma turns the heuristic off, so it takes no --gamma0 or --gamma1")
+        gamma0, gamma1 = args.fixed_gamma, None
+    else:
+        default0, default1 = METHOD_STEPS[args.method]
+        gamma0 = default0 if args.gamma0 is None else args.gamma0
+        gamma1 = default1 if args.gamma1 is None else args.gamma1
+    cfg = SolverConfig(gamma0=gamma0, gamma1=gamma1, method=args.method, tol=args.tol, max_iter=args.max_iter)
+
     if args.instance is not None:
         inst = load_instance(args.instance)
     else:
@@ -129,19 +139,6 @@ def _cmd_solve(args) -> int:
         save_instance(inst, args.save_instance)
 
     problem = (build_feasibility_pr if args.method == "pr" else build_feasibility_dr)(inst)
-    default0, default1 = METHOD_STEPS[args.method]
-    gamma0 = default0 if args.gamma0 is None else args.gamma0
-    gamma1 = default1 if args.gamma1 is None else args.gamma1
-    if args.fixed_gamma is not None:
-        cfg = SolverConfig(gamma0=args.fixed_gamma, method=args.method, tol=args.tol, max_iter=args.max_iter)
-    else:
-        cfg = SolverConfig(
-            gamma0=gamma0,
-            method=args.method,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            heuristic=HeuristicConfig(gamma1=gamma1),
-        )
 
     fvals: list[float] = []
     observer = None

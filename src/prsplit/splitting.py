@@ -25,10 +25,13 @@ coupling term, and the two are related by merit_pr = merit_dr -
 
 and an optional step-size heuristic that starts above the stationary cap
 and halves gamma whenever the iterates look unstable (see
-:func:`heuristic_update`). The remaining helpers are convergence
-diagnostics: the explicit stationarity residual available after every step,
-the ergodic objective-gap bound that holds when g is convex, and a
-contraction-factor fit for linearly convergent tails.
+:func:`heuristic_update`). One :class:`SolverConfig` holds every setting:
+the heuristic is on exactly when its floor ``gamma1`` is set, and its shrink
+factor, settle factor, drift limit and norm limit are the paper's fixed
+numbers, module constants that no config can change. The remaining helpers
+are convergence diagnostics: the explicit stationarity residual available
+after every step, the ergodic objective-gap bound that holds when g is
+convex, and a contraction-factor fit for linearly convergent tails.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ import numpy as np
 from .oracles import ProxOracle, SmoothOracle
 
 __all__ = [
-    "HeuristicConfig",
     "IterateState",
     "SolverConfig",
     "SolverReport",
@@ -63,6 +65,12 @@ __all__ = [
 # Iterates beyond this norm abort the run as diverged.
 _DIVERGENCE_NORM = 1e12
 
+# The paper's fixed numbers of the step-size heuristic (see heuristic_update).
+_SHRINK = 0.5
+_SETTLE = 0.9999
+_DRIFT_LIMIT = 1000.0
+_NORM_LIMIT = 1e10
+
 
 @dataclass(frozen=True)
 class SplitProblem:
@@ -78,53 +86,39 @@ class SplitProblem:
 
 
 @dataclass(frozen=True)
-class HeuristicConfig:
-    """Step-size decay rule: start large, shrink toward just below gamma1.
-
-    After each iteration t, if gamma > gamma1 and either |y_t - y_{t-1}| >
-    step_limit / t or |y_t| > norm_limit, gamma becomes
-    max(shrink * gamma, settle * gamma1).
-    """
-
-    gamma1: float
-    shrink: float = 0.5
-    settle: float = 0.9999
-    step_limit: float = 1000.0
-    norm_limit: float = 1e10
-
-    def __post_init__(self):
-        if self.gamma1 <= 0:
-            raise ValueError("gamma1 must be positive")
-        if not 0 < self.shrink < 1 or not 0 < self.settle < 1:
-            raise ValueError("shrink and settle must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """Engine selection, step size and termination.
 
-    With ``gamma0`` unset and no heuristic, the engine uses the fixed step
-    0.99 * gamma_threshold(sigma, L) of the problem it is given. A heuristic
-    requires an explicit starting gamma0.
+    With ``gamma1`` set, the step-size heuristic of :func:`heuristic_update`
+    starts at ``gamma0`` and shrinks toward just below the floor ``gamma1``;
+    it needs an explicit gamma0. Without it the step stays fixed at
+    ``gamma0``, or, with that unset too, at 0.99 * gamma_threshold(sigma, L)
+    of the problem the engine is given.
     """
 
     gamma0: float | None = None
+    gamma1: float | None = None
     method: str = "pr"
     tol: float = 1e-8
     max_iter: int = 50_000
-    heuristic: HeuristicConfig | None = None
 
     def __post_init__(self):
         if self.method not in ("pr", "dr"):
             raise ValueError(f"method must be 'pr' or 'dr', got {self.method!r}")
+        for name in ("gamma0", "gamma1", "tol"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.gamma0 is not None and self.gamma0 <= 0:
             raise ValueError("gamma0 must be positive")
+        if self.gamma1 is not None and self.gamma1 <= 0:
+            raise ValueError("gamma1 must be positive")
         if self.tol < 0:
             raise ValueError("tol must be nonnegative")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        if self.heuristic is not None and self.gamma0 is None:
-            raise ValueError("the step-size heuristic needs an explicit gamma0")
+        if self.gamma1 is not None and self.gamma0 is None:
+            raise ValueError("the step-size heuristic (gamma1) needs an explicit gamma0")
 
 
 @dataclass(frozen=True)
@@ -256,18 +250,19 @@ def stationarity_residual(
     return StationarityResidual(identity, practical)
 
 
-def heuristic_update(gamma: float, t: int, drift: float, y_norm: float, h: HeuristicConfig) -> float:
-    """Shrink gamma toward h.settle * h.gamma1 when the iterates look unstable.
+def heuristic_update(gamma: float, t: int, drift: float, y_norm: float, gamma1: float) -> float:
+    """Shrink gamma toward 0.9999 * gamma1 when the iterates look unstable.
 
-    No-op unless gamma > h.gamma1 and drift = |y_t - y_{t-1}| (0 at t = 1)
-    exceeds h.step_limit / t or y_norm = |y_t| exceeds h.norm_limit. Then the
-    new value is max(h.shrink * gamma, h.settle * h.gamma1), so gamma lands
-    just below h.gamma1 after finitely many shrinks and never moves again.
+    No-op unless gamma > gamma1 and drift = |y_t - y_{t-1}| (0 at t = 1)
+    exceeds 1000 / t or y_norm = |y_t| exceeds 1e10. Then the new value is
+    max(gamma / 2, 0.9999 * gamma1), so gamma lands just below gamma1 after
+    finitely many shrinks and never moves again. Those four numbers are the
+    paper's and are fixed: only the floor gamma1 varies by method.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if gamma > h.gamma1 and (drift > h.step_limit / t or y_norm > h.norm_limit):
-        return max(h.shrink * gamma, h.settle * h.gamma1)
+    if gamma > gamma1 and (drift > _DRIFT_LIMIT / t or y_norm > _NORM_LIMIT):
+        return max(_SHRINK * gamma, _SETTLE * gamma1)
     return gamma
 
 
@@ -346,8 +341,8 @@ def run(
                 break
         prev_norms = norms
 
-        if config.heuristic is not None:
-            gamma = heuristic_update(gamma, t, drift, norms[1], config.heuristic)
+        if config.gamma1 is not None:
+            gamma = heuristic_update(gamma, t, drift, norms[1], config.gamma1)
 
     residual = None
     if state.t > 0:

@@ -60,8 +60,8 @@ def test_solver_config_maps_method_constants():
     cfg = small_config()
     pr = solver_config(cfg, "pr")
     dr = solver_config(cfg, "dr")
-    assert pr.gamma0 == cfg.pr_gamma0 and pr.heuristic.gamma1 == cfg.pr_gamma1
-    assert dr.gamma0 == cfg.dr_gamma0 and dr.heuristic.gamma1 == cfg.dr_gamma1
+    assert pr.gamma0 == cfg.pr_gamma0 and pr.gamma1 == cfg.pr_gamma1
+    assert dr.gamma0 == cfg.dr_gamma0 and dr.gamma1 == cfg.dr_gamma1
     assert pr.method == "pr" and dr.method == "dr"
 
 
@@ -72,6 +72,8 @@ def test_bench_config_validation():
         BenchConfig(pairs=((10, 40),), trials=0)
     with pytest.raises(ValueError):
         BenchConfig(pairs=((10, 40),), methods=("newton",))
+    with pytest.raises(ValueError, match="gamma1"):
+        BenchConfig(pairs=((10, 40),), dr_gamma1=float("nan"))
 
 
 def test_format_fval_one_significant_digit():

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from prsplit.bench import METHOD_STEPS, BenchConfig, parse_csv
+from prsplit.bench import METHOD_STEPS, BenchConfig, parse_csv, solver_config
 from prsplit.cli import _build_parser, main
 from prsplit.problems import load_instance
+from prsplit.splitting import SolverConfig
 
 
 def test_bench_writes_csv(tmp_path, capsys):
@@ -103,12 +104,22 @@ def test_solve_fixed_gamma(capsys):
     assert "final gamma : 0.08" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--gamma0", "--gamma1"])
+def test_solve_rejects_fixed_gamma_with_heuristic_steps(flag, capsys):
+    code = main(["solve", "--m", "10", "--n", "40", "--fixed-gamma", "0.08", flag, "0.3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--fixed-gamma" in captured.err and flag in captured.err
+    assert captured.out == ""
+
+
 def test_step_defaults_come_from_method_steps(capsys):
     bench = _build_parser().parse_args(["bench"])
     cfg = BenchConfig()
     for method, (gamma0, gamma1) in METHOD_STEPS.items():
         assert getattr(bench, f"{method}_gamma0") == getattr(cfg, f"{method}_gamma0") == gamma0
         assert getattr(bench, f"{method}_gamma1") == getattr(cfg, f"{method}_gamma1") == gamma1
+        assert solver_config(cfg, method) == SolverConfig(gamma0=gamma0, gamma1=gamma1, method=method)
         # One iteration runs at the heuristic's start step.
         code = main(["solve", "--m", "10", "--n", "40", "--method", method, "--max-iter", "1"])
         assert code == 0

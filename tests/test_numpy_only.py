@@ -16,15 +16,14 @@ SCRIPT = textwrap.dedent(
 
     import numpy as np
     from prsplit import (
-        BoxSet, HeuristicConfig, LsInstance, SolverConfig, build_constrained_ls,
+        BoxSet, LsInstance, SolverConfig, build_constrained_ls,
         build_feasibility_dr, build_feasibility_pr, gaussian_matrix, gen_feasibility, run,
     )
 
     inst = gen_feasibility(10, 40, 3)
     for build, config in [
         (build_feasibility_pr, SolverConfig(method="pr", max_iter=300)),
-        (build_feasibility_dr, SolverConfig(gamma0=50.0, method="dr", max_iter=300,
-                                            heuristic=HeuristicConfig(gamma1=1.0 / 3.0))),
+        (build_feasibility_dr, SolverConfig(gamma0=50.0, gamma1=1.0 / 3.0, method="dr", max_iter=300)),
     ]:
         report = run(build(inst), config, np.zeros(40))
         assert report.iterations > 0 and np.all(np.isfinite(report.state.z))

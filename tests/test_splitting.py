@@ -14,7 +14,6 @@ from prsplit.problems import (
     gen_feasibility,
 )
 from prsplit.splitting import (
-    HeuristicConfig,
     SolverConfig,
     SplitProblem,
     dr_step,
@@ -308,20 +307,36 @@ def test_run_observer_sees_every_kept_step():
 
 
 def test_run_requires_gamma0_with_heuristic():
-    with pytest.raises(ValueError):
-        SolverConfig(heuristic=HeuristicConfig(gamma1=0.1))
+    with pytest.raises(ValueError, match="gamma0"):
+        SolverConfig(gamma1=0.1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("gamma0", float("nan")),
+        ("gamma0", float("inf")),
+        ("gamma1", float("nan")),
+        ("gamma1", float("inf")),
+        ("gamma1", 0.0),
+        ("gamma1", -0.1),
+        ("tol", float("nan")),
+        ("tol", float("inf")),
+    ],
+)
+def test_solver_config_rejects_non_finite_or_nonpositive_settings(field, value):
+    settings = {"gamma0": 0.5, "gamma1": 0.1, "tol": 1e-8, field: value}
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**settings)
 
 
 def test_run_heuristic_shrinks_gamma_on_unstable_iterates():
     problem = random_quadratic_sparse_problem(12)
     threshold = gamma_threshold(problem.f.strong_convexity, problem.f.grad_lipschitz)
-    config = SolverConfig(
-        gamma0=10.0 * threshold,
-        heuristic=HeuristicConfig(gamma1=threshold, step_limit=1e-9),
-        max_iter=200,
-        tol=0.0,
-    )
-    report = run(problem, config, np.zeros(12))
+    config = SolverConfig(gamma0=10.0 * threshold, gamma1=threshold, max_iter=200, tol=0.0)
+    # From this far out the drift |y_t - y_{t-1}| beats 1000 / t at t = 2..5,
+    # which takes gamma through 5, 2.5 and 1.25 times the floor to just below it.
+    report = run(problem, config, np.full(12, 1e6))
     assert report.gamma_trace[0] == 10.0 * threshold
     assert report.gamma_trace[-1] == pytest.approx(0.9999 * threshold)
 
@@ -365,12 +380,12 @@ def reference_run(problem, config, x0):
             if change < config.tol * anchor:
                 reason = "converged"
                 break
-        h = config.heuristic
-        if h is not None and gamma > h.gamma1:
+        gamma1 = config.gamma1
+        if gamma1 is not None and gamma > gamma1:
             y_prev = prev.y if prev.y is not None else state.y
             drift = float(np.linalg.norm(state.y - y_prev))
-            if drift > h.step_limit / t or float(np.linalg.norm(state.y)) > h.norm_limit:
-                gamma = max(h.shrink * gamma, h.settle * h.gamma1)
+            if drift > 1000.0 / t or float(np.linalg.norm(state.y)) > 1e10:
+                gamma = max(0.5 * gamma, 0.9999 * gamma1)
     return state, reason, merits, gammas, gaps, steps, stationarity_residual(state, problem, gammas[-1])
 
 
@@ -379,10 +394,11 @@ def reference_case(label):
 
     PR whose heuristic shrinks gamma near t = 10, heuristic DR at 100x1000,
     fixed-step least squares that converges, and two runs on f = |y|^2/2,
-    g = 0, whose norms shrink 2-3x per step. In "halved-anchor" the norm
-    trigger sits between |x_1| and |y_1|, and tol = 1 stops the run at t = 2
-    only against the previous step's norms. In "halved-trigger" the drift
-    at t = 2 stays below step_limit / 2 but above step_limit / 3.
+    g = 0, whose norms shrink 2-3x per step and scale with x0. In
+    "halved-anchor" |x0| = 2e10 puts the 1e10 norm trigger between
+    |x_1| = |x0|/3 and |y_1| = |x0|/1.5, and tol = 1 stops the run at t = 2
+    only against the previous step's norms. In "halved-trigger" |x0| = 1000,
+    so the drift 4|x0|/9 at t = 2 stays below 1000 / 2 but above 1000 / 3.
     """
     if label == "ls-fixed":
         rng = np.random.default_rng(4000)
@@ -391,15 +407,12 @@ def reference_case(label):
         scale = np.linalg.norm(A, 2)
         problem = build_constrained_ls(LsInstance(A=A / scale, b=b / scale, constraint=BoxSet(0.3)))
         return problem, SolverConfig(tol=1e-8), np.zeros(12)
-    if label.startswith("halved"):
-        x0 = np.full(4, 1e6)
-        if label == "halved-anchor":
-            heuristic = HeuristicConfig(gamma1=0.1, norm_limit=1e6)
-            config = SolverConfig(gamma0=0.5, tol=1.0, heuristic=heuristic)
-        else:
-            heuristic = HeuristicConfig(gamma1=0.1, step_limit=float(np.linalg.norm(x0)))
-            config = SolverConfig(gamma0=0.5, tol=0.0, max_iter=30, heuristic=heuristic)
-        return halved_norm_problem(4), config, x0
+    if label == "halved-anchor":
+        config = SolverConfig(gamma0=0.5, gamma1=0.1, tol=1.0)
+        return halved_norm_problem(4), config, np.full(4, 1e10)
+    if label == "halved-trigger":
+        config = SolverConfig(gamma0=0.5, gamma1=0.1, tol=0.0, max_iter=30)
+        return halved_norm_problem(4), config, np.full(4, 500.0)
     method = label[:2]
     m, n = (150, 500) if method == "pr" else (100, 1000)
     inst = gen_feasibility(m, n, trial_seed(42, m, n, 0))
@@ -419,6 +432,10 @@ def test_run_matches_plain_reference_loop(label):
         assert len(set(gammas)) > 1  # the heuristic shrank gamma on this instance
     if label in ("ls-fixed", "halved-anchor"):
         assert reason == "converged"
+    if label == "halved-anchor":
+        assert gammas == [0.5, 0.25]  # the norm trigger fired at t = 1
+    if label == "halved-trigger":
+        assert set(gammas) == {0.5}  # the drift at t = 2 never beat 1000 / t
     np.testing.assert_array_equal(report.gamma_trace, gammas)
     np.testing.assert_array_equal(report.state.z, state.z)
     np.testing.assert_array_equal(report.state.x, state.x)
@@ -445,25 +462,25 @@ def drift_and_norm(y, y_prev):
 
 def test_heuristic_update_shrinks_on_trigger():
     y = np.full(3, 1e11)  # norm trigger
-    out = heuristic_update(0.19, 5, *drift_and_norm(y, y), HeuristicConfig(gamma1=1.0 / 12.0))
+    out = heuristic_update(0.19, 5, *drift_and_norm(y, y), 1.0 / 12.0)
     assert_allclose(out, 0.095, rtol=1e-15)
 
 
 def test_heuristic_update_settles_just_below_floor():
     y_prev = np.zeros(3)
     y = np.full(3, 1e3)  # step trigger at t = 1
-    out = heuristic_update(0.09, 1, *drift_and_norm(y, y_prev), HeuristicConfig(gamma1=1.0 / 12.0))
+    out = heuristic_update(0.09, 1, *drift_and_norm(y, y_prev), 1.0 / 12.0)
     assert_allclose(out, 0.9999 / 12.0, rtol=1e-15)
 
 
 def test_heuristic_update_noop_below_floor():
     y = np.full(3, 1e11)
-    assert heuristic_update(0.05, 5, *drift_and_norm(y, y), HeuristicConfig(gamma1=1.0 / 12.0)) == 0.05
+    assert heuristic_update(0.05, 5, *drift_and_norm(y, y), 1.0 / 12.0) == 0.05
 
 
 def test_heuristic_update_noop_without_trigger():
     y = np.ones(3)
-    assert heuristic_update(0.19, 1000, *drift_and_norm(y, y), HeuristicConfig(gamma1=1.0 / 12.0)) == 0.19
+    assert heuristic_update(0.19, 1000, *drift_and_norm(y, y), 1.0 / 12.0) == 0.19
 
 
 # --------------------------------------------------------- trace inequalities
