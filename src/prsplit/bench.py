@@ -26,7 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import build_feasibility_dr, build_feasibility_pr, classify, evaluate_fval, gen_feasibility
+from .problems import (
+    build_feasibility_dr,
+    build_feasibility_pr,
+    check_shape,
+    classify,
+    evaluate_fval,
+    gen_feasibility,
+)
 from .splitting import SolverConfig, run
 
 __all__ = [
@@ -76,6 +83,8 @@ class BenchConfig:
     def __post_init__(self):
         if not self.pairs:
             raise ValueError("need at least one (m, n) pair")
+        for m, n in self.pairs:
+            check_shape(m, n)  # every shape fails here, before the first solve
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.methods or any(m not in ("pr", "dr") for m in self.methods):

@@ -7,10 +7,11 @@ for a given seed is stable across runs and platforms for a fixed numpy
 version. Matrices are plain row-major float64 ndarrays, vectors are 1-d
 float64 ndarrays; nothing here is sparse.
 
-The runtime needs numpy only. The one-off dense kernels (eigenvalues,
-Cholesky, the inverse of the Cholesky factor) call numpy's LAPACK, and an
-SPD solve is two numpy matrix-vector products with the inverse factor, so
-one BLAS library is loaded and no second thread pool contends with numpy's.
+The runtime needs numpy only. The one-off dense kernels here (the largest
+eigenvalue, Cholesky, the inverse of the Cholesky factor) call numpy's
+LAPACK, and an SPD solve is two numpy matrix-vector products with the
+inverse factor, so one BLAS library is loaded and no second thread pool
+contends with numpy's.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "SpdFactorization",
     "gaussian_matrix",
-    "gram_top_eigenvalue",
     "rng_from_seed",
     "spd_factor",
     "spectral_norm_sq",
@@ -64,19 +64,7 @@ def spectral_norm_sq(A: np.ndarray, tol: float = 1e-10) -> float:
         raise ValueError("tol must be positive")
     if not np.any(A):
         raise ValueError("spectral_norm_sq needs a nonzero matrix")
-    return gram_top_eigenvalue(A @ A.T if A.shape[0] < A.shape[1] else A.T @ A)
-
-
-def gram_top_eigenvalue(gram: np.ndarray) -> float:
-    """Largest eigenvalue of a Gram matrix A A^T or A^T A, i.e. ||A||_2^2.
-
-    For callers that already hold the Gram matrix of A: both orientations
-    give the same value up to rounding, and it is bit-identical to
-    :func:`spectral_norm_sq` when that forms the same orientation.
-    """
-    if not np.any(gram):
-        raise ValueError("the Gram matrix of a zero matrix has no positive eigenvalue")
-    return float(np.linalg.eigvalsh(gram)[-1])
+    return float(np.linalg.eigvalsh(A @ A.T if A.shape[0] < A.shape[1] else A.T @ A)[-1])
 
 
 # Triangular blocks at or below this order are inverted by LAPACK directly;

@@ -27,6 +27,12 @@ import numpy as np
 
 from .linalg import NotPositiveDefiniteError, SpdFactorization, spd_factor
 
+# Safety margin on top of the computed largest eigenvalue of A^T A before it
+# is used as a curvature bound. The eigensolver is exact up to a relative
+# error of a few machine epsilons, which the margin covers: an underestimate
+# would invalidate the step-size threshold, an overestimate only shrinks it.
+_CURVATURE_MARGIN = 1.0 + 1e-6
+
 __all__ = [
     "AffineSet",
     "BoxSet",
@@ -211,78 +217,60 @@ class BoxSet:
 
 
 class ShiftedQuadraticProx:
-    """Prox of f(y) = ||Ay - b||^2 / 2 + (5 lam_max / 2) ||y||^2 with a cached factor.
+    """Prox of f(y) = ||Ay - b||^2 / 2 + (5 lam_max / 2) ||y||^2 from one eigendecomposition.
 
-    Evaluating ``prox(gamma, w)`` solves
+    ``lam_max`` is the largest eigenvalue of A^T A times
+    ``_CURVATURE_MARGIN``, so it bounds the curvature of the least-squares
+    term from above. Evaluating ``prox(gamma, w)`` solves
 
-        [(5 gamma lam_max + 1) I + gamma A^T A] y = w + gamma A^T b,
+        [c I + gamma A^T A] y = v,  c = 1 + 5 gamma lam_max,  v = w + gamma A^T b.
 
-    so the per-step cost must be two matrix-vector products with a cached
-    inverse Cholesky factor. One (gamma, factor) slot is kept: a call at
-    another gamma forms the Gram matrix again from A, factors the new
-    system and replaces the slot. PR's step only ever shrinks, so a run
-    factors once per step size it uses. For wide matrices (m < n/2) the
-    solve is routed through the m x m Gram system
+    At construction the Gram matrix G (A A^T when m < n/2, A^T A otherwise)
+    is diagonalized once, G = V diag(d) V^T, and only V and d are kept. At
+    any gamma the inverse is V diag(1 / (c + gamma d)) V^T, applied with two
+    matrix-vector products by V, so a new step factors nothing. For wide A
+    the solve is routed through the m x m system
 
-        y = (v - gamma A^T (c I + gamma A A^T)^{-1} A v) / c,  c = 1 + 5 gamma lam_max,
+        y = (v - gamma A^T (c I + gamma A A^T)^{-1} A v) / c,
 
     which is the same inverse pushed through the Woodbury identity.
 
-    The Gram matrix (A A^T when wide, A^T A otherwise; see :meth:`gram_of`)
-    is not retained: `gram` may pass in the one the caller already holds,
-    for instance to read lam_max from it, and the first factor is built from
-    it and then drops it.
+    A or b holding NaN or inf, or a zero A, raises ValueError naming it.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, lam_max: float, gram: np.ndarray | None = None):
+    def __init__(self, A: np.ndarray, b: np.ndarray):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         m, n = self.A.shape
         if self.b.shape != (m,):
             raise ValueError(f"b has shape {self.b.shape}, expected ({m},)")
-        if lam_max <= 0:
-            raise ValueError("lam_max must be positive")
-        self.lam_max = float(lam_max)
+        for name, data in (("A", self.A), ("b", self.b)):
+            if not np.isfinite(data).all():
+                raise ValueError(f"{name} holds NaN or infinite entries")
         self.dim = n
         self.Atb = self.A.T @ self.b
         self._wide = m < n / 2
-        order = m if self._wide else n
-        if gram is not None and gram.shape != (order, order):
-            raise ValueError(f"gram has shape {gram.shape}, expected ({order}, {order})")
-        self._gram = gram
-        self._slot: tuple[float, SpdFactorization] | None = None
-
-    @staticmethod
-    def gram_of(A: np.ndarray) -> np.ndarray:
-        """The Gram matrix the prox factors: A A^T if m < n/2, else A^T A."""
-        A = np.asarray(A, dtype=float)
-        m, n = A.shape
-        return A @ A.T if m < n / 2 else A.T @ A
-
-    def _factor(self, gamma: float) -> SpdFactorization:
-        if self._slot is not None and self._slot[0] == gamma:
-            return self._slot[1]
-        gram = self.gram_of(self.A) if self._gram is None else self._gram
-        self._gram = None
-        system = gamma * gram
-        del gram  # freed before the factorization's own n x n work arrays
-        system.flat[:: system.shape[0] + 1] += 1.0 + 5.0 * gamma * self.lam_max
-        factor = spd_factor(system)
-        self._slot = (gamma, factor)
-        return factor
+        eigenvalues, self._V = np.linalg.eigh(self.A @ self.A.T if self._wide else self.A.T @ self.A)
+        if not eigenvalues[-1] > 0:
+            raise ValueError("A is zero: its Gram matrix has no positive eigenvalue")
+        self._d = np.maximum(eigenvalues, 0.0)
+        self.lam_max = float(eigenvalues[-1]) * _CURVATURE_MARGIN
 
     def __call__(self, gamma: float, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
         if w.shape[0] != self.dim:
             raise ValueError(f"point has length {w.shape[0]}, expected {self.dim}")
+        if not np.isfinite(w).all():
+            raise ValueError("w contains NaN or infinite entries")
+        c = 1.0 + 5.0 * gamma * self.lam_max
         v = w + gamma * self.Atb
-        factor = self._factor(gamma)
+        V = self._V
         if self._wide:
-            c = 1.0 + 5.0 * gamma * self.lam_max
-            return (v - gamma * (self.A.T @ factor.solve(self.A @ v))) / c
-        return factor.solve(v)
+            mu = V @ ((V.T @ (self.A @ v)) / (c + gamma * self._d))
+            return (v - gamma * (self.A.T @ mu)) / c
+        return V @ ((V.T @ v) / (c + gamma * self._d))
 
 
 def prox_halfsqdist(cset: AffineSet, gamma: float, w: np.ndarray) -> np.ndarray:
@@ -349,23 +337,20 @@ def shift_split(
 def quadratic_oracle(Q: np.ndarray, c: np.ndarray | None = None) -> SmoothOracle:
     """Smooth oracle for f(y) = y^T Q y / 2 + c^T y with Q symmetric PSD.
 
-    The moduli are measured from the spectrum of Q, and the prox solves the
-    linear system (I + gamma Q) y = w - gamma c. As in
-    :class:`ShiftedQuadraticProx`, one (gamma, factor) slot is kept: a call
-    at another gamma factors the new system and replaces the slot.
+    Q is diagonalized once, Q = V diag(d) V^T. The moduli are the extreme
+    eigenvalues, and the prox solves (I + gamma Q) y = w - gamma c as
+    V diag(1 / (1 + gamma d)) V^T (w - gamma c), so any step costs two
+    matrix-vector products with V.
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
     c = np.zeros(n) if c is None else np.asarray(c, dtype=float)
-    eigenvalues = np.linalg.eigvalsh(Q)
+    eigenvalues, V = np.linalg.eigh(Q)
     if eigenvalues[0] < -1e-10 * max(1.0, abs(eigenvalues[-1])):
         raise ValueError("quadratic_oracle needs a positive semidefinite Q")
-    slot: list[tuple[float, SpdFactorization]] = []
 
     def prox(gamma: float, w: np.ndarray) -> np.ndarray:
-        if not slot or slot[0][0] != gamma:
-            slot[:] = [(gamma, spd_factor(np.eye(n) + gamma * Q))]
-        return slot[0][1].solve(w - gamma * c)
+        return V @ ((V.T @ (w - gamma * c)) / (1.0 + gamma * eigenvalues))
 
     return SmoothOracle(
         value=lambda y: 0.5 * float(y @ (Q @ y)) + float(c @ y),

@@ -16,8 +16,8 @@ well-posed.
 
 Constrained least squares: minimize |Au - b|^2 / 2 over u in D, through the
 same shift with weight 5 lam, lam an upper bound on the largest eigenvalue
-of A^T A; the smooth prox is a cached linear solve and valid steps are
-gamma < 1 / (12 lam).
+of A^T A; the smooth prox applies an eigendecomposition of the Gram matrix
+of A, computed once, and valid steps are gamma < 1 / (12 lam).
 
 Random instances follow one recipe: Gaussian A, a planted r-sparse Gaussian
 solution with r = ceil(m / 5), and b defined so the planted point is
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import gram_top_eigenvalue, rng_from_seed
+from .linalg import rng_from_seed
 from .oracles import (
     AffineSet,
     BoxSet,
@@ -53,6 +53,7 @@ __all__ = [
     "build_constrained_ls",
     "build_feasibility_dr",
     "build_feasibility_pr",
+    "check_shape",
     "classify",
     "distance_feasibility_problem",
     "evaluate_fval",
@@ -63,12 +64,6 @@ __all__ = [
 
 SUCCESS_THRESHOLD = 1e-12
 FAILURE_THRESHOLD = 1e-6
-
-# Safety margin on top of the computed largest eigenvalue of A^T A before it
-# is used as a curvature bound. The eigensolver is exact up to a relative
-# error of a few machine epsilons, which the margin covers: an underestimate
-# would invalidate the step-size threshold, an overestimate only shrinks it.
-_CURVATURE_MARGIN = 1.0 + 1e-6
 
 
 @dataclass
@@ -121,6 +116,14 @@ class LsInstance:
                 raise ValueError(f"{name} holds NaN or infinite entries")
 
 
+def check_shape(m: int, n: int) -> None:
+    """Raise ValueError unless (m, n) is a shape :func:`gen_feasibility` can plant."""
+    if m < 5:
+        raise ValueError(f"m must be at least 5, got {m}x{n}")
+    if n < m:
+        raise ValueError(f"need n >= m, got {m}x{n}")
+
+
 def gen_feasibility(m: int, n: int, seed: int, bound: float = 1e6) -> FeasibilityInstance:
     """Random instance: Gaussian A, planted r-sparse solution, r = ceil(m/5).
 
@@ -128,10 +131,7 @@ def gen_feasibility(m: int, n: int, seed: int, bound: float = 1e6) -> Feasibilit
     then the r support values, then the support positions by a seeded
     shuffle), so the instance is a pure function of (m, n, seed, bound).
     """
-    if m < 5:
-        raise ValueError("m must be at least 5")
-    if n < m:
-        raise ValueError("need n >= m")
+    check_shape(m, n)
     r = math.ceil(m / 5)
     rng = rng_from_seed(seed)
     A = rng.standard_normal((m, n))
@@ -188,17 +188,11 @@ def build_constrained_ls(inst: LsInstance) -> SplitProblem:
     symmetric eigensolver, inflated by a 1e-6 relative margin, so it is never
     below the true value even when the top eigenvalues nearly coincide;
     valid steps are gamma < 1 / (12 lam) and the g-prox needs
-    gamma < 1 / (5 lam).
-
-    The eigenvalue is read from the Gram matrix the smooth prox factors, so
-    it is formed once. That is A A^T for m < n/2 and A^T A otherwise, the
-    same orientation :func:`spectral_norm_sq` picks except for
-    n/2 <= m < n, where the eigensolver gets the n x n A^T A instead of the
-    m x m A A^T: the same value up to rounding, at a larger eigensolve.
+    gamma < 1 / (5 lam). It is the ``lam_max`` of the smooth prox, which
+    reads it from the eigendecomposition it keeps.
     """
-    gram = ShiftedQuadraticProx.gram_of(inst.A)
-    lam = gram_top_eigenvalue(gram) * _CURVATURE_MARGIN
-    smooth_prox = ShiftedQuadraticProx(inst.A, inst.b, lam, gram=gram)
+    smooth_prox = ShiftedQuadraticProx(inst.A, inst.b)
+    lam = smooth_prox.lam_max
     dset = inst.constraint
 
     def f_value(y: np.ndarray) -> float:
@@ -239,8 +233,8 @@ def evaluate_fval(z: np.ndarray, inst: FeasibilityInstance) -> float:
 
 def classify(fval: float) -> str:
     """Bucket a terminal quality value: success / failure / undecided."""
-    if fval < 0:
-        raise ValueError("fval must be nonnegative")
+    if not fval >= 0:
+        raise ValueError(f"fval must be nonnegative, got {fval}")
     if fval < SUCCESS_THRESHOLD:
         return "success"
     if fval > FAILURE_THRESHOLD:

@@ -74,6 +74,10 @@ def test_bench_config_validation():
         BenchConfig(pairs=((10, 40),), methods=("newton",))
     with pytest.raises(ValueError, match="gamma1"):
         BenchConfig(pairs=((10, 40),), dr_gamma1=float("nan"))
+    with pytest.raises(ValueError, match="m must be at least 5"):
+        BenchConfig(pairs=((10, 40), (4, 10)))
+    with pytest.raises(ValueError, match="need n >= m"):
+        BenchConfig(pairs=((10, 40), (12, 10)))
 
 
 def test_format_fval_one_significant_digit():

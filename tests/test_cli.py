@@ -52,6 +52,15 @@ def test_bench_rejects_unknown_method(capsys):
     assert code == 2
 
 
+def test_bench_rejects_bad_shape_before_the_first_solve(capsys):
+    code = main(["bench", "--pairs", "10x40,4x10", "--trials", "1"])
+    # The bad shape comes second; no cell of the good one runs or prints first.
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: m must be at least 5, got 4x10\n"
+
+
 def test_solve_prints_summary(capsys):
     code = main(["solve", "--m", "10", "--n", "40", "--seed", "3"])
     assert code == 0

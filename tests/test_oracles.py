@@ -226,17 +226,17 @@ def test_project_box_is_clip():
 
 
 def test_prox_shifted_quadratic_identity_design():
-    # A = I, b = 0 collapses the solve to w / (6 gamma + 1).
+    # A = I, b = 0 collapses the solve to w / (1 + 5 gamma lam + gamma).
     w = np.array([1.0, -2.0, 0.5])
+    prox = ShiftedQuadraticProx(np.eye(3), np.zeros(3))
     for gamma in (0.05, 1.0 / 24.0):
-        out = ShiftedQuadraticProx(np.eye(3), np.zeros(3), 1.0)(gamma, w)
-        assert_allclose(out, w / (6.0 * gamma + 1.0), rtol=1e-12)
+        out = prox(gamma, w)
+        assert_allclose(out, w / (1.0 + 5.0 * gamma * prox.lam_max + gamma), rtol=1e-12)
 
 
 def test_prox_shifted_quadratic_zero_fixed_point():
     A = gaussian_matrix(4, 6, 13)
-    lam = np.linalg.eigvalsh(A.T @ A)[-1]
-    out = ShiftedQuadraticProx(A, np.zeros(4), lam)(0.01, np.zeros(6))
+    out = ShiftedQuadraticProx(A, np.zeros(4))(0.01, np.zeros(6))
     assert_allclose(out, np.zeros(6), atol=1e-14)
 
 
@@ -245,9 +245,10 @@ def test_prox_shifted_quadratic_first_order_condition():
         A = gaussian_matrix(4, 6, seed + 20)
         b = gaussian_matrix(4, 1, seed + 40).ravel()
         w = gaussian_matrix(6, 1, seed + 60).ravel()
-        lam = np.linalg.eigvalsh(A.T @ A)[-1]
+        prox = ShiftedQuadraticProx(A, b)
+        lam = prox.lam_max
         gamma = 1.0 / (24.0 * lam)
-        y = ShiftedQuadraticProx(A, b, lam)(gamma, w)
+        y = prox(gamma, w)
         grad = A.T @ (A @ y - b) + 5.0 * lam * y + (y - w) / gamma
         assert np.linalg.norm(grad) <= 1e-8
 
@@ -258,47 +259,71 @@ def test_shifted_quadratic_prox_woodbury_matches_dense_solve():
         A = gaussian_matrix(m, n, seed)
         b = gaussian_matrix(m, 1, seed + 5).ravel()
         w = gaussian_matrix(n, 1, seed + 9).ravel()
-        lam = np.linalg.eigvalsh(A.T @ A)[-1]
+        prox = ShiftedQuadraticProx(A, b)
+        lam = prox.lam_max
         gamma = 1.0 / (20.0 * lam)
         expected = np.linalg.solve(
             (5.0 * gamma * lam + 1.0) * np.eye(n) + gamma * A.T @ A, w + gamma * A.T @ b
         )
-        assert_allclose(ShiftedQuadraticProx(A, b, lam)(gamma, w), expected, rtol=1e-10, atol=1e-12)
+        assert_allclose(prox(gamma, w), expected, rtol=1e-10, atol=1e-12)
 
 
-def test_shifted_quadratic_prox_caches_factor_per_gamma(monkeypatch):
-    # One (gamma, factor) slot: repeats at the slot's gamma reuse the factor,
-    # any other gamma refactors and replaces it.
+def count_solver_calls(monkeypatch):
+    """Record each np.linalg.eigh and oracles.spd_factor call from here on."""
     calls = []
-    monkeypatch.setattr(oracles, "spd_factor", lambda M: calls.append(M) or spd_factor(M))
-    A = gaussian_matrix(3, 12, 3)
-    prox = ShiftedQuadraticProx(A, np.zeros(3), 10.0)
-    w = np.ones(12)
-    first = prox(0.001, w)
-    assert len(calls) == 1
-    second = prox(0.001, w)
-    assert len(calls) == 1
-    assert_allclose(first, second, atol=0)
-    prox(0.0005, w)
-    assert len(calls) == 2
-    prox(0.0005, w)
-    assert len(calls) == 2
-    prox(0.001, w)
-    assert len(calls) == 3
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append("eigh") or eigh(M))
+    monkeypatch.setattr(oracles, "spd_factor", lambda M: calls.append("spd_factor") or spd_factor(M))
+    return calls
 
 
 @pytest.mark.parametrize("shape", [(3, 12), (12, 5)], ids=["wide", "tall"])
-def test_shifted_quadratic_prox_refactor_is_bit_identical(shape):
+def test_shifted_quadratic_prox_one_eigensolve_serves_every_gamma(shape, monkeypatch):
+    # One eigensolve at construction; a new gamma, or a return to an earlier
+    # one, factors nothing. Each result is bit-identical to a fresh prox's
+    # and agrees with a dense solve of the shifted system.
     m, n = shape
     A = gaussian_matrix(m, n, 31)
     b = gaussian_matrix(m, 1, 32).ravel()
     w = gaussian_matrix(n, 1, 33).ravel()
-    lam = float(np.linalg.eigvalsh(A.T @ A)[-1])
-    gram = ShiftedQuadraticProx.gram_of(A)
-    prox = ShiftedQuadraticProx(A, b, lam, gram=gram)
-    for gamma in (1.0 / (20.0 * lam), 1.0 / (40.0 * lam), 1.0 / (20.0 * lam)):
-        fresh = ShiftedQuadraticProx(A, b, lam)(gamma, w)
-        np.testing.assert_array_equal(prox(gamma, w), fresh)
+    lam = ShiftedQuadraticProx(A, b).lam_max
+    gammas = (1.0 / (20.0 * lam), 1.0 / (40.0 * lam), 1.0 / (20.0 * lam))
+    fresh = [ShiftedQuadraticProx(A, b)(gamma, w) for gamma in gammas]
+    calls = count_solver_calls(monkeypatch)
+    prox = ShiftedQuadraticProx(A, b)
+    assert calls == ["eigh"]
+    for gamma, expected in zip(gammas, fresh):
+        y = prox(gamma, w)
+        np.testing.assert_array_equal(y, expected)
+        dense = np.linalg.solve((1.0 + 5.0 * gamma * lam) * np.eye(n) + gamma * A.T @ A, w + gamma * A.T @ b)
+        assert_allclose(y, dense, rtol=1e-10, atol=1e-12)
+    assert calls == ["eigh"]
+
+
+@pytest.mark.parametrize(
+    "name, value", [("A", np.nan), ("A", np.inf), ("b", np.nan), ("b", -np.inf)]
+)
+def test_shifted_quadratic_prox_rejects_non_finite_data(name, value):
+    data = {"A": gaussian_matrix(4, 6, 51), "b": np.ones(4)}
+    data[name].flat[2] = value
+    with pytest.raises(ValueError, match=f"{name} holds NaN or infinite entries"):
+        ShiftedQuadraticProx(data["A"], data["b"])
+
+
+def test_shifted_quadratic_prox_rejects_zero_matrix():
+    with pytest.raises(ValueError, match="A is zero"):
+        ShiftedQuadraticProx(np.zeros((4, 6)), np.ones(4))
+
+
+def test_shifted_quadratic_prox_rejects_bad_step_or_point():
+    prox = ShiftedQuadraticProx(gaussian_matrix(4, 6, 52), np.ones(4))
+    for gamma in (0.0, -1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            prox(gamma, np.zeros(6))
+    with pytest.raises(ValueError, match="length"):
+        prox(0.01, np.zeros(5))
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        prox(0.01, np.array([0.0, np.nan, 0.0, 0.0, 0.0, 0.0]))
 
 
 def test_prox_shifted_halfsqdist_origin_fixed_point():
@@ -454,21 +479,23 @@ def test_quadratic_oracle_moduli_and_prox():
     assert np.linalg.norm(Q @ y + c + (y - w) / gamma) <= 1e-10
 
 
-def test_quadratic_oracle_keeps_one_factor(monkeypatch):
-    # One (gamma, factor) slot: a return to an earlier gamma factors again,
-    # and every result is bit-identical to a fresh oracle's.
+def test_quadratic_oracle_one_eigensolve_serves_every_gamma(monkeypatch):
+    # One eigensolve at construction; a return to an earlier gamma factors
+    # nothing, and every result is bit-identical to a fresh oracle's and
+    # agrees with a dense solve of (I + gamma Q) y = w - gamma c.
     rng = np.random.default_rng(39)
     B = rng.standard_normal((6, 6))
     Q, c, w = B @ B.T, rng.standard_normal(6), rng.standard_normal(6)
     gammas = (0.2, 0.1, 0.2)
     fresh = [quadratic_oracle(Q, c).prox(gamma, w) for gamma in gammas]
-    calls = []
-    monkeypatch.setattr(oracles, "spd_factor", lambda M: calls.append(M) or spd_factor(M))
+    calls = count_solver_calls(monkeypatch)
     oracle = quadratic_oracle(Q, c)
+    assert calls == ["eigh"]
     for gamma, expected in zip(gammas, fresh):
-        np.testing.assert_array_equal(oracle.prox(gamma, w), expected)
-        np.testing.assert_array_equal(oracle.prox(gamma, w), expected)
-    assert len(calls) == 3
+        y = oracle.prox(gamma, w)
+        np.testing.assert_array_equal(y, expected)
+        assert_allclose(y, np.linalg.solve(np.eye(6) + gamma * Q, w - gamma * c), rtol=1e-10, atol=1e-12)
+    assert calls == ["eigh"]
 
 
 def test_quadratic_oracle_gradient_matches_finite_differences():

@@ -304,6 +304,8 @@ def test_classify_thresholds():
 def test_classify_rejects_negative():
     with pytest.raises(ValueError):
         classify(-1e-9)
+    with pytest.raises(ValueError):
+        classify(float("nan"))
 
 
 # --------------------------------------------------------------- serialization
