@@ -137,8 +137,12 @@ def run_bench(cfg: BenchConfig, progress=None) -> list[BenchRow]:
     """Solve every (pair, method, trial) cell and aggregate per-row statistics.
 
     A diverged run counts as a failure (its terminal quality value still
-    enters the extremes). `progress`, if given, is called with one line of
-    text after each finished (pair, method) cell.
+    enters the extremes). A trial whose solve raises ``ValueError`` (a step
+    that makes a shifted prox ill-posed raises :class:`ProxShiftError`, one
+    of these) or ``np.linalg.LinAlgError`` also counts as a failure, with
+    quality ``inf`` and 0 iterations, and the table is finished. `progress`,
+    if given, is called with one line of text after each finished (pair,
+    method) cell.
     """
     builders = {"pr": build_feasibility_pr, "dr": build_feasibility_dr}
     rows: list[BenchRow] = []
@@ -156,12 +160,19 @@ def run_bench(cfg: BenchConfig, progress=None) -> list[BenchRow]:
             for inst in instances:
                 problem = builders[method](inst)
                 start = time.perf_counter()
-                report = run(problem, solver_cfg, np.zeros(n))
+                try:
+                    report = run(problem, solver_cfg, np.zeros(n))
+                except (ValueError, np.linalg.LinAlgError):
+                    report = None
                 elapsed.append(time.perf_counter() - start)
-                iterations.append(report.iterations)
-                fval = evaluate_fval(report.state.z, inst) if report.state.z is not None else np.inf
+                if report is None:
+                    iterations.append(0)
+                    fval = np.inf
+                else:
+                    iterations.append(report.iterations)
+                    fval = evaluate_fval(report.state.z, inst) if report.state.z is not None else np.inf
                 fvals.append(fval)
-                outcome = "failure" if report.reason == "diverged" else classify(fval)
+                outcome = "failure" if report is None or report.reason == "diverged" else classify(fval)
                 outcomes[outcome] += 1
             row = BenchRow(
                 m=m,

@@ -17,7 +17,8 @@ well-posed.
 Constrained least squares: minimize |Au - b|^2 / 2 over u in D, through the
 same shift with weight 5 lam, lam an upper bound on the largest eigenvalue
 of A^T A; the smooth prox applies an eigendecomposition of the Gram matrix
-of A, computed once, and valid steps are gamma < 1 / (12 lam).
+of A, computed once per pair of A and b arrays, and valid steps are
+gamma < 1 / (12 lam).
 
 Random instances follow one recipe: Gaussian A, a planted r-sparse Gaussian
 solution with r = ceil(m / 5), and b defined so the planted point is
@@ -29,6 +30,7 @@ the band between (the band counts toward neither).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +104,13 @@ class FeasibilityInstance:
 
 @dataclass(frozen=True)
 class LsInstance:
-    """Data and constraint set of a constrained least-squares problem."""
+    """Data and constraint set of a constrained least-squares problem.
+
+    Do not modify A or b in place once a problem is built from them: the
+    problem keeps an eigendecomposition of their Gram matrix, and problems
+    built from the same A and b arrays share it (see
+    :func:`build_constrained_ls`).
+    """
 
     A: np.ndarray
     b: np.ndarray
@@ -181,6 +189,26 @@ def build_feasibility_dr(inst: FeasibilityInstance) -> SplitProblem:
     return distance_feasibility_problem(inst.affine_set(), inst.sparse_set())
 
 
+# Live smooth proxes by (id(A), id(b)) of the arrays they were built from.
+# Weak values: an entry goes when the last problem holding its prox does.
+_SMOOTH_PROXES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _smooth_prox(A: np.ndarray, b: np.ndarray) -> ShiftedQuadraticProx:
+    """The prox built from exactly these A and b arrays, built once while it lives.
+
+    A hit needs ``prox.A is A and prox.b is b``: the live prox holds both
+    arrays, so their ids cannot be reused by other data. Input that the prox
+    converts (not float64) never passes that test and is not shared.
+    """
+    key = (id(A), id(b))
+    prox = _SMOOTH_PROXES.get(key)
+    if prox is None or prox.A is not A or prox.b is not b:
+        prox = ShiftedQuadraticProx(A, b)
+        _SMOOTH_PROXES[key] = prox
+    return prox
+
+
 def build_constrained_ls(inst: LsInstance) -> SplitProblem:
     """Shifted PR splitting of min |Au - b|^2 / 2 over u in the constraint set.
 
@@ -190,8 +218,13 @@ def build_constrained_ls(inst: LsInstance) -> SplitProblem:
     valid steps are gamma < 1 / (12 lam) and the g-prox needs
     gamma < 1 / (5 lam). It is the ``lam_max`` of the smooth prox, which
     reads it from the eigendecomposition it keeps.
+
+    Only g depends on the constraint set, so problems built from the same A
+    and b arrays (the same objects, not equal copies) share one smooth prox
+    and pay its eigendecomposition once. A and b must therefore not be
+    modified in place once a problem is built from them.
     """
-    smooth_prox = ShiftedQuadraticProx(inst.A, inst.b)
+    smooth_prox = _smooth_prox(inst.A, inst.b)
     lam = smooth_prox.lam_max
     dset = inst.constraint
 

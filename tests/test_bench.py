@@ -152,6 +152,18 @@ def test_run_bench_counts_divergence_as_failure():
         assert np.isfinite(row.fval_max)
 
 
+def test_run_bench_counts_a_raising_trial_as_failure():
+    # pr_gamma0 = 0.3 makes the shifted g-prox ill-posed (5 * 0.3 >= 1), so
+    # every PR solve raises ProxShiftError at its first step; the DR row of
+    # the same table is unaffected.
+    dr_alone = run_bench(small_config(methods=("dr",)))
+    dr, pr = run_bench(small_config(methods=("dr", "pr"), pr_gamma0=0.3))
+    assert strip_seconds(render_csv([dr])) == strip_seconds(render_csv(dr_alone))
+    assert (pr.method, pr.failures, pr.successes, pr.undecided) == ("pr", 2, 0, 0)
+    assert pr.mean_iterations == 0.0
+    assert pr.fval_min == pr.fval_max == np.inf
+
+
 def test_full_scale_spot_check():
     # One trial per method at full-scale shapes, pinned to the expected
     # behavior bands: PR solves the well-posed shape in a couple hundred

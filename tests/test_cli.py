@@ -61,6 +61,16 @@ def test_bench_rejects_bad_shape_before_the_first_solve(capsys):
     assert captured.err == "error: m must be at least 5, got 4x10\n"
 
 
+def test_bench_finishes_the_table_when_a_trial_raises(capsys):
+    # Every PR trial raises ProxShiftError (5 * 0.3 >= 1); the table still
+    # comes out, with the DR row and a PR row of failures.
+    args = ["bench", "--pairs", "10x40", "--trials", "2", "--methods", "dr,pr", "--pr-gamma0", "0.3", "--quiet"]
+    assert main(args) == 0
+    dr, pr = parse_csv(capsys.readouterr().out)
+    assert dr.method == "dr" and dr.successes + dr.failures + dr.undecided == 2
+    assert (pr.method, pr.failures, pr.mean_iterations, pr.fval_max) == ("pr", 2, 0.0, np.inf)
+
+
 def test_solve_prints_summary(capsys):
     code = main(["solve", "--m", "10", "--n", "40", "--seed", "3"])
     assert code == 0

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -204,23 +205,89 @@ def test_build_constrained_ls_bound_covers_clustered_top_eigenvalues(delta):
 
 
 def test_build_constrained_ls_retains_one_factor_and_no_gram():
-    # After one prox call the problem holds A, b and one 300 x 300 inverse
-    # factor; the 300 x 300 Gram matrix it was built from is released.
+    # After one prox call the problem holds A, b and one 300 x 300
+    # eigenvector matrix; the 300 x 300 Gram matrix it was built from is
+    # released. A second problem from the same arrays shares that matrix.
     m, n = 600, 300
     A = gaussian_matrix(m, n, 41)
-    inst = LsInstance(A=A, b=gaussian_matrix(m, 1, 42).ravel(), constraint=BoxSet(1.0))
+    b = gaussian_matrix(m, 1, 42).ravel()
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        problem = build_constrained_ls(inst)
+        problem = build_constrained_ls(LsInstance(A=A, b=b, constraint=BoxSet(1.0)))
         gamma = 0.99 * gamma_threshold(problem.f.strong_convexity, problem.f.grad_lipschitz)
         problem.f.prox(gamma, np.zeros(n))
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
+        second = build_constrained_ls(LsInstance(A=A, b=b, constraint=SparseBoxSet(r=20)))
+        second.f.prox(gamma, np.zeros(n))
+        gc.collect()
+        retained_second = tracemalloc.get_traced_memory()[0] - before - retained
     finally:
         tracemalloc.stop()
     assert retained <= n * n * 8 + 32 * n * 8
+    assert retained_second <= 32 * n * 8
+
+
+def count_eighs(monkeypatch):
+    """Record each np.linalg.eigh call from here on."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append("eigh") or eigh(M))
+    return calls
+
+
+def ls_data(m=6, n=15, seed=43):
+    return gaussian_matrix(m, n, seed), gaussian_matrix(m, 1, seed + 1).ravel()
+
+
+def test_build_constrained_ls_shares_prox_across_constraint_sets(monkeypatch):
+    A, b = ls_data()
+    calls = count_eighs(monkeypatch)
+    box = build_constrained_ls(LsInstance(A=A, b=b, constraint=BoxSet(0.5)))
+    cap = build_constrained_ls(LsInstance(A=A, b=b, constraint=SparseBoxSet(r=3)))
+    assert calls == ["eigh"]
+    assert cap.f.prox is box.f.prox
+
+
+@pytest.mark.parametrize("other", ["A copy", "new b", "float32 A"])
+def test_build_constrained_ls_does_not_share_prox_across_arrays(other, monkeypatch):
+    # Equal copies are not shared, and neither is data the prox converts to
+    # float64, even when both problems hold the same float32 array.
+    A, b = ls_data()
+    if other == "float32 A":
+        A = A.astype(np.float32)
+    A2, b2 = {"A copy": (A.copy(), b), "new b": (A, b + 1.0), "float32 A": (A, b)}[other]
+    calls = count_eighs(monkeypatch)
+    first = build_constrained_ls(LsInstance(A=A, b=b, constraint=BoxSet(0.5)))
+    second = build_constrained_ls(LsInstance(A=A2, b=b2, constraint=BoxSet(0.5)))
+    assert calls == ["eigh", "eigh"]
+    assert second.f.prox is not first.f.prox
+
+
+def test_build_constrained_ls_shared_prox_dies_with_its_problems():
+    A, b = ls_data()
+    box = build_constrained_ls(LsInstance(A=A, b=b, constraint=BoxSet(0.5)))
+    cap = build_constrained_ls(LsInstance(A=A, b=b, constraint=SparseBoxSet(r=3)))
+    prox = weakref.ref(box.f.prox)
+    del box, cap
+    gc.collect()
+    assert prox() is None
+
+
+def test_build_constrained_ls_shared_prox_runs_bit_identical():
+    A, b = ls_data()
+    box = build_constrained_ls(LsInstance(A=A, b=b, constraint=BoxSet(0.5)))
+    shared = build_constrained_ls(LsInstance(A=A, b=b, constraint=SparseBoxSet(r=3)))
+    alone = build_constrained_ls(LsInstance(A=A.copy(), b=b.copy(), constraint=SparseBoxSet(r=3)))
+    assert shared.f.prox is box.f.prox and alone.f.prox is not box.f.prox
+    got = run(shared, SolverConfig(), np.zeros(15))
+    expected = run(alone, SolverConfig(), np.zeros(15))
+    assert got.reason == "converged"
+    assert (got.iterations, got.reason) == (expected.iterations, expected.reason)
+    np.testing.assert_array_equal(got.state.z, expected.state.z)
+    np.testing.assert_array_equal(got.state.x, expected.state.x)
 
 
 def test_build_constrained_ls_identity_design_stationary_at_zero():
