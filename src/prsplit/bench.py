@@ -1,9 +1,13 @@
 """Benchmark harness: solve batches of random feasibility instances and tabulate.
 
 For every requested (m, n) shape the harness generates `trials` planted
-instances, solves each with the requested methods from the origin, and
-aggregates per-shape statistics: mean iteration count, the extreme terminal
-quality values, success / failure / undecided counts, and mean wall time.
+instances one at a time, solves each with every requested method from the
+origin through :func:`solve_trial` before drawing the next, and aggregates
+per-shape statistics: mean iteration count, the extreme terminal quality
+values, success / failure / undecided counts, and mean wall time. So one
+instance is in memory at a time, and progress lines arrive once per shape,
+after all of its trials. A trial whose build or solve raises counts as a
+failure.
 Per-trial seeds are derived from (base seed, m, n, trial) with a splitmix64
 mix, so every row is reproducible in isolation and the whole table is a
 pure function of its configuration (wall time aside).
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import (
+    FeasibilityInstance,
     build_feasibility_dr,
     build_feasibility_pr,
     check_shape,
@@ -34,7 +39,7 @@ from .problems import (
     evaluate_fval,
     gen_feasibility,
 )
-from .splitting import SolverConfig, run
+from .splitting import SolverConfig, SolverReport, run
 
 __all__ = [
     "BenchConfig",
@@ -49,6 +54,7 @@ __all__ = [
     "render_csv",
     "render_markdown",
     "run_bench",
+    "solve_trial",
     "solver_config",
     "trial_seed",
 ]
@@ -89,6 +95,8 @@ class BenchConfig:
             raise ValueError("trials must be at least 1")
         if not self.methods or any(m not in ("pr", "dr") for m in self.methods):
             raise ValueError(f"methods must be a nonempty subset of ('pr', 'dr'), got {self.methods}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"methods must not repeat, got {self.methods}")
         for method in self.methods:
             solver_config(self, method)  # bad steps or tol fail here, before any solve
 
@@ -133,47 +141,55 @@ def solver_config(cfg: BenchConfig, method: str) -> SolverConfig:
     return SolverConfig(gamma0=gamma0, gamma1=gamma1, method=method, tol=cfg.tol, max_iter=cfg.max_iter)
 
 
-def run_bench(cfg: BenchConfig, progress=None) -> list[BenchRow]:
-    """Solve every (pair, method, trial) cell and aggregate per-row statistics.
+def solve_trial(
+    inst: FeasibilityInstance, config: SolverConfig, observer=None
+) -> tuple[SolverReport, float, str, float]:
+    """Solve one instance with ``config.method`` from the origin and classify it.
 
-    A diverged run counts as a failure (its terminal quality value still
-    enters the extremes). A trial whose solve raises ``ValueError`` (a step
-    that makes a shifted prox ill-posed raises :class:`ProxShiftError`, one
-    of these) or ``np.linalg.LinAlgError`` also counts as a failure, with
-    quality ``inf`` and 0 iterations, and the table is finished. `progress`,
-    if given, is called with one line of text after each finished (pair,
-    method) cell.
+    Returns ``(report, fval, outcome, seconds)``: the :class:`SolverReport`,
+    the quality ``dist(z, C)^2 / 2`` of its final ``z`` (``inf`` when the run
+    took no step), the outcome (a diverged run is a ``"failure"`` whatever
+    its ``z``, any other is :func:`classify` of ``fval``) and the wall time
+    of the ``run`` call alone. `observer` is passed on to ``run``. A build or
+    solve that raises propagates.
     """
-    builders = {"pr": build_feasibility_pr, "dr": build_feasibility_dr}
+    problem = (build_feasibility_pr if config.method == "pr" else build_feasibility_dr)(inst)
+    start = time.perf_counter()
+    report = run(problem, config, np.zeros(inst.n), observer=observer)
+    seconds = time.perf_counter() - start
+    z = report.state.z
+    fval = np.inf if z is None else evaluate_fval(z, inst)
+    outcome = "failure" if report.reason == "diverged" else classify(fval)
+    return report, fval, outcome, seconds
+
+
+def run_bench(cfg: BenchConfig, progress=None) -> list[BenchRow]:
+    """Solve every (pair, trial, method) cell and aggregate per-row statistics.
+
+    Each instance is generated once, solved by every method through
+    :func:`solve_trial` and dropped before the next is drawn, so one instance
+    is in memory at a time. A diverged run counts as a failure (its terminal
+    quality value still enters the extremes). A trial whose build or solve
+    raises ``ValueError`` (a step that makes a shifted prox ill-posed raises
+    :class:`ProxShiftError`, one of these) or ``np.linalg.LinAlgError`` also
+    counts as a failure, with quality ``inf``, 0 iterations and 0 seconds,
+    and the table is finished. `progress`, if given, is called with one line
+    of text per (pair, method) row, once all trials of the pair are done.
+    """
     rows: list[BenchRow] = []
     for m, n in cfg.pairs:
-        instances = [
-            gen_feasibility(m, n, trial_seed(cfg.base_seed, m, n, trial))
-            for trial in range(cfg.trials)
-        ]
-        for method in cfg.methods:
-            solver_cfg = solver_config(cfg, method)
-            iterations = []
-            fvals = []
-            outcomes = {"success": 0, "failure": 0, "undecided": 0}
-            elapsed = []
-            for inst in instances:
-                problem = builders[method](inst)
-                start = time.perf_counter()
+        results: dict[str, list] = {method: [] for method in cfg.methods}
+        for trial in range(cfg.trials):
+            inst = gen_feasibility(m, n, trial_seed(cfg.base_seed, m, n, trial))
+            for method in cfg.methods:
                 try:
-                    report = run(problem, solver_cfg, np.zeros(n))
+                    report, fval, outcome, seconds = solve_trial(inst, solver_config(cfg, method))
+                    results[method].append((report.iterations, fval, outcome, seconds))
                 except (ValueError, np.linalg.LinAlgError):
-                    report = None
-                elapsed.append(time.perf_counter() - start)
-                if report is None:
-                    iterations.append(0)
-                    fval = np.inf
-                else:
-                    iterations.append(report.iterations)
-                    fval = evaluate_fval(report.state.z, inst) if report.state.z is not None else np.inf
-                fvals.append(fval)
-                outcome = "failure" if report is None or report.reason == "diverged" else classify(fval)
-                outcomes[outcome] += 1
+                    results[method].append((0, np.inf, "failure", 0.0))
+            del inst  # before the next draw, so two instances never coexist
+        for method in cfg.methods:
+            iterations, fvals, outcomes, seconds = zip(*results[method])
             row = BenchRow(
                 m=m,
                 n=n,
@@ -181,10 +197,10 @@ def run_bench(cfg: BenchConfig, progress=None) -> list[BenchRow]:
                 mean_iterations=float(np.mean(iterations)),
                 fval_max=float(np.max(fvals)),
                 fval_min=float(np.min(fvals)),
-                successes=outcomes["success"],
-                failures=outcomes["failure"],
-                undecided=outcomes["undecided"],
-                mean_seconds=float(np.mean(elapsed)),
+                successes=outcomes.count("success"),
+                failures=outcomes.count("failure"),
+                undecided=outcomes.count("undecided"),
+                mean_seconds=float(np.mean(seconds)),
             )
             rows.append(row)
             if progress is not None:

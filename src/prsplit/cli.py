@@ -22,19 +22,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from .bench import DESK_PAIRS, FULL_PAIRS, METHOD_STEPS, BenchConfig, emit_table, run_bench
-from .problems import (
-    build_feasibility_dr,
-    build_feasibility_pr,
-    classify,
-    evaluate_fval,
-    gen_feasibility,
-    load_instance,
-    save_instance,
-)
-from .splitting import SolverConfig, run
+from .bench import DESK_PAIRS, FULL_PAIRS, METHOD_STEPS, BenchConfig, emit_table, run_bench, solve_trial
+from .problems import evaluate_fval, gen_feasibility, load_instance, save_instance
+from .splitting import SolverConfig
 
 
 def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
@@ -138,14 +128,12 @@ def _cmd_solve(args) -> int:
     if args.save_instance is not None:
         save_instance(inst, args.save_instance)
 
-    problem = (build_feasibility_pr if args.method == "pr" else build_feasibility_dr)(inst)
-
     fvals: list[float] = []
     observer = None
     if args.trace is not None:
         observer = lambda state, gamma: fvals.append(evaluate_fval(state.z, inst))
 
-    report = run(problem, cfg, np.zeros(inst.n), observer=observer)
+    report, fval, outcome, _ = solve_trial(inst, cfg, observer)
 
     if args.trace is not None:
         lines = ["t,gamma,merit,dz,fval"]
@@ -157,11 +145,10 @@ def _cmd_solve(args) -> int:
         with open(args.trace, "w", encoding="ascii") as handle:
             handle.write("\n".join(lines) + "\n")
 
-    fval = evaluate_fval(report.state.z, inst) if report.state.z is not None else float("inf")
     print(f"method      : {args.method}")
     print(f"shape       : m={inst.m} n={inst.n} r={inst.r} seed={inst.seed}")
     print(f"iterations  : {report.iterations} ({report.reason})")
-    print(f"fval        : {fval:.6e} -> {classify(max(fval, 0.0))}")
+    print(f"fval        : {fval:.6e} -> {outcome}")
     if report.residual is not None:
         print(f"residual    : practical {report.residual.practical:.3e}")
     if report.iterations:

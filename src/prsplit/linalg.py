@@ -1,11 +1,11 @@
-"""Dense linear algebra and seeded sampling shared by the solvers.
+"""Dense linear algebra and the seeded generator shared by the solvers.
 
 Everything here is deterministic. Random draws are pure functions of an
-integer seed, backed by numpy's PCG64 bit generator (a documented 64-bit
-PRNG whose normal variates come from the ziggurat transform); the stream
-for a given seed is stable across runs and platforms for a fixed numpy
-version. Matrices are plain row-major float64 ndarrays, vectors are 1-d
-float64 ndarrays; nothing here is sparse.
+integer seed, through :func:`rng_from_seed` and numpy's PCG64 bit generator
+(a documented 64-bit PRNG whose normal variates come from the ziggurat
+transform); the stream for a given seed is stable across runs and platforms
+for a fixed numpy version. Matrices are plain row-major float64 ndarrays,
+vectors are 1-d float64 ndarrays; nothing here is sparse.
 
 The runtime needs numpy only. The one-off dense kernels here (the largest
 eigenvalue, Cholesky, the inverse of the Cholesky factor) call numpy's
@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "NotPositiveDefiniteError",
     "SpdFactorization",
-    "gaussian_matrix",
     "rng_from_seed",
     "spd_factor",
     "spectral_norm_sq",
@@ -35,17 +34,6 @@ class NotPositiveDefiniteError(ValueError):
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Generator for `seed`; the single RNG construction point of the package."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
-    """Sample a rows-by-cols matrix with i.i.d. standard normal entries.
-
-    The same (rows, cols, seed) triple always produces the same matrix; see
-    the module docstring for the generator contract.
-    """
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix shape must be positive, got {rows}x{cols}")
-    return rng_from_seed(seed).standard_normal((rows, cols))
 
 
 def spectral_norm_sq(A: np.ndarray, tol: float = 1e-10) -> float:

@@ -1,8 +1,13 @@
 """Tests for the benchmark harness and its table formats."""
 
+import gc
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from prsplit import bench
 from prsplit.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -13,9 +18,12 @@ from prsplit.bench import (
     render_csv,
     render_markdown,
     run_bench,
+    solve_trial,
     solver_config,
     trial_seed,
 )
+from prsplit.cli import main
+from prsplit.problems import classify, gen_feasibility
 
 
 def small_config(**overrides):
@@ -72,6 +80,8 @@ def test_bench_config_validation():
         BenchConfig(pairs=((10, 40),), trials=0)
     with pytest.raises(ValueError):
         BenchConfig(pairs=((10, 40),), methods=("newton",))
+    with pytest.raises(ValueError, match="must not repeat"):
+        BenchConfig(pairs=((10, 40),), methods=("pr", "pr"))
     with pytest.raises(ValueError, match="gamma1"):
         BenchConfig(pairs=((10, 40),), dr_gamma1=float("nan"))
     with pytest.raises(ValueError, match="m must be at least 5"):
@@ -162,6 +172,104 @@ def test_run_bench_counts_a_raising_trial_as_failure():
     assert (pr.method, pr.failures, pr.successes, pr.undecided) == ("pr", 2, 0, 0)
     assert pr.mean_iterations == 0.0
     assert pr.fval_min == pr.fval_max == np.inf
+
+
+def test_run_bench_rows_aggregate_solve_trial():
+    cfg = small_config(trials=3)
+    [(m, n)] = cfg.pairs
+    instances = [gen_feasibility(m, n, trial_seed(cfg.base_seed, m, n, t)) for t in range(cfg.trials)]
+    for row in run_bench(cfg):
+        trials = [solve_trial(inst, solver_config(cfg, row.method)) for inst in instances]
+        assert row.mean_iterations == np.mean([report.iterations for report, _, _, _ in trials])
+        assert (row.fval_min, row.fval_max) == (min(t[1] for t in trials), max(t[1] for t in trials))
+        outcomes = [t[2] for t in trials]
+        counts = (outcomes.count("success"), outcomes.count("failure"), outcomes.count("undecided"))
+        assert (row.successes, row.failures, row.undecided) == counts
+
+
+def test_run_bench_reports_each_pair_after_all_its_trials(monkeypatch):
+    events = []
+    real_solve_trial = bench.solve_trial
+
+    def logged(inst, config):
+        events.append(("solve", inst.m, config.method))
+        return real_solve_trial(inst, config)
+
+    monkeypatch.setattr(bench, "solve_trial", logged)
+    run_bench(small_config(pairs=((10, 40), (12, 40))), progress=lambda line: events.append(line[:12]))
+    expected = []
+    for m in (10, 12):
+        expected += [("solve", m, method) for _trial in range(2) for method in ("pr", "dr")]
+        expected += [f"m={m} n=40 pr", f"m={m} n=40 dr"]
+    assert events == expected
+
+
+def test_run_bench_counts_a_raising_build_as_failure(monkeypatch):
+    # A build that raises (here the DR one, as a rank-deficient A would)
+    # fails its trials alone; the PR row is unaffected.
+    pr_alone = run_bench(small_config(methods=("pr",)))
+
+    def broken(inst):
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(bench, "build_feasibility_dr", broken)
+    pr, dr = run_bench(small_config())
+    assert strip_seconds(render_csv([pr])) == strip_seconds(render_csv(pr_alone))
+    assert (dr.failures, dr.mean_iterations, dr.fval_min, dr.mean_seconds) == (2, 0.0, np.inf, 0.0)
+
+
+def peak_traced_bytes(cfg):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_bench(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_bench_holds_one_instance_at_a_time():
+    # Six trials peak less than half an instance's A above one trial: each
+    # instance is dropped before the next is drawn. Holding the previous one
+    # during the next draw, or all six, peaks most of an A or more above.
+    # An untraced first call keeps one-off allocations out of the numbers.
+    m, n = 50, 2000
+
+    def config(trials):
+        return BenchConfig(pairs=((m, n),), trials=trials, methods=("pr",), max_iter=20)
+
+    run_bench(config(1))
+    one, six = (peak_traced_bytes(config(trials)) for trials in (1, 6))
+    assert six - one < m * n * 8 / 2
+
+
+def diverge_at(monkeypatch, z):
+    """Make bench.run stop after one step, reporting "diverged" at the point z."""
+    real_run = bench.run
+
+    def diverged(problem, config, x0, observer=None):
+        report = real_run(problem, replace(config, max_iter=1), x0, observer)
+        return replace(report, reason="diverged", state=replace(report.state, z=z))
+
+    monkeypatch.setattr(bench, "run", diverged)
+
+
+def test_solve_trial_counts_a_diverged_run_as_failure(monkeypatch):
+    inst = gen_feasibility(10, 40, 3)
+    diverge_at(monkeypatch, inst.x_true)
+    report, fval, outcome, seconds = solve_trial(inst, solver_config(small_config(), "pr"))
+    assert (report.reason, report.iterations) == ("diverged", 1)
+    assert classify(fval) == "success"  # the planted point is feasible
+    assert outcome == "failure"
+    assert seconds >= 0.0
+
+
+def test_cli_solve_prints_failure_for_a_diverged_run(monkeypatch, capsys):
+    diverge_at(monkeypatch, gen_feasibility(10, 40, 3).x_true)
+    assert main(["solve", "--m", "10", "--n", "40", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "iterations  : 1 (diverged)\n" in out
+    assert "-> failure\n" in out
 
 
 def test_full_scale_spot_check():

@@ -7,38 +7,10 @@ from numpy.testing import assert_allclose
 from prsplit import linalg
 from prsplit.linalg import (
     NotPositiveDefiniteError,
-    gaussian_matrix,
+    rng_from_seed,
     spd_factor,
     spectral_norm_sq,
 )
-
-
-def test_gaussian_matrix_deterministic():
-    first = gaussian_matrix(2, 2, 123)
-    second = gaussian_matrix(2, 2, 123)
-    assert_allclose(first, second, rtol=0, atol=0)
-
-
-def test_gaussian_matrix_seeds_differ():
-    assert not np.array_equal(gaussian_matrix(4, 4, 0), gaussian_matrix(4, 4, 1))
-
-
-def test_gaussian_matrix_moments():
-    # Law-of-large-numbers check on a tall draw.
-    sample = gaussian_matrix(1000, 1, 3).ravel()
-    assert abs(sample.mean()) < 0.1
-    assert abs(sample.var() - 1.0) < 0.1
-
-
-def test_gaussian_matrix_shape_and_finiteness():
-    sample = gaussian_matrix(3, 4, 99)
-    assert sample.shape == (3, 4)
-    assert np.all(np.isfinite(sample))
-
-
-def test_gaussian_matrix_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        gaussian_matrix(0, 3, 1)
 
 
 def test_spectral_norm_sq_diagonal():
@@ -54,7 +26,7 @@ def test_spectral_norm_sq_identity():
 def test_spectral_norm_sq_matches_dense_eigensolver():
     # Independent oracle: full symmetric eigendecomposition of A^T A.
     for seed in range(5):
-        A = gaussian_matrix(5, 7, seed)
+        A = rng_from_seed(seed).standard_normal((5, 7))
         expected = np.linalg.eigvalsh(A.T @ A)[-1]
         assert_allclose(spectral_norm_sq(A), expected, rtol=1e-8)
 
@@ -62,7 +34,7 @@ def test_spectral_norm_sq_matches_dense_eigensolver():
 def test_spectral_norm_sq_rayleigh_lower_bound():
     rng = np.random.default_rng(5)
     for seed in range(3):
-        A = gaussian_matrix(6, 9, seed)
+        A = rng_from_seed(seed).standard_normal((6, 9))
         estimate = spectral_norm_sq(A)
         for _ in range(10):
             probe = rng.standard_normal(9)
@@ -73,8 +45,10 @@ def test_spectral_norm_sq_rayleigh_lower_bound():
 def test_spectral_norm_sq_matches_singular_values():
     # LAPACK's SVD, independent of the symmetric eigensolver under test, on
     # tall, wide, and column-deficient (rank 3 of 6 columns) matrices.
-    deficient = gaussian_matrix(8, 3, 21) @ gaussian_matrix(3, 6, 22)
-    for A in (gaussian_matrix(30, 7, 23), gaussian_matrix(7, 30, 24), deficient):
+    deficient = rng_from_seed(21).standard_normal((8, 3)) @ rng_from_seed(22).standard_normal((3, 6))
+    tall = rng_from_seed(23).standard_normal((30, 7))
+    wide = rng_from_seed(24).standard_normal((7, 30))
+    for A in (tall, wide, deficient):
         sigma_max = np.linalg.svd(A, compute_uv=False)[0]
         assert_allclose(spectral_norm_sq(A), sigma_max**2, rtol=1e-12)
 
@@ -102,16 +76,16 @@ def test_spd_factor_diagonal():
 
 
 def test_spd_factor_gram_matrix_residual():
-    A = gaussian_matrix(3, 6, 11)
+    A = rng_from_seed(11).standard_normal((3, 6))
     M = A @ A.T
-    rhs = gaussian_matrix(3, 1, 12).ravel()
+    rhs = rng_from_seed(12).standard_normal(3)
     x = spd_factor(M).solve(rhs)
     assert np.linalg.norm(M @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 def test_spd_factor_reconstructs_matrix():
     for seed, dim in [(0, 5), (1, 40), (2, 200)]:
-        B = gaussian_matrix(dim, dim, seed)
+        B = rng_from_seed(seed).standard_normal((dim, dim))
         M = B @ B.T + 0.5 * dim * np.eye(dim)
         factor = spd_factor(M)
         # L^{-1} M L^{-T} = I exactly when L L^T = M.
@@ -122,9 +96,9 @@ def test_spd_factor_reconstructs_matrix():
 
 def test_spd_factor_solve_round_trip_random():
     for seed, dim in [(3, 10), (4, 80), (5, 200)]:
-        B = gaussian_matrix(dim, dim, seed)
+        B = rng_from_seed(seed).standard_normal((dim, dim))
         M = B @ B.T + 0.5 * dim * np.eye(dim)
-        rhs = gaussian_matrix(dim, 1, seed + 100).ravel()
+        rhs = rng_from_seed(seed + 100).standard_normal(dim)
         x = spd_factor(M).solve(rhs)
         assert np.linalg.norm(M @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
@@ -192,11 +166,11 @@ LEAF = linalg._INVERSE_LEAF
 def test_spd_factor_solve_accuracy_across_block_sizes(dim, cond):
     # M = Q diag(d) Q^T with eigenvalues spread log-uniformly over [1/cond, 1];
     # the sizes straddle the leaf of the blocked inverse and its first splits.
-    Q, _ = np.linalg.qr(gaussian_matrix(dim, dim, dim))
+    Q, _ = np.linalg.qr(rng_from_seed(dim).standard_normal((dim, dim)))
     d = np.logspace(0.0, -np.log10(cond), dim) if dim > 1 else np.ones(1)
     M = (Q * d) @ Q.T
     M = 0.5 * (M + M.T)
-    x_true = gaussian_matrix(dim, 1, dim + 1).ravel()
+    x_true = rng_from_seed(dim + 1).standard_normal(dim)
     rhs = M @ x_true
     x = spd_factor(M).solve(rhs)
     forward = np.linalg.norm(x - x_true) / np.linalg.norm(x_true)

@@ -17,8 +17,9 @@ SCRIPT = textwrap.dedent(
     import numpy as np
     from prsplit import (
         BoxSet, LsInstance, SolverConfig, build_constrained_ls,
-        build_feasibility_dr, build_feasibility_pr, gaussian_matrix, gen_feasibility, run,
+        build_feasibility_dr, build_feasibility_pr, gen_feasibility, run,
     )
+    from prsplit.linalg import rng_from_seed
 
     inst = gen_feasibility(10, 40, 3)
     for build, config in [
@@ -27,7 +28,7 @@ SCRIPT = textwrap.dedent(
     ]:
         report = run(build(inst), config, np.zeros(40))
         assert report.iterations > 0 and np.all(np.isfinite(report.state.z))
-    ls = LsInstance(A=gaussian_matrix(30, 12, 5), b=np.ones(30), constraint=BoxSet(1.0))
+    ls = LsInstance(A=rng_from_seed(5).standard_normal((30, 12)), b=np.ones(30), constraint=BoxSet(1.0))
     report = run(build_constrained_ls(ls), SolverConfig(max_iter=300), np.zeros(12))
     assert report.iterations > 0 and np.all(np.isfinite(report.state.z))
     loaded = sorted(name for name, mod in sys.modules.items()

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from prsplit import oracles
-from prsplit.linalg import gaussian_matrix, spd_factor
+from prsplit.linalg import rng_from_seed, spd_factor
 from prsplit.oracles import (
     AffineSet,
     BoxSet,
@@ -67,26 +67,26 @@ def test_project_affine_line():
 
 
 def test_project_affine_fixes_feasible_points():
-    A = gaussian_matrix(3, 6, 0)
-    x_feasible = gaussian_matrix(6, 1, 1).ravel()
+    A = rng_from_seed(0).standard_normal((3, 6))
+    x_feasible = rng_from_seed(1).standard_normal(6)
     cset = AffineSet(A, A @ x_feasible)
     assert_allclose(cset.project(x_feasible), x_feasible, atol=1e-12)
 
 
 def test_project_affine_matches_kkt_oracle():
     for seed in range(8):
-        A = gaussian_matrix(3, 6, seed)
-        b = gaussian_matrix(3, 1, seed + 50).ravel()
-        w = gaussian_matrix(6, 1, seed + 100).ravel()
+        A = rng_from_seed(seed).standard_normal((3, 6))
+        b = rng_from_seed(seed + 50).standard_normal(3)
+        w = rng_from_seed(seed + 100).standard_normal(6)
         cset = AffineSet(A, b)
         assert_allclose(cset.project(w), kkt_projection(A, b, w), atol=1e-8)
 
 
 def test_project_affine_output_is_feasible_and_orthogonal():
-    A = gaussian_matrix(4, 10, 2)
-    b = gaussian_matrix(4, 1, 3).ravel()
+    A = rng_from_seed(2).standard_normal((4, 10))
+    b = rng_from_seed(3).standard_normal(4)
     cset = AffineSet(A, b)
-    w = gaussian_matrix(10, 1, 4).ravel()
+    w = rng_from_seed(4).standard_normal(10)
     p = cset.project(w)
     assert np.linalg.norm(A @ p - b) <= 1e-9 * (1.0 + np.linalg.norm(b))
     # w - p lies in the row space of A: projecting it onto the nullspace gives 0.
@@ -95,17 +95,17 @@ def test_project_affine_output_is_feasible_and_orthogonal():
 
 
 def test_project_affine_idempotent():
-    A = gaussian_matrix(3, 7, 5)
-    b = gaussian_matrix(3, 1, 6).ravel()
+    A = rng_from_seed(5).standard_normal((3, 7))
+    b = rng_from_seed(6).standard_normal(3)
     cset = AffineSet(A, b)
-    w = gaussian_matrix(7, 1, 7).ravel()
+    w = rng_from_seed(7).standard_normal(7)
     once = cset.project(w)
     assert np.linalg.norm(cset.project(once) - once) <= 1e-10 * (1 + np.linalg.norm(once))
 
 
 def test_project_affine_nonexpansive():
-    A = gaussian_matrix(3, 8, 8)
-    b = gaussian_matrix(3, 1, 9).ravel()
+    A = rng_from_seed(8).standard_normal((3, 8))
+    b = rng_from_seed(9).standard_normal(3)
     cset = AffineSet(A, b)
     rng = np.random.default_rng(10)
     for _ in range(20):
@@ -235,16 +235,16 @@ def test_prox_shifted_quadratic_identity_design():
 
 
 def test_prox_shifted_quadratic_zero_fixed_point():
-    A = gaussian_matrix(4, 6, 13)
+    A = rng_from_seed(13).standard_normal((4, 6))
     out = ShiftedQuadraticProx(A, np.zeros(4))(0.01, np.zeros(6))
     assert_allclose(out, np.zeros(6), atol=1e-14)
 
 
 def test_prox_shifted_quadratic_first_order_condition():
     for seed in range(5):
-        A = gaussian_matrix(4, 6, seed + 20)
-        b = gaussian_matrix(4, 1, seed + 40).ravel()
-        w = gaussian_matrix(6, 1, seed + 60).ravel()
+        A = rng_from_seed(seed + 20).standard_normal((4, 6))
+        b = rng_from_seed(seed + 40).standard_normal(4)
+        w = rng_from_seed(seed + 60).standard_normal(6)
         prox = ShiftedQuadraticProx(A, b)
         lam = prox.lam_max
         gamma = 1.0 / (24.0 * lam)
@@ -256,9 +256,9 @@ def test_prox_shifted_quadratic_first_order_condition():
 def test_shifted_quadratic_prox_woodbury_matches_dense_solve():
     # Wide shape takes the Gram-system route; square-ish takes the direct one.
     for m, n, seed in [(4, 16, 0), (6, 8, 1)]:
-        A = gaussian_matrix(m, n, seed)
-        b = gaussian_matrix(m, 1, seed + 5).ravel()
-        w = gaussian_matrix(n, 1, seed + 9).ravel()
+        A = rng_from_seed(seed).standard_normal((m, n))
+        b = rng_from_seed(seed + 5).standard_normal(m)
+        w = rng_from_seed(seed + 9).standard_normal(n)
         prox = ShiftedQuadraticProx(A, b)
         lam = prox.lam_max
         gamma = 1.0 / (20.0 * lam)
@@ -283,9 +283,9 @@ def test_shifted_quadratic_prox_one_eigensolve_serves_every_gamma(shape, monkeyp
     # one, factors nothing. Each result is bit-identical to a fresh prox's
     # and agrees with a dense solve of the shifted system.
     m, n = shape
-    A = gaussian_matrix(m, n, 31)
-    b = gaussian_matrix(m, 1, 32).ravel()
-    w = gaussian_matrix(n, 1, 33).ravel()
+    A = rng_from_seed(31).standard_normal((m, n))
+    b = rng_from_seed(32).standard_normal(m)
+    w = rng_from_seed(33).standard_normal(n)
     lam = ShiftedQuadraticProx(A, b).lam_max
     gammas = (1.0 / (20.0 * lam), 1.0 / (40.0 * lam), 1.0 / (20.0 * lam))
     fresh = [ShiftedQuadraticProx(A, b)(gamma, w) for gamma in gammas]
@@ -304,7 +304,7 @@ def test_shifted_quadratic_prox_one_eigensolve_serves_every_gamma(shape, monkeyp
     "name, value", [("A", np.nan), ("A", np.inf), ("b", np.nan), ("b", -np.inf)]
 )
 def test_shifted_quadratic_prox_rejects_non_finite_data(name, value):
-    data = {"A": gaussian_matrix(4, 6, 51), "b": np.ones(4)}
+    data = {"A": rng_from_seed(51).standard_normal((4, 6)), "b": np.ones(4)}
     data[name].flat[2] = value
     with pytest.raises(ValueError, match=f"{name} holds NaN or infinite entries"):
         ShiftedQuadraticProx(data["A"], data["b"])
@@ -316,7 +316,7 @@ def test_shifted_quadratic_prox_rejects_zero_matrix():
 
 
 def test_shifted_quadratic_prox_rejects_bad_step_or_point():
-    prox = ShiftedQuadraticProx(gaussian_matrix(4, 6, 52), np.ones(4))
+    prox = ShiftedQuadraticProx(rng_from_seed(52).standard_normal((4, 6)), np.ones(4))
     for gamma in (0.0, -1e-3, np.nan, np.inf):
         with pytest.raises(ValueError, match="gamma"):
             prox(gamma, np.zeros(6))
@@ -341,8 +341,8 @@ def test_prox_shifted_halfsqdist_hand_case():
 
 def test_prox_shifted_halfsqdist_local_minimality():
     rng = np.random.default_rng(21)
-    A = gaussian_matrix(3, 6, 22)
-    b = gaussian_matrix(3, 1, 23).ravel()
+    A = rng_from_seed(22).standard_normal((3, 6))
+    b = rng_from_seed(23).standard_normal(3)
     cset = AffineSet(A, b)
     gamma = 0.05
     w = rng.standard_normal(6)
@@ -358,8 +358,8 @@ def test_prox_shifted_halfsqdist_local_minimality():
 
 
 def test_prox_halfsqdist_feasible_point_is_fixed():
-    A = gaussian_matrix(2, 5, 24)
-    x_feasible = gaussian_matrix(5, 1, 25).ravel()
+    A = rng_from_seed(24).standard_normal((2, 5))
+    x_feasible = rng_from_seed(25).standard_normal(5)
     cset = AffineSet(A, A @ x_feasible)
     assert_allclose(prox_halfsqdist(cset, 0.7, x_feasible), x_feasible, atol=1e-12)
 
@@ -371,8 +371,8 @@ def test_prox_halfsqdist_scalar_case():
 
 
 def test_prox_halfsqdist_first_order_condition():
-    A = gaussian_matrix(3, 7, 26)
-    b = gaussian_matrix(3, 1, 27).ravel()
+    A = rng_from_seed(26).standard_normal((3, 7))
+    b = rng_from_seed(27).standard_normal(3)
     cset = AffineSet(A, b)
     rng = np.random.default_rng(28)
     for gamma in (0.3, 1.0, 4.0):
@@ -422,7 +422,7 @@ def test_shift_split_sparse_projection_form():
 
 
 def test_shift_split_sum_identity():
-    cset = AffineSet(gaussian_matrix(2, 5, 31), gaussian_matrix(2, 1, 32).ravel())
+    cset = AffineSet(rng_from_seed(31).standard_normal((2, 5)), rng_from_seed(32).standard_normal(2))
     F = _halfsqdist_oracle(cset)
     G = ProxOracle(prox=lambda gamma, w: w, value=lambda z: float(np.abs(z).sum()))
     f, g = shift_split(F, G, alpha=5.0)
@@ -435,7 +435,7 @@ def test_shift_split_sum_identity():
 def test_shift_split_f_prox_matches_closed_form():
     # Dual route: generic composed prox against a dense solve of the
     # shifted prox's optimality system.
-    A, b = gaussian_matrix(3, 8, 34), gaussian_matrix(3, 1, 35).ravel()
+    A, b = rng_from_seed(34).standard_normal((3, 8)), rng_from_seed(35).standard_normal(3)
     F = _halfsqdist_oracle(AffineSet(A, b))
     G = ProxOracle(prox=lambda gamma, w: w, value=lambda z: 0.0)
     f, _ = shift_split(F, G, alpha=5.0)

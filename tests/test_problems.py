@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from prsplit.linalg import gaussian_matrix, spectral_norm_sq
+from prsplit.linalg import rng_from_seed, spectral_norm_sq
 from prsplit.oracles import (
     AffineSet,
     BoxSet,
@@ -184,8 +184,8 @@ def test_ls_instance_names_non_finite_data(name):
 
 
 def test_build_constrained_ls_threshold():
-    A = gaussian_matrix(5, 12, 7)
-    inst = LsInstance(A=A, b=gaussian_matrix(5, 1, 8).ravel(), constraint=SparseBoxSet(r=2))
+    A = rng_from_seed(7).standard_normal((5, 12))
+    inst = LsInstance(A=A, b=rng_from_seed(8).standard_normal(5), constraint=SparseBoxSet(r=2))
     problem = build_constrained_ls(inst)
     lam = spectral_norm_sq(A) * (1 + 1e-6)
     assert problem.f.strong_convexity == pytest.approx(5 * lam, rel=1e-12)
@@ -209,8 +209,8 @@ def test_build_constrained_ls_retains_one_factor_and_no_gram():
     # eigenvector matrix; the 300 x 300 Gram matrix it was built from is
     # released. A second problem from the same arrays shares that matrix.
     m, n = 600, 300
-    A = gaussian_matrix(m, n, 41)
-    b = gaussian_matrix(m, 1, 42).ravel()
+    A = rng_from_seed(41).standard_normal((m, n))
+    b = rng_from_seed(42).standard_normal(m)
     gc.collect()
     tracemalloc.start()
     try:
@@ -239,7 +239,7 @@ def count_eighs(monkeypatch):
 
 
 def ls_data(m=6, n=15, seed=43):
-    return gaussian_matrix(m, n, seed), gaussian_matrix(m, 1, seed + 1).ravel()
+    return rng_from_seed(seed).standard_normal((m, n)), rng_from_seed(seed + 1).standard_normal(m)
 
 
 def test_build_constrained_ls_shares_prox_across_constraint_sets(monkeypatch):
@@ -299,21 +299,21 @@ def test_build_constrained_ls_identity_design_stationary_at_zero():
 
 
 def test_build_constrained_ls_gprox_scaling():
-    A = gaussian_matrix(4, 9, 9)
+    A = rng_from_seed(9).standard_normal((4, 9))
     dset = SparseBoxSet(r=3)
-    inst = LsInstance(A=A, b=gaussian_matrix(4, 1, 10).ravel(), constraint=dset)
+    inst = LsInstance(A=A, b=rng_from_seed(10).standard_normal(4), constraint=dset)
     problem = build_constrained_ls(inst)
     lam = problem.f.strong_convexity / 5.0
     gamma = 1.0 / (24.0 * lam)
-    w = gaussian_matrix(9, 1, 11).ravel()
+    w = rng_from_seed(11).standard_normal(9)
     assert_allclose(problem.g.prox(gamma, w), dset.project(w / (1 - 5.0 / 24.0)))
     with pytest.raises(ProxShiftError):
         problem.g.prox(1.0 / (4.0 * lam), w)
 
 
 def test_constrained_ls_matches_generic_shift_split():
-    A = gaussian_matrix(4, 10, 12)
-    b = gaussian_matrix(4, 1, 13).ravel()
+    A = rng_from_seed(12).standard_normal((4, 10))
+    b = rng_from_seed(13).standard_normal(4)
     inst = LsInstance(A=A, b=b, constraint=BoxSet(5.0))
     problem = build_constrained_ls(inst)
     lam = problem.f.strong_convexity / 5.0
