@@ -39,7 +39,8 @@ from .problems import (
     evaluate_fval,
     gen_feasibility,
 )
-from .splitting import SolverConfig, SolverReport, run
+from .oracles import _SHIFT_WEIGHT
+from .splitting import SolverConfig, SolverReport, gamma_threshold, run
 
 __all__ = [
     "BenchConfig",
@@ -66,7 +67,11 @@ CSV_HEADER = "m,n,method,iter,fval_max,fval_min,succ,fail,undecided,seconds"
 
 # Default heuristic (gamma0, gamma1) of each method: the start step and the
 # floor it decays toward. BenchConfig and both CLI subcommands read them here.
-METHOD_STEPS = {"pr": (0.95 / 5.0, 1.0 / 12.0), "dr": (50.0, 1.0 / 3.0)}
+# PR's follow from the shift weight a (L = 1): 0.95 / a and the cap 1/12.
+METHOD_STEPS = {
+    "pr": (0.95 / _SHIFT_WEIGHT, gamma_threshold(_SHIFT_WEIGHT, _SHIFT_WEIGHT + 1.0)),
+    "dr": (50.0, 1.0 / 3.0),
+}
 
 _MASK64 = (1 << 64) - 1
 
@@ -91,8 +96,8 @@ class BenchConfig:
             raise ValueError("need at least one (m, n) pair")
         for m, n in self.pairs:
             check_shape(m, n)  # every shape fails here, before the first solve
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+            raise ValueError(f"trials must be an integer of at least 1, got {self.trials!r}")
         if not self.methods or any(m not in ("pr", "dr") for m in self.methods):
             raise ValueError(f"methods must be a nonempty subset of ('pr', 'dr'), got {self.methods}")
         if len(set(self.methods)) != len(self.methods):

@@ -33,6 +33,11 @@ from .linalg import NotPositiveDefiniteError, SpdFactorization, spd_factor
 # would invalidate the step-size threshold, an overestimate only shrinks it.
 _CURVATURE_MARGIN = 1.0 + 1e-6
 
+# The shift weight a of shift_split per unit of L, the smooth block's gradient
+# Lipschitz modulus: the PR step cap (a - 2L) / (a + L)^2 of the shifted block
+# is largest at a = 5L, where it is 1 / (12 L). Everything that shifts reads it.
+_SHIFT_WEIGHT = 5.0
+
 __all__ = [
     "AffineSet",
     "BoxSet",
@@ -147,8 +152,8 @@ class SparseBoxSet:
     bound: float = 1e6
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("cardinality cap r must be at least 1")
+        if not isinstance(self.r, (int, np.integer)) or self.r < 1:
+            raise ValueError(f"cardinality cap r must be an integer of at least 1, got {self.r!r}")
         if self.bound <= 0:
             raise ValueError("bound must be positive")
 
@@ -217,13 +222,14 @@ class BoxSet:
 
 
 class ShiftedQuadraticProx:
-    """Prox of f(y) = ||Ay - b||^2 / 2 + (5 lam_max / 2) ||y||^2 from one eigendecomposition.
+    """Prox of f(y) = ||Ay - b||^2 / 2 + (a / 2) ||y||^2 from one eigendecomposition.
 
     ``lam_max`` is the largest eigenvalue of A^T A times
     ``_CURVATURE_MARGIN``, so it bounds the curvature of the least-squares
-    term from above. Evaluating ``prox(gamma, w)`` solves
+    term from above, and a = 5 lam_max is :func:`shift_split`'s weight for
+    it. Evaluating ``prox(gamma, w)`` solves
 
-        [c I + gamma A^T A] y = v,  c = 1 + 5 gamma lam_max,  v = w + gamma A^T b.
+        [c I + gamma A^T A] y = v,  c = 1 + a gamma,  v = w + gamma A^T b.
 
     At construction the Gram matrix G (A A^T when m < n/2, A^T A otherwise)
     is diagonalized once, G = V diag(d) V^T, and only V and d are kept. At
@@ -264,7 +270,7 @@ class ShiftedQuadraticProx:
             raise ValueError(f"point has length {w.shape[0]}, expected {self.dim}")
         if not np.isfinite(w).all():
             raise ValueError("w contains NaN or infinite entries")
-        c = 1.0 + 5.0 * gamma * self.lam_max
+        c = 1.0 + _SHIFT_WEIGHT * gamma * self.lam_max
         v = w + gamma * self.Atb
         V = self._V
         if self._wide:
@@ -281,26 +287,21 @@ def prox_halfsqdist(cset: AffineSet, gamma: float, w: np.ndarray) -> np.ndarray:
     return (w + gamma * cset.project(w)) / (1.0 + gamma)
 
 
-def shift_split(
-    F: SmoothOracle, G: ProxOracle, alpha: float
-) -> tuple[SmoothOracle, ProxOracle]:
-    """Move a quadratic of weight alpha from the nonsmooth to the smooth block.
+def shift_split(F: SmoothOracle, G: ProxOracle) -> tuple[SmoothOracle, ProxOracle]:
+    """Move a quadratic of weight a = 5 L from the nonsmooth to the smooth block.
 
-    Returns oracles for f = F + (alpha/2)||.||^2 and g = G - (alpha/2)||.||^2,
-    which leave the sum F + G untouched while making f strongly convex with
-    modulus alpha more than F's. Both proxes are composed analytically:
+    L is ``F.grad_lipschitz``. Returns oracles for f = F + (a/2)||.||^2 and
+    g = G - (a/2)||.||^2, which leave the sum F + G untouched while making f
+    strongly convex with modulus a more than F's and L-smooth with modulus
+    6 L. Both proxes are composed analytically:
 
-        prox of gamma f at w  =  F.prox(gamma / (1 + alpha gamma), w / (1 + alpha gamma))
-        prox of gamma g at w  =  G.prox(gamma / (1 - alpha gamma), w / (1 - alpha gamma))
+        prox of gamma f at w  =  F.prox(gamma / (1 + a gamma), w / (1 + a gamma))
+        prox of gamma g at w  =  G.prox(gamma / (1 - a gamma), w / (1 - a gamma))
 
-    The g side needs alpha * gamma < 1; violating steps raise
+    The g side needs a * gamma < 1; violating steps raise
     :class:`ProxShiftError` at call time.
     """
-    if alpha <= 2.0 * F.grad_lipschitz:
-        raise ValueError(
-            "shift must exceed twice the gradient Lipschitz modulus "
-            f"(alpha={alpha}, modulus={F.grad_lipschitz})"
-        )
+    alpha = _SHIFT_WEIGHT * F.grad_lipschitz
 
     def f_value(w: np.ndarray) -> float:
         return F.value(w) + 0.5 * alpha * float(w @ w)
@@ -312,10 +313,23 @@ def shift_split(
         scale = 1.0 + alpha * gamma
         return F.prox(gamma / scale, w / scale)
 
-    def g_value(z: np.ndarray) -> float:
+    f = SmoothOracle(
+        value=f_value,
+        gradient=f_gradient,
+        strong_convexity=F.strong_convexity + alpha,
+        grad_lipschitz=(1.0 + _SHIFT_WEIGHT) * F.grad_lipschitz,
+        prox=f_prox,
+    )
+    return f, _shifted_g(G, alpha)
+
+
+def _shifted_g(G: ProxOracle, alpha: float) -> ProxOracle:
+    """The g half of :func:`shift_split`: G - (alpha/2)||.||^2 with its prox."""
+
+    def value(z: np.ndarray) -> float:
         return G.value(z) - 0.5 * alpha * float(z @ z)
 
-    def g_prox(gamma: float, w: np.ndarray) -> np.ndarray:
+    def prox(gamma: float, w: np.ndarray) -> np.ndarray:
         scale = 1.0 - alpha * gamma
         if scale <= 0.0:
             raise ProxShiftError(
@@ -323,15 +337,7 @@ def shift_split(
             )
         return G.prox(gamma / scale, w / scale)
 
-    f = SmoothOracle(
-        value=f_value,
-        gradient=f_gradient,
-        strong_convexity=F.strong_convexity + alpha,
-        grad_lipschitz=F.grad_lipschitz + alpha,
-        prox=f_prox,
-    )
-    g = ProxOracle(prox=g_prox, value=g_value)
-    return f, g
+    return ProxOracle(prox=prox, value=value)
 
 
 def quadratic_oracle(Q: np.ndarray, c: np.ndarray | None = None) -> SmoothOracle:

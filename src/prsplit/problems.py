@@ -4,7 +4,7 @@ Sparse feasibility: find a point in C intersect D where C = {x : Ax = b} is
 an affine set and D caps both the cardinality and the magnitude of the
 entries. The DR baseline runs on the pair f = dist(., C)^2 / 2 (sigma = 0,
 L = 1), g = indicator_D. The PR splitting is :func:`shift_split` of that
-pair with weight 5, the decomposition
+pair (L = 1, so its weight 5 L is 5), the decomposition
 
     f(y) = dist(y, C)^2 / 2 + (5/2) |y|^2       (sigma = 5, L = 6)
     g(z) = indicator_D(z) - (5/2) |z|^2         (prox: P_D(w / (1 - 5 gamma)))
@@ -16,9 +16,9 @@ well-posed.
 
 Constrained least squares: minimize |Au - b|^2 / 2 over u in D, through the
 same shift with weight 5 lam, lam an upper bound on the largest eigenvalue
-of A^T A; the smooth prox applies an eigendecomposition of the Gram matrix
-of A, computed once per pair of A and b arrays, and valid steps are
-gamma < 1 / (12 lam).
+of A^T A, and the same g half; the smooth prox applies an eigendecomposition
+of the Gram matrix of A, computed once per pair of A and b arrays, and
+valid steps are gamma < 1 / (12 lam).
 
 Random instances follow one recipe: Gaussian A, a planted r-sparse Gaussian
 solution with r = ceil(m / 5), and b defined so the planted point is
@@ -37,13 +37,14 @@ import numpy as np
 
 from .linalg import rng_from_seed
 from .oracles import (
+    _SHIFT_WEIGHT,
     AffineSet,
     BoxSet,
     ProxOracle,
-    ProxShiftError,
     ShiftedQuadraticProx,
     SmoothOracle,
     SparseBoxSet,
+    _shifted_g,
     prox_halfsqdist,
     shift_split,
 )
@@ -170,18 +171,18 @@ def distance_feasibility_problem(cset: AffineSet, dset) -> SplitProblem:
         grad_lipschitz=1.0,
         prox=lambda gamma, w: prox_halfsqdist(cset, gamma, w),
     )
-    g = ProxOracle(
-        prox=lambda gamma, w: dset.project(w),
-        value=dset.indicator,
-    )
-    return SplitProblem(f=f, g=g, dim=cset.dim)
+    return SplitProblem(f=f, g=_indicator(dset), dim=cset.dim)
+
+
+def _indicator(dset) -> ProxOracle:
+    """indicator_D, whose prox at any step is the projection onto D."""
+    return ProxOracle(prox=lambda gamma, w: dset.project(w), value=dset.indicator)
 
 
 def build_feasibility_pr(inst: FeasibilityInstance) -> SplitProblem:
     """Shifted PR splitting of a sparse-feasibility instance (steps in (0, 1/12))."""
     dr = build_feasibility_dr(inst)
-    f, g = shift_split(dr.f, dr.g, 5.0)
-    return SplitProblem(f=f, g=g, dim=dr.dim)
+    return SplitProblem(*shift_split(dr.f, dr.g), dim=dr.dim)
 
 
 def build_feasibility_dr(inst: FeasibilityInstance) -> SplitProblem:
@@ -214,10 +215,11 @@ def build_constrained_ls(inst: LsInstance) -> SplitProblem:
 
     The curvature bound lam is the largest eigenvalue of A^T A from a dense
     symmetric eigensolver, inflated by a 1e-6 relative margin, so it is never
-    below the true value even when the top eigenvalues nearly coincide;
-    valid steps are gamma < 1 / (12 lam) and the g-prox needs
-    gamma < 1 / (5 lam). It is the ``lam_max`` of the smooth prox, which
-    reads it from the eigendecomposition it keeps.
+    below the true value even when the top eigenvalues nearly coincide. It
+    is the ``lam_max`` of the smooth prox, which reads it from the
+    eigendecomposition it keeps. g is the g half of :func:`shift_split` at
+    its weight 5 lam, so valid steps are gamma < 1 / (12 lam) and the g-prox
+    needs gamma < 1 / (5 lam).
 
     Only g depends on the constraint set, so problems built from the same A
     and b arrays (the same objects, not equal copies) share one smooth prox
@@ -226,35 +228,23 @@ def build_constrained_ls(inst: LsInstance) -> SplitProblem:
     """
     smooth_prox = _smooth_prox(inst.A, inst.b)
     lam = smooth_prox.lam_max
-    dset = inst.constraint
+    alpha = _SHIFT_WEIGHT * lam
 
     def f_value(y: np.ndarray) -> float:
         residual = inst.A @ y - inst.b
-        return 0.5 * float(residual @ residual) + 2.5 * lam * float(y @ y)
+        return 0.5 * float(residual @ residual) + 0.5 * alpha * float(y @ y)
 
     def f_gradient(y: np.ndarray) -> np.ndarray:
-        return inst.A.T @ (inst.A @ y - inst.b) + 5.0 * lam * y
-
-    def g_prox(gamma: float, w: np.ndarray) -> np.ndarray:
-        scale = 1.0 - 5.0 * lam * gamma
-        if scale <= 0.0:
-            raise ProxShiftError(
-                f"shift destroys prox well-posedness: 5*lam*gamma = {5.0 * lam * gamma} >= 1"
-            )
-        return dset.project(w / scale)
+        return inst.A.T @ (inst.A @ y - inst.b) + alpha * y
 
     f = SmoothOracle(
         value=f_value,
         gradient=f_gradient,
-        strong_convexity=5.0 * lam,
-        grad_lipschitz=6.0 * lam,
+        strong_convexity=alpha,
+        grad_lipschitz=(1.0 + _SHIFT_WEIGHT) * lam,
         prox=smooth_prox,
     )
-    g = ProxOracle(
-        prox=g_prox,
-        value=lambda z: dset.indicator(z) - 2.5 * lam * float(z @ z),
-    )
-    return SplitProblem(f=f, g=g, dim=inst.A.shape[1])
+    return SplitProblem(f=f, g=_shifted_g(_indicator(inst.constraint), alpha), dim=inst.A.shape[1])
 
 
 def evaluate_fval(z: np.ndarray, inst: FeasibilityInstance) -> float:

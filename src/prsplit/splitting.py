@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .oracles import ProxOracle, SmoothOracle
+from .oracles import _SHIFT_WEIGHT, ProxOracle, SmoothOracle
 
 __all__ = [
     "IterateState",
@@ -70,6 +70,9 @@ _SHRINK = 0.5
 _SETTLE = 0.9999
 _DRIFT_LIMIT = 1000.0
 _NORM_LIMIT = 1e10
+
+# Coupling c of each method's merit f(y) + g(z) - c |y-z|^2/gamma + <x-y, z-y>/gamma.
+_COUPLING = {"pr": 1.5, "dr": 0.5}
 
 
 @dataclass(frozen=True)
@@ -105,18 +108,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("pr", "dr"):
             raise ValueError(f"method must be 'pr' or 'dr', got {self.method!r}")
-        for name in ("gamma0", "gamma1", "tol"):
+        for name in ("gamma0", "gamma1"):
             value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.gamma0 is not None and self.gamma0 <= 0:
-            raise ValueError("gamma0 must be positive")
-        if self.gamma1 is not None and self.gamma1 <= 0:
-            raise ValueError("gamma1 must be positive")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
+            if value is not None and not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0 <= self.tol < np.inf:
+            raise ValueError(f"tol must be nonnegative and finite, got {self.tol}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 0:
+            raise ValueError(f"max_iter must be a nonnegative integer, got {self.max_iter!r}")
         if self.gamma1 is not None and self.gamma0 is None:
             raise ValueError("the step-size heuristic (gamma1) needs an explicit gamma0")
 
@@ -200,13 +199,14 @@ def dr_step(state: IterateState, problem: SplitProblem, gamma: float) -> Iterate
     return _step(state, problem, gamma, 1.0)
 
 
-def _merit(fy: float, gz: float, dyz: float, inner: float, gamma: float, coupling: float) -> float:
-    """f(y) + g(z) - coupling |y-z|^2/gamma + <x-y, z-y>/gamma from its parts."""
+def _merit(problem: SplitProblem, y, z, dyz: float, inner: float, gamma: float, method: str) -> float:
+    """The merit of `method` at (y, z, x) from |y-z|^2 and <x-y, z-y>."""
+    fy, gz = problem.f.value(y), problem.g.value(z)
     if not np.isfinite(gz):
         raise ValueError("merit undefined: g is infinite at z (z outside dom g)")
     if not np.isfinite(fy):
         raise ValueError("merit undefined: f is infinite at y")
-    return fy + gz - coupling * dyz / gamma + inner / gamma
+    return fy + gz - _COUPLING[method] * dyz / gamma + inner / gamma
 
 
 def merit_pr(
@@ -217,18 +217,16 @@ def merit_pr(
     Acceptance criterion 3 checks it against its two expanded forms, with the
     inner product rewritten through 2y - z - x or through |x-y|^2 - |x-z|^2.
     """
-    dyz = float(np.linalg.norm(y - z)) ** 2
-    inner = float((x - y) @ (z - y))
-    return _merit(problem.f.value(y), problem.g.value(z), dyz, inner, gamma, 1.5)
+    dyz, inner = float(np.linalg.norm(y - z)) ** 2, float((x - y) @ (z - y))
+    return _merit(problem, y, z, dyz, inner, gamma, "pr")
 
 
 def merit_dr(
     y: np.ndarray, z: np.ndarray, x: np.ndarray, problem: SplitProblem, gamma: float
 ) -> float:
     """DR merit f(y) + g(z) - |y-z|^2/(2 gamma) + <x-y, z-y>/gamma."""
-    dyz = float(np.linalg.norm(y - z)) ** 2
-    inner = float((x - y) @ (z - y))
-    return _merit(problem.f.value(y), problem.g.value(z), dyz, inner, gamma, 0.5)
+    dyz, inner = float(np.linalg.norm(y - z)) ** 2, float((x - y) @ (z - y))
+    return _merit(problem, y, z, dyz, inner, gamma, "dr")
 
 
 def stationarity_residual(
@@ -296,16 +294,16 @@ def run(
     divergence guard; the diverging step itself is discarded so the report
     always ends at a finite state. The observer, if given, is called after
     every kept step with the new state and the gamma that produced it.
+    An x0 not of shape ``(problem.dim,)`` raises ValueError naming both shapes.
     """
+    state = initial_state(x0)
+    if state.x.shape != (problem.dim,):
+        raise ValueError(f"x0 has shape {state.x.shape}, expected ({problem.dim},)")
     step = pr_step if config.method == "pr" else dr_step
-    coupling = 1.5 if config.method == "pr" else 0.5
-
     if config.gamma0 is not None:
         gamma = config.gamma0
     else:
         gamma = 0.99 * gamma_threshold(problem.f.strong_convexity, problem.f.grad_lipschitz)
-
-    state = initial_state(x0)
     prev_norms = None
     merits: list[float] = []
     gammas: list[float] = []
@@ -325,7 +323,7 @@ def run(
 
         gap = float(np.linalg.norm(z - y))
         inner = float((x - y) @ (z - y))
-        merits.append(_merit(problem.f.value(y), problem.g.value(z), gap**2, inner, gamma, coupling))
+        merits.append(_merit(problem, y, z, gap**2, inner, gamma, config.method))
         gammas.append(gamma)
         gaps.append(gap)
         steps.append(float(np.linalg.norm(x - prev.x)))
@@ -389,7 +387,7 @@ def ergodic_gap_bound(
     z_bar = np.mean(np.asarray(z_iters[:n], dtype=float), axis=0)
     lhs = objective(z_bar) - objective(z_ref)
     dist_sq = float(np.linalg.norm(np.asarray(x0, dtype=float) - x_ref)) ** 2
-    rhs = (1.0 / gamma - 5.0 * grad_lipschitz) * dist_sq / (40.0 * gamma * n * grad_lipschitz)
+    rhs = (1.0 / gamma - _SHIFT_WEIGHT * grad_lipschitz) * dist_sq / (40.0 * gamma * n * grad_lipschitz)
     return lhs, rhs
 
 

@@ -149,7 +149,7 @@ def convex_box_suite():
         x_feasible = 0.5 * rng.standard_normal(n)
         box = BoxSet(1.0 + 2.0 * float(np.max(np.abs(x_feasible))))
         dr = distance_feasibility_problem(AffineSet(A, A @ x_feasible), box)
-        problem = SplitProblem(*shift_split(dr.f, dr.g, 5.0), dim=n)
+        problem = SplitProblem(*shift_split(dr.f, dr.g), dim=n)
         reference = run(problem, SolverConfig(gamma0=gamma, tol=1e-12, max_iter=50_000), np.zeros(n))
         states = []
         trace = run(

@@ -90,6 +90,20 @@ def test_bench_config_validation():
         BenchConfig(pairs=((10, 40), (12, 10)))
 
 
+def test_bench_config_rejects_non_integer_counts():
+    with pytest.raises(ValueError, match="trials must be an integer of at least 1"):
+        BenchConfig(pairs=((10, 40),), trials=1.5)
+    with pytest.raises(ValueError, match="max_iter must be a nonnegative integer"):
+        BenchConfig(pairs=((10, 40),), max_iter=3.0)
+    rows = run_bench(BenchConfig(pairs=((10, 40),), trials=np.int32(2), max_iter=np.int64(3)))
+    assert [row.successes + row.failures + row.undecided for row in rows] == [2, 2]
+
+
+def test_method_steps_follow_from_the_shift_weight():
+    # 0.95 / 5 and the stationary cap 1/12 of the shifted feasibility f, exactly.
+    assert bench.METHOD_STEPS["pr"] == (0.19, 1.0 / 12.0)
+
+
 def test_format_fval_one_significant_digit():
     assert format_fval(0.03) == "3e-02"
     assert format_fval(3.4e-15) == "3e-15"

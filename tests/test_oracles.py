@@ -23,6 +23,7 @@ from prsplit.oracles import (
     shift_split,
 )
 from prsplit.problems import FeasibilityInstance, build_feasibility_pr
+from prsplit.splitting import gamma_threshold
 
 
 def kkt_projection(A, b, w):
@@ -145,6 +146,16 @@ def test_affine_set_names_the_row_of_a_nan_or_an_overflowing_norm():
 def test_affine_set_rejects_non_finite_b_at_construction(bad):
     with pytest.raises(ValueError, match="^b holds NaN or infinite entries"):
         AffineSet(np.eye(2, 3), np.array([bad, 1.0]))
+
+
+@pytest.mark.parametrize("r", [2.5, 2.0])
+def test_sparse_box_set_rejects_a_non_integer_cap(r):
+    with pytest.raises(ValueError, match="r must be an integer of at least 1"):
+        SparseBoxSet(r)
+
+
+def test_sparse_box_set_accepts_a_numpy_integer_cap():
+    assert SparseBoxSet(np.int64(2)).project(np.array([3.0, -1.0, 2.0])).tolist() == [3.0, 0.0, 2.0]
 
 
 def test_project_sparse_box_two_largest():
@@ -403,18 +414,18 @@ def test_shift_split_moduli():
     cset = AffineSet(np.array([[1.0, 0.0]]), np.array([1.0]))
     F = _halfsqdist_oracle(cset)
     G = ProxOracle(prox=lambda gamma, w: w, value=lambda z: 0.0)
-    f, g = shift_split(F, G, alpha=5.0)
+    f, g = shift_split(F, G)
     assert f.strong_convexity == 5.0
     assert f.grad_lipschitz == 6.0
 
 
 def test_shift_split_sparse_projection_form():
-    # With G the sparse-box indicator and alpha = 5, the shifted g-prox is
+    # With G the sparse-box indicator and weight 5 (L = 1), the shifted g-prox is
     # exactly the projection of w / (1 - 5 gamma).
     dset = SparseBoxSet(r=2)
     G = ProxOracle(prox=lambda gamma, w: dset.project(w), value=dset.indicator)
     cset = AffineSet(np.array([[1.0, 0.0, 0.0]]), np.array([1.0]))
-    _, g = shift_split(_halfsqdist_oracle(cset), G, alpha=5.0)
+    _, g = shift_split(_halfsqdist_oracle(cset), G)
     rng = np.random.default_rng(30)
     for gamma in (0.02, 1.0 / 13.0, 0.19):
         w = rng.standard_normal(3)
@@ -425,7 +436,7 @@ def test_shift_split_sum_identity():
     cset = AffineSet(rng_from_seed(31).standard_normal((2, 5)), rng_from_seed(32).standard_normal(2))
     F = _halfsqdist_oracle(cset)
     G = ProxOracle(prox=lambda gamma, w: w, value=lambda z: float(np.abs(z).sum()))
-    f, g = shift_split(F, G, alpha=5.0)
+    f, g = shift_split(F, G)
     rng = np.random.default_rng(33)
     for _ in range(10):
         w = rng.standard_normal(5)
@@ -438,7 +449,7 @@ def test_shift_split_f_prox_matches_closed_form():
     A, b = rng_from_seed(34).standard_normal((3, 8)), rng_from_seed(35).standard_normal(3)
     F = _halfsqdist_oracle(AffineSet(A, b))
     G = ProxOracle(prox=lambda gamma, w: w, value=lambda z: 0.0)
-    f, _ = shift_split(F, G, alpha=5.0)
+    f, _ = shift_split(F, G)
     rng = np.random.default_rng(36)
     for gamma in (0.01, 0.05, 1.0 / 12.5):
         w = rng.standard_normal(8)
@@ -449,17 +460,34 @@ def test_shift_split_ill_posed_prox_raises():
     cset = AffineSet(np.array([[1.0, 0.0]]), np.array([1.0]))
     F = _halfsqdist_oracle(cset)
     G = ProxOracle(prox=lambda gamma, w: w, value=lambda z: 0.0)
-    _, g = shift_split(F, G, alpha=5.0)
+    _, g = shift_split(F, G)
     with pytest.raises(ProxShiftError):
         g.prox(0.2, np.zeros(2))
 
 
-def test_shift_split_requires_large_alpha():
-    cset = AffineSet(np.array([[1.0, 0.0]]), np.array([1.0]))
-    F = _halfsqdist_oracle(cset)
-    G = ProxOracle(prox=lambda gamma, w: w, value=lambda z: 0.0)
-    with pytest.raises(ValueError):
-        shift_split(F, G, alpha=2.0)
+def _ls_oracle():
+    """Unshifted least squares |Ay - b|^2 / 2 of a wide A: sigma = 0, L = lam."""
+    A = rng_from_seed(38).standard_normal((3, 7))
+    return quadratic_oracle(A.T @ A, np.zeros(7))
+
+
+@pytest.mark.parametrize(
+    "make_F",
+    [lambda: _halfsqdist_oracle(AffineSet(np.array([[1.0, 0.0]]), np.array([1.0]))), _ls_oracle],
+    ids=["L=1", "L=lam"],
+)
+def test_shift_split_weight_maximizes_the_step_cap(make_F):
+    # The applied weight a = 5 L puts f's PR step cap at 1 / (12 L); the
+    # weights 4.9 L and 5.1 L, with moduli (a, L + a), give smaller caps.
+    F = make_F()
+    L = F.grad_lipschitz
+    f, _ = shift_split(F, ProxOracle(prox=lambda gamma, w: w, value=lambda z: 0.0))
+    cap = gamma_threshold(f.strong_convexity, f.grad_lipschitz)
+    if L == 1.0:
+        assert cap == 1.0 / 12.0
+    assert cap == pytest.approx(1.0 / (12.0 * L), rel=1e-12)
+    for ratio in (4.9, 5.1):
+        assert gamma_threshold(ratio * L, L + ratio * L) < cap
 
 
 # ----------------------------------------------------------- quadratic oracle

@@ -329,7 +329,7 @@ def test_constrained_ls_matches_generic_shift_split():
         prox=ls_prox,
     )
     G = ProxOracle(prox=lambda gamma, w: np.clip(w, -5.0, 5.0), value=BoxSet(5.0).indicator)
-    f_ref, g_ref = shift_split(F, G, alpha=5.0 * lam)
+    f_ref, g_ref = shift_split(F, G)
     rng = np.random.default_rng(14)
     gamma = 1.0 / (13.0 * lam)
     for _ in range(5):

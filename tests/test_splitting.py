@@ -1,5 +1,7 @@
 """Tests for the PR/DR engines, merit functions, and diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -328,6 +330,28 @@ def test_solver_config_rejects_non_finite_or_nonpositive_settings(field, value):
     settings = {"gamma0": 0.5, "gamma1": 0.1, "tol": 1e-8, field: value}
     with pytest.raises(ValueError, match=field):
         SolverConfig(**settings)
+
+
+def test_solver_config_rejects_a_non_integer_max_iter():
+    with pytest.raises(ValueError, match="max_iter must be a nonnegative integer"):
+        SolverConfig(max_iter=10.5)
+    report = run(halved_norm_problem(), SolverConfig(max_iter=np.int64(3), tol=0.0), np.ones(2))
+    assert report.iterations == 3
+
+
+@pytest.mark.parametrize(
+    "problem, x0",
+    [
+        (build_feasibility_pr(gen_feasibility(10, 40, 3)), np.zeros((40, 1))),
+        (build_feasibility_dr(gen_feasibility(10, 40, 3)), np.float64(0.0)),
+        (build_constrained_ls(LsInstance(np.eye(4, 6), np.ones(4), BoxSet(1.0))), np.zeros((6, 1))),
+    ],
+    ids=["feasibility (n, 1)", "scalar", "least squares (n, 1)"],
+)
+def test_run_rejects_x0_of_the_wrong_shape(problem, x0):
+    message = f"x0 has shape {np.shape(x0)}, expected ({problem.dim},)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(problem, SolverConfig(gamma0=0.05), x0)
 
 
 def test_run_heuristic_shrinks_gamma_on_unstable_iterates():
