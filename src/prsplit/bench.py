@@ -21,10 +21,14 @@ destabilize. A large starting step makes the DR smooth prox behave like a
 near-projection onto the affine set, which favors solution quality over
 speed; the DR constants are a calibrated working choice, not an output of
 the step-size analysis, and both can be overridden.
+
+The table's columns are defined once, in ``_COLUMNS``; :data:`CSV_HEADER`,
+:func:`render_csv`, :func:`parse_csv` and :func:`render_markdown` read it.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 
@@ -49,7 +53,6 @@ __all__ = [
     "DESK_PAIRS",
     "FULL_PAIRS",
     "METHOD_STEPS",
-    "emit_table",
     "format_fval",
     "parse_csv",
     "render_csv",
@@ -62,8 +65,6 @@ __all__ = [
 
 DESK_PAIRS = tuple((m, n) for m in (50, 100, 150) for n in (500, 1000))
 FULL_PAIRS = tuple((m, n) for m in (100, 200, 300, 400, 500) for n in (4000, 5000, 6000))
-
-CSV_HEADER = "m,n,method,iter,fval_max,fval_min,succ,fail,undecided,seconds"
 
 # Default heuristic (gamma0, gamma1) of each method: the start step and the
 # floor it decays toward. BenchConfig and both CLI subcommands read them here.
@@ -131,9 +132,9 @@ def _splitmix64(state: int) -> int:
 
 def trial_seed(base_seed: int, m: int, n: int, trial: int) -> int:
     """Stable per-trial seed mixed from (base_seed, m, n, trial)."""
-    mixed = _splitmix64(base_seed & _MASK64)
+    mixed = _splitmix64(operator.index(base_seed) & _MASK64)  # index(): a numpy integer & _MASK64 overflows
     for word in (m, n, trial):
-        mixed = _splitmix64(mixed ^ (word & _MASK64))
+        mixed = _splitmix64(mixed ^ (operator.index(word) & _MASK64))
     return mixed
 
 
@@ -222,16 +223,30 @@ def format_fval(value: float) -> str:
     return f"{value:.0e}"
 
 
+# The bench table, one entry per column: (CSV heading, BenchRow field,
+# formatter, parser). Its headings are also markdown's, but `und` for `undecided`.
+_COLUMNS = (
+    ("m", "m", str, int),
+    ("n", "n", str, int),
+    ("method", "method", str, str),
+    ("iter", "mean_iterations", "{:.1f}".format, float),
+    ("fval_max", "fval_max", format_fval, float),
+    ("fval_min", "fval_min", format_fval, float),
+    ("succ", "successes", str, int),
+    ("fail", "failures", str, int),
+    ("undecided", "undecided", str, int),
+    ("seconds", "mean_seconds", "{:.4f}".format, float),
+)
+CSV_HEADER = ",".join(heading for heading, *_ in _COLUMNS)
+
+
+def _cells(row: BenchRow, columns=_COLUMNS) -> list[str]:
+    return [fmt(getattr(row, field)) for _, field, fmt, _ in columns]
+
+
 def render_csv(rows: list[BenchRow]) -> str:
     """Fixed-column CSV; identical configs give identical bytes except `seconds`."""
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row.m},{row.n},{row.method},{row.mean_iterations:.1f},"
-            f"{format_fval(row.fval_max)},{format_fval(row.fval_min)},"
-            f"{row.successes},{row.failures},{row.undecided},{row.mean_seconds:.4f}"
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER] + [",".join(_cells(row)) for row in rows]) + "\n"
 
 
 def parse_csv(text: str) -> list[BenchRow]:
@@ -241,72 +256,25 @@ def parse_csv(text: str) -> list[BenchRow]:
         raise ValueError("unrecognized CSV header")
     rows = []
     for line in lines[1:]:
-        m, n, method, iters, fmax, fmin, succ, fail, und, seconds = line.split(",")
-        rows.append(
-            BenchRow(
-                m=int(m),
-                n=int(n),
-                method=method,
-                mean_iterations=float(iters),
-                fval_max=float(fmax),
-                fval_min=float(fmin),
-                successes=int(succ),
-                failures=int(fail),
-                undecided=int(und),
-                mean_seconds=float(seconds),
-            )
-        )
+        values = line.split(",")
+        if len(values) != len(_COLUMNS):
+            raise ValueError(f"CSV line {line!r} has {len(values)} fields, expected {len(_COLUMNS)}")
+        rows.append(BenchRow(**{field: parse(v) for (_, field, _, parse), v in zip(_COLUMNS, values)}))
     return rows
 
 
 def render_markdown(rows: list[BenchRow]) -> str:
     """Markdown table with one row per shape and method-grouped column blocks."""
-    methods: list[str] = []
-    for row in rows:
-        if row.method not in methods:
-            methods.append(row.method)
-    shapes: list[tuple[int, int]] = []
-    cells: dict[tuple[int, int, str], BenchRow] = {}
-    for row in rows:
-        if (row.m, row.n) not in shapes:
-            shapes.append((row.m, row.n))
-        cells[(row.m, row.n, row.method)] = row
-
-    header = ["m", "n"]
-    for method in methods:
-        tag = method.upper()
-        header += [f"{tag} iter", f"{tag} fval_max", f"{tag} fval_min", f"{tag} succ", f"{tag} fail", f"{tag} und"]
+    stats = _COLUMNS[3:-1]  # iter through undecided: one block per method, no seconds
+    headings = [heading.replace("undecided", "und") for heading, *_ in stats]
+    methods = list(dict.fromkeys(row.method for row in rows))
+    cells = {(row.m, row.n, row.method): row for row in rows}
+    header = ["m", "n"] + [f"{method.upper()} {heading}" for method in methods for heading in headings]
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    for m, n in shapes:
+    for m, n in dict.fromkeys((row.m, row.n) for row in rows):
         fields = [str(m), str(n)]
         for method in methods:
             row = cells.get((m, n, method))
-            if row is None:
-                fields += ["-"] * 6
-            else:
-                fields += [
-                    f"{row.mean_iterations:.1f}",
-                    format_fval(row.fval_max),
-                    format_fval(row.fval_min),
-                    str(row.successes),
-                    str(row.failures),
-                    str(row.undecided),
-                ]
+            fields += ["-"] * len(stats) if row is None else _cells(row, stats)
         lines.append("| " + " | ".join(fields) + " |")
     return "\n".join(lines) + "\n"
-
-
-def emit_table(rows: list[BenchRow], fmt: str = "csv", path=None) -> str:
-    """Render `rows` as 'csv' or 'markdown' and optionally write to `path`."""
-    if not rows:
-        raise ValueError("no rows to emit")
-    if fmt == "csv":
-        text = render_csv(rows)
-    elif fmt == "markdown":
-        text = render_markdown(rows)
-    else:
-        raise ValueError(f"format must be 'csv' or 'markdown', got {fmt!r}")
-    if path is not None:
-        with open(path, "w", encoding="ascii") as handle:
-            handle.write(text)
-    return text

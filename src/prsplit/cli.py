@@ -22,7 +22,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import DESK_PAIRS, FULL_PAIRS, METHOD_STEPS, BenchConfig, emit_table, run_bench, solve_trial
+from .bench import (
+    DESK_PAIRS, FULL_PAIRS, METHOD_STEPS, BenchConfig, render_csv, render_markdown, run_bench, solve_trial
+)
 from .problems import evaluate_fval, gen_feasibility, load_instance, save_instance
 from .splitting import SolverConfig
 
@@ -84,12 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bench(args) -> int:
-    pairs = args.pairs
-    trials = args.trials
-    if pairs is None:
-        pairs = FULL_PAIRS if args.preset == "full" else DESK_PAIRS
-    if trials is None:
-        trials = 50 if args.preset == "full" else 20
+    full = args.preset == "full"
+    pairs = (FULL_PAIRS if full else DESK_PAIRS) if args.pairs is None else args.pairs
+    trials = (50 if full else 20) if args.trials is None else args.trials
     cfg = BenchConfig(
         pairs=pairs,
         trials=trials,
@@ -104,9 +103,12 @@ def _cmd_bench(args) -> int:
     )
     progress = None if args.quiet else lambda line: print(line, file=sys.stderr)
     rows = run_bench(cfg, progress=progress)
-    text = emit_table(rows, fmt=args.format, path=args.out)
+    text = render_csv(rows) if args.format == "csv" else render_markdown(rows)
     if args.out is None:
         sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="ascii") as handle:
+            handle.write(text)
     return 0
 
 

@@ -102,9 +102,9 @@ class AffineSet:
     projection costs two matrix-vector products with A and two with the
     m x m inverse Cholesky factor of A A^T (see :class:`SpdFactorization`).
     Rank deficiency surfaces as :class:`RankDeficientError`, raised from the
-    factorization breakdown. A row of A holding NaN or inf, or too large for
-    its squared norm to be finite, raises ValueError naming that row; a NaN
-    or inf in b raises ValueError naming b.
+    factorization breakdown. An A with no rows raises ValueError, as does a
+    row of A holding NaN or inf, or too large for its squared norm to be
+    finite (naming that row); a NaN or inf in b raises ValueError naming b.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -112,6 +112,8 @@ class AffineSet:
         self.b = np.asarray(b, dtype=float)
         if self.A.ndim != 2 or self.b.ndim != 1 or self.A.shape[0] != self.b.shape[0]:
             raise ValueError("A must be m x n and b of length m")
+        if self.A.shape[0] == 0:
+            raise ValueError("A has no rows: an affine set needs at least one equation")
         if not np.isfinite(self.b).all():
             raise ValueError("b holds NaN or infinite entries")
         # The diagonal of the Gram matrix holds the squared row norms, so a
@@ -154,7 +156,7 @@ class SparseBoxSet:
     def __post_init__(self):
         if not isinstance(self.r, (int, np.integer)) or self.r < 1:
             raise ValueError(f"cardinality cap r must be an integer of at least 1, got {self.r!r}")
-        if self.bound <= 0:
+        if not self.bound > 0:  # also rejects NaN
             raise ValueError("bound must be positive")
 
     def project(self, w: np.ndarray) -> np.ndarray:
@@ -204,7 +206,7 @@ class BoxSet:
     bound: float
 
     def __post_init__(self):
-        if self.bound <= 0:
+        if not self.bound > 0:  # also rejects NaN
             raise ValueError("bound must be positive")
 
     def project(self, w: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ from prsplit.bench import (
     CSV_HEADER,
     BenchConfig,
     BenchRow,
-    emit_table,
     format_fval,
     parse_csv,
     render_csv,
@@ -99,6 +98,13 @@ def test_bench_config_rejects_non_integer_counts():
     assert [row.successes + row.failures + row.undecided for row in rows] == [2, 2]
 
 
+def test_bench_config_rejects_a_non_integer_shape():
+    with pytest.raises(ValueError, match=r"^m and n must be integers, got 10\.5x40$"):
+        BenchConfig(pairs=((10, 40), (10.5, 40)))
+    rows = run_bench(BenchConfig(pairs=((np.int64(10), np.int32(40)),), trials=1, methods=("pr",)))
+    assert (rows[0].m, rows[0].n) == (10, 40)
+
+
 def test_method_steps_follow_from_the_shift_weight():
     # 0.95 / 5 and the stationary cap 1/12 of the shifted feasibility f, exactly.
     assert bench.METHOD_STEPS["pr"] == (0.19, 1.0 / 12.0)
@@ -117,26 +123,27 @@ def sample_rows():
     ]
 
 
+SAMPLE_CSV = (
+    "m,n,method,iter,fval_max,fval_min,succ,fail,undecided,seconds\n"
+    "100,4000,dr,2073.0,3e-02,1e-16,36,14,0,1.2500\n"
+    "100,4000,pr,465.0,6e-02,4e-05,0,50,0,0.3100\n"
+)
+
+
 def test_csv_round_trip():
     rows = sample_rows()
     parsed = parse_csv(render_csv(rows))
+    exact = lambda r: (r.m, r.n, r.method, r.successes, r.failures, r.undecided)
+    assert [exact(back) for back in parsed] == [exact(row) for row in rows]
+    assert [tuple(map(type, exact(back))) for back in parsed] == [(int, int, str, int, int, int)] * 2
     for row, back in zip(rows, parsed):
-        assert (back.m, back.n, back.method) == (row.m, row.n, row.method)
         assert back.mean_iterations == pytest.approx(row.mean_iterations, abs=0.05)
         assert back.fval_max == pytest.approx(row.fval_max, rel=0.5)
-        assert (back.successes, back.failures, back.undecided) == (
-            row.successes,
-            row.failures,
-            row.undecided,
-        )
 
 
 def test_csv_layout():
-    text = render_csv(sample_rows())
-    lines = text.splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 3
-    assert lines[1].startswith("100,4000,dr,2073.0,3e-02,1e-16,36,14,0,")
+    assert render_csv(sample_rows()) == SAMPLE_CSV
+    assert SAMPLE_CSV.splitlines()[0] == CSV_HEADER
 
 
 def test_parse_csv_rejects_foreign_header():
@@ -144,26 +151,26 @@ def test_parse_csv_rejects_foreign_header():
         parse_csv("a,b,c\n1,2,3\n")
 
 
+@pytest.mark.parametrize("extra, count", [("", 9), (",0.3,7", 11)])
+def test_parse_csv_names_a_line_with_the_wrong_field_count(extra, count):
+    line = "100,4000,pr,465.0,6e-02,4e-05,0,50,0" + extra
+    with pytest.raises(ValueError, match=f"CSV line '{line}' has {count} fields, expected 10"):
+        parse_csv(SAMPLE_CSV + line + "\n")
+
+
 def test_markdown_groups_methods_side_by_side():
-    text = render_markdown(sample_rows())
-    lines = text.splitlines()
-    assert lines[0].startswith("| m | n | DR iter")
-    assert "PR iter" in lines[0]
-    assert len(lines) == 3  # header, rule, one shape row
-    assert lines[2].startswith("| 100 | 4000 | 2073.0 | 3e-02 | 1e-16 | 36 | 14 | 0 | 465.0 |")
+    assert render_markdown(sample_rows()) == (
+        "| m | n | DR iter | DR fval_max | DR fval_min | DR succ | DR fail | DR und "
+        "| PR iter | PR fval_max | PR fval_min | PR succ | PR fail | PR und |\n"
+        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n"
+        "| 100 | 4000 | 2073.0 | 3e-02 | 1e-16 | 36 | 14 | 0 | 465.0 | 6e-02 | 4e-05 | 0 | 50 | 0 |\n"
+    )
 
 
-def test_emit_table_writes_file(tmp_path):
-    path = tmp_path / "rows.csv"
-    text = emit_table(sample_rows(), fmt="csv", path=path)
-    assert path.read_text() == text
-
-
-def test_emit_table_validates_input():
-    with pytest.raises(ValueError):
-        emit_table([], fmt="csv")
-    with pytest.raises(ValueError):
-        emit_table(sample_rows(), fmt="latex")
+def test_markdown_marks_a_missing_cell():
+    dr, pr = sample_rows()
+    lines = render_markdown([dr, pr, replace(dr, m=150)]).splitlines()
+    assert lines[3] == "| 150 | 4000 | 2073.0 | 3e-02 | 1e-16 | 36 | 14 | 0 | - | - | - | - | - | - |"
 
 
 def test_run_bench_counts_divergence_as_failure():

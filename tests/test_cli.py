@@ -40,6 +40,18 @@ def test_bench_stdout_markdown(capsys):
     assert captured.out.startswith("| m | n | PR iter")
 
 
+def test_bench_out_writes_exactly_what_stdout_prints(tmp_path, capsys):
+    # Markdown has no seconds column, so two runs of one config agree byte for byte.
+    args = ["bench", "--pairs", "10x40,12x40", "--trials", "2", "--seed", "3", "--quiet", "--format", "markdown"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "table.md"
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="ascii") == printed
+    assert printed.startswith("| m | n | PR iter") and printed.count("\n") == 4
+
+
 def test_bench_rejects_malformed_pairs(capsys):
     # argparse surfaces converter errors as SystemExit with status 2
     with pytest.raises(SystemExit) as info:

@@ -124,6 +124,11 @@ def test_spd_factor_rejects_asymmetric():
         spd_factor(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_spd_factor_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match=r"^expected a nonempty square matrix, got shape \(0, 0\)$"):
+        spd_factor(np.zeros((0, 0)))
+
+
 @pytest.mark.parametrize("factor, rejected", [(1.01, True), (0.99, False)])
 def test_spd_factor_symmetry_tolerance_boundary(factor, rejected):
     # The tolerance is 1e-10 * (1 + max|M_ij|) = 3e-10 for this M.

@@ -148,6 +148,22 @@ def test_affine_set_rejects_non_finite_b_at_construction(bad):
         AffineSet(np.eye(2, 3), np.array([bad, 1.0]))
 
 
+def test_affine_set_rejects_an_a_with_no_rows():
+    with pytest.raises(ValueError, match="^A has no rows"):
+        AffineSet(np.ones((0, 3)), np.ones(0))
+
+
+@pytest.mark.parametrize(
+    "make, projected",
+    [(lambda bound: SparseBoxSet(2, bound), [3.0, 0.0, 2.0]), (BoxSet, [3.0, -1.0, 2.0])],
+    ids=["sparse box", "box"],
+)
+def test_box_sets_reject_a_nan_bound_and_accept_inf(make, projected):
+    with pytest.raises(ValueError, match="^bound must be positive$"):
+        make(float("nan"))
+    assert make(float("inf")).project(np.array([3.0, -1.0, 2.0])).tolist() == projected
+
+
 @pytest.mark.parametrize("r", [2.5, 2.0])
 def test_sparse_box_set_rejects_a_non_integer_cap(r):
     with pytest.raises(ValueError, match="r must be an integer of at least 1"):

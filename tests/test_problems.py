@@ -75,6 +75,12 @@ def test_gen_feasibility_validates_shape():
         gen_feasibility(50, 40, 0)
 
 
+def test_gen_feasibility_rejects_a_non_integer_shape():
+    with pytest.raises(ValueError, match=r"^m and n must be integers, got 10x40\.0$"):
+        gen_feasibility(10, 40.0, 1)
+    assert gen_feasibility(np.int64(10), np.int32(40), 1).A.shape == (10, 40)
+
+
 # ----------------------------------------------------------- feasibility split
 
 
