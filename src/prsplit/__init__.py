@@ -22,7 +22,6 @@ from .oracles import (
     ShiftedQuadraticProx,
     SmoothOracle,
     SparseBoxSet,
-    prox_halfsqdist,
     quadratic_oracle,
     shift_split,
 )

@@ -99,6 +99,8 @@ class BenchConfig:
             check_shape(m, n)  # every shape fails here, before the first solve
         if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
             raise ValueError(f"trials must be an integer of at least 1, got {self.trials!r}")
+        if not isinstance(self.base_seed, (int, np.integer)):
+            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
         if not self.methods or any(m not in ("pr", "dr") for m in self.methods):
             raise ValueError(f"methods must be a nonempty subset of ('pr', 'dr'), got {self.methods}")
         if len(set(self.methods)) != len(self.methods):

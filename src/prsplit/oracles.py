@@ -12,10 +12,10 @@ Two oracle shapes drive everything:
 The concrete maps implemented here are the ones the solvers need. The sets
 carry their projections as methods: the affine set {x : Ax = b}, the
 cardinality-capped infinity-norm ball (hard thresholding then clipping) and
-the plain box. Besides those come the prox of the ridge-shifted
-least-squares block, the prox of half the squared distance to an affine
-set, and the generic "move the quadratic shift across the split"
-transformer :func:`shift_split`, the one way a shifted prox is built.
+the plain box. Besides those come the closed-form prox of the shifted
+least-squares block and :func:`shift_split`, which moves a quadratic
+across the split. Its f and g halves are the one place a shifted value,
+gradient, modulus or g-prox is written; least squares takes both halves.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "ShiftedQuadraticProx",
     "SmoothOracle",
     "SparseBoxSet",
-    "prox_halfsqdist",
     "quadratic_oracle",
     "shift_split",
 ]
@@ -243,7 +242,7 @@ class ShiftedQuadraticProx:
 
     which is the same inverse pushed through the Woodbury identity.
 
-    A or b holding NaN or inf, or a zero A, raises ValueError naming it.
+    A or b holding NaN or inf, a zero A or an empty A raises ValueError naming it.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -252,6 +251,8 @@ class ShiftedQuadraticProx:
         m, n = self.A.shape
         if self.b.shape != (m,):
             raise ValueError(f"b has shape {self.b.shape}, expected ({m},)")
+        if self.A.size == 0:
+            raise ValueError(f"A has shape {self.A.shape}: least squares needs a row and a column")
         for name, data in (("A", self.A), ("b", self.b)):
             if not np.isfinite(data).all():
                 raise ValueError(f"{name} holds NaN or infinite entries")
@@ -281,14 +282,6 @@ class ShiftedQuadraticProx:
         return V @ ((V.T @ v) / (c + gamma * self._d))
 
 
-def prox_halfsqdist(cset: AffineSet, gamma: float, w: np.ndarray) -> np.ndarray:
-    """Prox of f(y) = dist(y, C)^2 / 2: returns (w + gamma * P_C(w)) / (1 + gamma)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    w = np.asarray(w, dtype=float)
-    return (w + gamma * cset.project(w)) / (1.0 + gamma)
-
-
 def shift_split(F: SmoothOracle, G: ProxOracle) -> tuple[SmoothOracle, ProxOracle]:
     """Move a quadratic of weight a = 5 L from the nonsmooth to the smooth block.
 
@@ -305,28 +298,29 @@ def shift_split(F: SmoothOracle, G: ProxOracle) -> tuple[SmoothOracle, ProxOracl
     """
     alpha = _SHIFT_WEIGHT * F.grad_lipschitz
 
-    def f_value(w: np.ndarray) -> float:
-        return F.value(w) + 0.5 * alpha * float(w @ w)
-
-    def f_gradient(w: np.ndarray) -> np.ndarray:
-        return F.gradient(w) + alpha * w
-
     def f_prox(gamma: float, w: np.ndarray) -> np.ndarray:
         scale = 1.0 + alpha * gamma
         return F.prox(gamma / scale, w / scale)
 
-    f = SmoothOracle(
-        value=f_value,
-        gradient=f_gradient,
-        strong_convexity=F.strong_convexity + alpha,
-        grad_lipschitz=(1.0 + _SHIFT_WEIGHT) * F.grad_lipschitz,
-        prox=f_prox,
+    f = _shifted_f(F.value, F.gradient, F.strong_convexity, F.grad_lipschitz, f_prox)
+    return f, _shifted_g(G, F.grad_lipschitz)
+
+
+def _shifted_f(value, gradient, strong_convexity: float, lipschitz: float, prox) -> SmoothOracle:
+    """The f half of :func:`shift_split`: F + (a/2)||.||^2, a = 5 lipschitz, with the given prox."""
+    alpha = _SHIFT_WEIGHT * lipschitz
+    return SmoothOracle(
+        value=lambda w: value(w) + 0.5 * alpha * float(w @ w),
+        gradient=lambda w: gradient(w) + alpha * w,
+        strong_convexity=strong_convexity + alpha,
+        grad_lipschitz=(1.0 + _SHIFT_WEIGHT) * lipschitz,
+        prox=prox,
     )
-    return f, _shifted_g(G, alpha)
 
 
-def _shifted_g(G: ProxOracle, alpha: float) -> ProxOracle:
-    """The g half of :func:`shift_split`: G - (alpha/2)||.||^2 with its prox."""
+def _shifted_g(G: ProxOracle, lipschitz: float) -> ProxOracle:
+    """The g half of :func:`shift_split`: G - (a/2)||.||^2, a = 5 lipschitz, with its prox."""
+    alpha = _SHIFT_WEIGHT * lipschitz
 
     def value(z: np.ndarray) -> float:
         return G.value(z) - 0.5 * alpha * float(z @ z)

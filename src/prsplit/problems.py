@@ -15,10 +15,10 @@ gamma < 1/12, and the g-prox additionally needs gamma < 1/5 to stay
 well-posed.
 
 Constrained least squares: minimize |Au - b|^2 / 2 over u in D, through the
-same shift with weight 5 lam, lam an upper bound on the largest eigenvalue
-of A^T A, and the same g half; the smooth prox applies an eigendecomposition
-of the Gram matrix of A, computed once per pair of A and b arrays, and
-valid steps are gamma < 1 / (12 lam).
+same shift, with the same f and g halves, at weight 5 lam, lam an upper
+bound on the largest eigenvalue of A^T A. Only the smooth prox differs: it
+is closed form, from an eigendecomposition of the Gram matrix of A computed
+once per pair of A and b arrays. Valid steps are gamma < 1 / (12 lam).
 
 Random instances follow one recipe: Gaussian A, a planted r-sparse Gaussian
 solution with r = ceil(m / 5), and b defined so the planted point is
@@ -37,15 +37,14 @@ import numpy as np
 
 from .linalg import rng_from_seed
 from .oracles import (
-    _SHIFT_WEIGHT,
     AffineSet,
     BoxSet,
     ProxOracle,
     ShiftedQuadraticProx,
     SmoothOracle,
     SparseBoxSet,
+    _shifted_f,
     _shifted_g,
-    prox_halfsqdist,
     shift_split,
 )
 from .splitting import SplitProblem
@@ -161,19 +160,20 @@ def distance_feasibility_problem(cset: AffineSet, dset) -> SplitProblem:
     counterpart. The closures read ``cset.project`` at call time, so a
     projection swapped onto the instance afterwards is the one they use.
     """
-
-    def f_value(y: np.ndarray) -> float:
-        gap = y - cset.project(y)
-        return 0.5 * float(gap @ gap)
-
     f = SmoothOracle(
-        value=f_value,
+        value=lambda y: _halfsqdist(cset, y),
         gradient=lambda y: y - cset.project(y),
         strong_convexity=0.0,
         grad_lipschitz=1.0,
-        prox=lambda gamma, w: prox_halfsqdist(cset, gamma, w),
+        prox=lambda gamma, w: (w + gamma * cset.project(w)) / (1.0 + gamma),
     )
     return SplitProblem(f=f, g=_indicator(dset), dim=cset.dim)
+
+
+def _halfsqdist(cset: AffineSet, y: np.ndarray) -> float:
+    """dist(y, C)^2 / 2 for the affine set C."""
+    gap = y - cset.project(y)
+    return 0.5 * float(gap @ gap)
 
 
 def _indicator(dset) -> ProxOracle:
@@ -215,45 +215,34 @@ def _smooth_prox(A: np.ndarray, b: np.ndarray) -> ShiftedQuadraticProx:
 def build_constrained_ls(inst: LsInstance) -> SplitProblem:
     """Shifted PR splitting of min |Au - b|^2 / 2 over u in the constraint set.
 
-    The curvature bound lam is the largest eigenvalue of A^T A from a dense
-    symmetric eigensolver, inflated by a 1e-6 relative margin, so it is never
-    below the true value even when the top eigenvalues nearly coincide. It
-    is the ``lam_max`` of the smooth prox, which reads it from the
-    eigendecomposition it keeps. g is the g half of :func:`shift_split` at
-    its weight 5 lam, so valid steps are gamma < 1 / (12 lam) and the g-prox
-    needs gamma < 1 / (5 lam).
+    f and g are :func:`shift_split`'s two halves for |Au - b|^2 / 2 (L = lam)
+    and the constraint's indicator; only the f-prox, the closed-form
+    :class:`ShiftedQuadraticProx`, is this problem's own. lam is its
+    ``lam_max``: the largest eigenvalue of A^T A from a dense symmetric
+    eigensolver, inflated by a 1e-6 relative margin, so never below the
+    true value even when the top eigenvalues nearly coincide. Valid steps
+    are gamma < 1 / (12 lam); the g-prox needs gamma < 1 / (5 lam).
 
     Only g depends on the constraint set, so problems built from the same A
     and b arrays (the same objects, not equal copies) share one smooth prox
     and pay its eigendecomposition once. A and b must therefore not be
     modified in place once a problem is built from them.
     """
-    smooth_prox = _smooth_prox(inst.A, inst.b)
+    A, b = inst.A, inst.b
+    smooth_prox = _smooth_prox(A, b)
     lam = smooth_prox.lam_max
-    alpha = _SHIFT_WEIGHT * lam
 
-    def f_value(y: np.ndarray) -> float:
-        residual = inst.A @ y - inst.b
-        return 0.5 * float(residual @ residual) + 0.5 * alpha * float(y @ y)
+    def value(y: np.ndarray) -> float:
+        residual = A @ y - b
+        return 0.5 * float(residual @ residual)
 
-    def f_gradient(y: np.ndarray) -> np.ndarray:
-        return inst.A.T @ (inst.A @ y - inst.b) + alpha * y
-
-    f = SmoothOracle(
-        value=f_value,
-        gradient=f_gradient,
-        strong_convexity=alpha,
-        grad_lipschitz=(1.0 + _SHIFT_WEIGHT) * lam,
-        prox=smooth_prox,
-    )
-    return SplitProblem(f=f, g=_shifted_g(_indicator(inst.constraint), alpha), dim=inst.A.shape[1])
+    f = _shifted_f(value, lambda y: A.T @ (A @ y - b), 0.0, lam, smooth_prox)
+    return SplitProblem(f=f, g=_shifted_g(_indicator(inst.constraint), lam), dim=A.shape[1])
 
 
 def evaluate_fval(z: np.ndarray, inst: FeasibilityInstance) -> float:
     """Solution quality dist(z, C)^2 / 2 of a candidate point."""
-    z = np.asarray(z, dtype=float)
-    gap = z - inst.affine_set().project(z)
-    return 0.5 * float(gap @ gap)
+    return _halfsqdist(inst.affine_set(), np.asarray(z, dtype=float))
 
 
 def classify(fval: float) -> str:
@@ -290,10 +279,10 @@ def load_instance(path) -> FeasibilityInstance:
     """Read an instance written by :func:`save_instance`.
 
     Raises ``ValueError`` on a file that does not describe one: a missing
-    header, a wrong line count or row length, a ``b`` line whose length is
-    not m, support and value lines of different lengths, support positions
-    that are out of range, repeated or more than r, or non-finite numbers in
-    A, b or the values.
+    header, a header r or bound :class:`SparseBoxSet` rejects, a wrong line
+    count or row length, a ``b`` line whose length is not m, support and
+    value lines of different lengths, support positions out of range,
+    repeated or more than r, or non-finite numbers in A, b or the values.
     """
     with open(path, "r", encoding="ascii") as handle:
         lines = [line.strip() for line in handle if line.strip()]
@@ -301,7 +290,7 @@ def load_instance(path) -> FeasibilityInstance:
     if len(header) != 5:
         raise ValueError("expected a header line 'm n r seed bound'")
     m, n, r, seed = (int(tok) for tok in header[:4])
-    bound = float(header[4])
+    bound = SparseBoxSet(r, float(header[4])).bound  # the set's own checks of r and bound
     if len(lines) != m + 4:
         raise ValueError(f"expected {m + 4} lines for an {m} x {n} instance, got {len(lines)}")
     A = np.array([[float(tok) for tok in lines[1 + i].split()] for i in range(m)])

@@ -94,7 +94,11 @@ def test_bench_config_rejects_non_integer_counts():
         BenchConfig(pairs=((10, 40),), trials=1.5)
     with pytest.raises(ValueError, match="max_iter must be a nonnegative integer"):
         BenchConfig(pairs=((10, 40),), max_iter=3.0)
-    rows = run_bench(BenchConfig(pairs=((10, 40),), trials=np.int32(2), max_iter=np.int64(3)))
+    with pytest.raises(ValueError, match=r"^base_seed must be an integer, got 1\.5$"):
+        BenchConfig(pairs=((10, 40),), base_seed=1.5)
+    BenchConfig(pairs=((10, 40),), base_seed=-1)
+    cfg = BenchConfig(pairs=((10, 40),), trials=np.int32(2), max_iter=np.int64(3), base_seed=np.int64(-7))
+    rows = run_bench(cfg)
     assert [row.successes + row.failures + row.undecided for row in rows] == [2, 2]
 
 

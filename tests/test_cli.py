@@ -164,6 +164,21 @@ def test_step_defaults_come_from_method_steps(capsys):
         assert f"final gamma : {gamma0:.6g}\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("damage", ["truncated", "nan bound"])
+def test_solve_rejects_a_malformed_instance_file(damage, tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    assert main(["solve", "--m", "10", "--n", "40", "--max-iter", "1", "--save-instance", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    if damage == "truncated":
+        lines = lines[:-2]
+    else:
+        lines[0] = " ".join(lines[0].split()[:4] + ["nan"])
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["solve", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_solve_rejects_missing_instance(capsys):
     code = main(["solve", "--instance", "/nonexistent/path.txt"])
     assert code == 2

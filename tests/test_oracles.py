@@ -18,11 +18,10 @@ from prsplit.oracles import (
     ShiftedQuadraticProx,
     SmoothOracle,
     SparseBoxSet,
-    prox_halfsqdist,
     quadratic_oracle,
     shift_split,
 )
-from prsplit.problems import FeasibilityInstance, build_feasibility_pr
+from prsplit.problems import FeasibilityInstance, build_feasibility_pr, distance_feasibility_problem
 from prsplit.splitting import gamma_threshold
 
 
@@ -384,17 +383,22 @@ def test_prox_shifted_halfsqdist_local_minimality():
         assert base <= objective(y_star + 1e-3 * rng.standard_normal(6)) + 1e-12
 
 
+def _halfsqdist_oracle(cset):
+    """dist(., C)^2 / 2 with its prox: the smooth block of the DR feasibility problem."""
+    return distance_feasibility_problem(cset, BoxSet(1.0)).f
+
+
 def test_prox_halfsqdist_feasible_point_is_fixed():
     A = rng_from_seed(24).standard_normal((2, 5))
     x_feasible = rng_from_seed(25).standard_normal(5)
     cset = AffineSet(A, A @ x_feasible)
-    assert_allclose(prox_halfsqdist(cset, 0.7, x_feasible), x_feasible, atol=1e-12)
+    assert_allclose(_halfsqdist_oracle(cset).prox(0.7, x_feasible), x_feasible, atol=1e-12)
 
 
 def test_prox_halfsqdist_scalar_case():
     # C = {x: x = 0} in R^1, gamma = 1, w = 2: minimize y^2/2 + (y-2)^2/2 -> 1.
     cset = AffineSet(np.array([[1.0]]), np.array([0.0]))
-    assert_allclose(prox_halfsqdist(cset, 1.0, np.array([2.0])), [1.0], rtol=1e-14)
+    assert_allclose(_halfsqdist_oracle(cset).prox(1.0, np.array([2.0])), [1.0], rtol=1e-14)
 
 
 def test_prox_halfsqdist_first_order_condition():
@@ -404,26 +408,12 @@ def test_prox_halfsqdist_first_order_condition():
     rng = np.random.default_rng(28)
     for gamma in (0.3, 1.0, 4.0):
         w = rng.standard_normal(7)
-        y = prox_halfsqdist(cset, gamma, w)
+        y = _halfsqdist_oracle(cset).prox(gamma, w)
         grad = (y - cset.project(y)) + (y - w) / gamma
         assert np.linalg.norm(grad) <= 1e-8
 
 
 # ----------------------------------------------------------------- shift_split
-
-
-def _halfsqdist_oracle(cset):
-    def value(y):
-        gap = y - cset.project(y)
-        return 0.5 * float(gap @ gap)
-
-    return SmoothOracle(
-        value=value,
-        gradient=lambda y: y - cset.project(y),
-        strong_convexity=0.0,
-        grad_lipschitz=1.0,
-        prox=lambda gamma, w: prox_halfsqdist(cset, gamma, w),
-    )
 
 
 def test_shift_split_moduli():

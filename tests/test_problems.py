@@ -189,6 +189,13 @@ def test_ls_instance_names_non_finite_data(name):
         LsInstance(A=data["A"], b=data["b"], constraint=BoxSet(1.0))
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)], ids=["no rows", "no columns"])
+def test_build_constrained_ls_rejects_empty_data(shape):
+    inst = LsInstance(A=np.ones(shape), b=np.ones(shape[0]), constraint=BoxSet(1.0))
+    with pytest.raises(ValueError, match=rf"^A has shape \({shape[0]}, {shape[1]}\)"):
+        build_constrained_ls(inst)
+
+
 def test_build_constrained_ls_threshold():
     A = rng_from_seed(7).standard_normal((5, 12))
     inst = LsInstance(A=A, b=rng_from_seed(8).standard_normal(5), constraint=SparseBoxSet(r=2))
@@ -318,11 +325,14 @@ def test_build_constrained_ls_gprox_scaling():
 
 
 def test_constrained_ls_matches_generic_shift_split():
+    # Least squares is shift_split's f and g halves around its own f-prox, so
+    # value, gradient and moduli match the generic split exactly, the proxes
+    # to rounding.
     A = rng_from_seed(12).standard_normal((4, 10))
     b = rng_from_seed(13).standard_normal(4)
     inst = LsInstance(A=A, b=b, constraint=BoxSet(5.0))
     problem = build_constrained_ls(inst)
-    lam = problem.f.strong_convexity / 5.0
+    lam = problem.f.prox.lam_max
 
     def ls_prox(gamma, w):
         return np.linalg.solve(np.eye(10) + gamma * A.T @ A, w + gamma * A.T @ b)
@@ -336,10 +346,14 @@ def test_constrained_ls_matches_generic_shift_split():
     )
     G = ProxOracle(prox=lambda gamma, w: np.clip(w, -5.0, 5.0), value=BoxSet(5.0).indicator)
     f_ref, g_ref = shift_split(F, G)
+    assert problem.f.strong_convexity == f_ref.strong_convexity
+    assert problem.f.grad_lipschitz == f_ref.grad_lipschitz
     rng = np.random.default_rng(14)
     gamma = 1.0 / (13.0 * lam)
     for _ in range(5):
         w = rng.standard_normal(10)
+        assert problem.f.value(w) == f_ref.value(w)
+        np.testing.assert_array_equal(problem.f.gradient(w), f_ref.gradient(w))
         assert_allclose(problem.f.prox(gamma, w), f_ref.prox(gamma, w), atol=1e-10)
         assert_allclose(problem.g.prox(gamma, w), g_ref.prox(gamma, w), atol=1e-10)
 
@@ -456,6 +470,24 @@ def test_load_instance_rejects_more_than_r_support_positions(tmp_path):
     lines[14] += " " + unused
     lines[15] += " 1.0"
     rejects(path, lines, "caps them at r = 3")
+
+
+@pytest.mark.parametrize(
+    "field, token, match",
+    [
+        (4, "nan", "bound must be positive"),
+        (4, "-1.0", "bound must be positive"),
+        (4, "0", "bound must be positive"),
+        (2, "0", "cardinality cap r must be an integer of at least 1, got 0"),
+    ],
+    ids=["nan bound", "negative bound", "zero bound", "zero r"],
+)
+def test_load_instance_rejects_a_bad_header_r_or_bound(tmp_path, field, token, match):
+    path, lines = saved_lines(tmp_path)
+    header = lines[0].split()
+    header[field] = token
+    lines[0] = " ".join(header)
+    rejects(path, lines, match)
 
 
 @pytest.mark.parametrize("name, line", [("A", 5), ("b", 13), ("values", 15)])
