@@ -43,6 +43,7 @@ from .problems import (
     evaluate_fval,
     gen_feasibility,
 )
+from .linalg import _is_integer
 from .oracles import _SHIFT_WEIGHT
 from .splitting import SolverConfig, SolverReport, gamma_threshold, run
 
@@ -97,16 +98,18 @@ class BenchConfig:
             raise ValueError("need at least one (m, n) pair")
         for m, n in self.pairs:
             check_shape(m, n)  # every shape fails here, before the first solve
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+        if len(set(map(tuple, self.pairs))) != len(self.pairs):
+            raise ValueError(f"pairs must not repeat, got {self.pairs}")
+        if not _is_integer(self.trials) or self.trials < 1:
             raise ValueError(f"trials must be an integer of at least 1, got {self.trials!r}")
-        if not isinstance(self.base_seed, (int, np.integer)):
+        if not _is_integer(self.base_seed):
             raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
-        if not self.methods or any(m not in ("pr", "dr") for m in self.methods):
+        if not self.methods:
             raise ValueError(f"methods must be a nonempty subset of ('pr', 'dr'), got {self.methods}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError(f"methods must not repeat, got {self.methods}")
         for method in self.methods:
-            solver_config(self, method)  # bad steps or tol fail here, before any solve
+            solver_config(self, method)  # an unknown method, bad steps or tol fail here, before any solve
 
 
 @dataclass(frozen=True)

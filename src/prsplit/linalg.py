@@ -31,6 +31,11 @@ class NotPositiveDefiniteError(ValueError):
     """Raised when a Cholesky pivot falls at or below the breakdown floor."""
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool, which is an int subclass."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Generator for `seed`; the single RNG construction point of the package."""
     return np.random.Generator(np.random.PCG64(seed))

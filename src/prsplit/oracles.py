@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import NotPositiveDefiniteError, SpdFactorization, spd_factor
+from .linalg import NotPositiveDefiniteError, SpdFactorization, _is_integer, spd_factor
 
 # Safety margin on top of the computed largest eigenvalue of A^T A before it
 # is used as a curvature bound. The eigensolver is exact up to a relative
@@ -153,7 +153,7 @@ class SparseBoxSet:
     bound: float = 1e6
 
     def __post_init__(self):
-        if not isinstance(self.r, (int, np.integer)) or self.r < 1:
+        if not _is_integer(self.r) or self.r < 1:
             raise ValueError(f"cardinality cap r must be an integer of at least 1, got {self.r!r}")
         if not self.bound > 0:  # also rejects NaN
             raise ValueError("bound must be positive")
@@ -172,17 +172,14 @@ class SparseBoxSet:
         r = self.r
         if w.shape[0] < r:
             raise ValueError(f"point has length {w.shape[0]} but the cap keeps {r} entries")
-        # Ordering by -|w| puts NaN last, as the stable sort below does, so the
-        # r-th smallest key is NaN only when fewer than r entries are numbers.
+        # NaN entries get key +inf, which no number's key -|w| reaches, so they
+        # rank after every number and tie only with each other.
         key = -np.abs(w)
+        key[np.isnan(key)] = np.inf
         threshold = np.partition(key, r - 1)[r - 1]
-        if np.isnan(threshold):
-            # Stable sort on -|w| keeps the lowest index first among tied magnitudes.
-            keep = np.argsort(key, kind="stable")[:r]
-        else:
-            above = np.flatnonzero(key < threshold)
-            tied = np.flatnonzero(key == threshold)[: r - above.size]
-            keep = np.concatenate((above, tied))
+        above = np.flatnonzero(key < threshold)
+        tied = np.flatnonzero(key == threshold)[: r - above.size]  # lowest index first
+        keep = np.concatenate((above, tied))
         out = np.zeros_like(w)
         out[keep] = np.clip(w[keep], -self.bound, self.bound)
         return out

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import rng_from_seed
+from .linalg import _is_integer, rng_from_seed
 from .oracles import (
     AffineSet,
     BoxSet,
@@ -126,7 +126,7 @@ class LsInstance:
 
 def check_shape(m: int, n: int) -> None:
     """Raise ValueError unless (m, n) is a shape :func:`gen_feasibility` can plant."""
-    if not all(isinstance(k, (int, np.integer)) for k in (m, n)):
+    if not all(_is_integer(k) for k in (m, n)):
         raise ValueError(f"m and n must be integers, got {m!r}x{n!r}")
     if m < 5:
         raise ValueError(f"m must be at least 5, got {m}x{n}")

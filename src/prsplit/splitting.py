@@ -4,11 +4,11 @@ Both methods iterate the same two prox steps on a split objective f + g,
 
     y' = prox of gamma f at x
     z' = prox of gamma g at 2 y' - x
-    x' = x + step_factor * (z' - y')
+    x' = x + k (z' - y')
 
-with step_factor 2 for Peaceman-Rachford (PR) and 1 for Douglas-Rachford
-(DR). For PR with f strongly convex (modulus sigma) and grad-Lipschitz
-(modulus L), the merit function
+with step factor k = 2 for Peaceman-Rachford (PR) and k = 1 for
+Douglas-Rachford (DR). For PR with f strongly convex (modulus sigma) and
+grad-Lipschitz (modulus L), the merit function
 
     merit_pr(y, z, x) = f(y) + g(z) - 3 ||y - z||^2 / (2 gamma)
                         + <x - y, z - y> / gamma
@@ -21,17 +21,18 @@ coupling term, and the two are related by merit_pr = merit_dr -
 
 :func:`run` drives either engine with the relative-change termination rule
 
-    max(|dx|, |dy|, |dz|) / max(|x_prev|, |y_prev|, |z_prev|, 1) < tol
+    max(|dx|, |dy|, |dz|) / max(|x_prev|, |y_prev|, |z_prev|, 1) < tol,
 
-and an optional step-size heuristic that starts above the stationary cap
-and halves gamma whenever the iterates look unstable (see
-:func:`heuristic_update`). One :class:`SolverConfig` holds every setting:
-the heuristic is on exactly when its floor ``gamma1`` is set, and its shrink
-factor, settle factor, drift limit and norm limit are the paper's fixed
-numbers, module constants that no config can change. The remaining helpers
-are convergence diagnostics: the explicit stationarity residual available
-after every step, the ergodic objective-gap bound that holds when g is
-convex, and a contraction-factor fit for linearly convergent tails.
+where |dx| = k |z - y| reuses the norm of the gap trace, and an optional
+step-size heuristic that starts above the stationary cap and halves gamma
+whenever the iterates look unstable (see :func:`heuristic_update`). One
+:class:`SolverConfig` holds every setting: the heuristic is on exactly when
+its floor ``gamma1`` is set, and its shrink factor, settle factor, drift
+limit and norm limit are the paper's fixed numbers, module constants that no
+config can change. The remaining helpers are convergence diagnostics: the
+explicit stationarity residual available after every step, the ergodic
+objective-gap bound that holds when g is convex, and a contraction-factor
+fit for linearly convergent tails.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .linalg import _is_integer
 from .oracles import _SHIFT_WEIGHT, ProxOracle, SmoothOracle
 
 __all__ = [
@@ -71,8 +73,9 @@ _SETTLE = 0.9999
 _DRIFT_LIMIT = 1000.0
 _NORM_LIMIT = 1e10
 
-# Coupling c of each method's merit f(y) + g(z) - c |y-z|^2/gamma + <x-y, z-y>/gamma.
-_COUPLING = {"pr": 1.5, "dr": 0.5}
+# Each method's step factor k of x' = x + k (z' - y') and coupling c of its
+# merit f(y) + g(z) - c |y-z|^2/gamma + <x-y, z-y>/gamma.
+_METHODS = {"pr": (2.0, 1.5), "dr": (1.0, 0.5)}
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ class SolverConfig:
     max_iter: int = 50_000
 
     def __post_init__(self):
-        if self.method not in ("pr", "dr"):
+        if self.method not in _METHODS:
             raise ValueError(f"method must be 'pr' or 'dr', got {self.method!r}")
         for name in ("gamma0", "gamma1"):
             value = getattr(self, name)
@@ -114,7 +117,7 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0 <= self.tol < np.inf:
             raise ValueError(f"tol must be nonnegative and finite, got {self.tol}")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 0:
+        if not _is_integer(self.max_iter) or self.max_iter < 0:
             raise ValueError(f"max_iter must be a nonnegative integer, got {self.max_iter!r}")
         if self.gamma1 is not None and self.gamma0 is None:
             raise ValueError("the step-size heuristic (gamma1) needs an explicit gamma0")
@@ -124,16 +127,16 @@ class SolverConfig:
 class IterateState:
     """One (y, z, x) triple at iteration t.
 
-    ``g_subgrad`` is the explicit member of the subdifferential of g at z
-    that the z-update certifies, (2y - x_prev - z) / gamma; it is recorded by
-    the step functions and is None for the t = 0 state, which has no y or z.
+    ``x_prev`` is the x the step started from (the previous state's array,
+    not a copy), so y = prox of gamma f at x_prev; it is None for the t = 0
+    state, which has no y or z either.
     """
 
     x: np.ndarray
     y: np.ndarray | None = None
     z: np.ndarray | None = None
     t: int = 0
-    g_subgrad: np.ndarray | None = field(default=None, repr=False)
+    x_prev: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -141,8 +144,9 @@ class SolverReport:
     """Everything a finished run exposes.
 
     Per-iteration traces hold the merit value (PR or DR merit to match the
-    engine), the gamma used, |z - y|, and |x - x_prev|; ``run(...,
-    observer=lambda state, gamma: states.append(state))`` keeps the states.
+    engine), the gamma used, and |z - y|, which is |x - x_prev| / k for the
+    step factor k (2 for PR, 1 for DR); ``run(..., observer=lambda state,
+    gamma: states.append(state))`` keeps the states.
     The stationarity residual pair is None only for runs that took no step.
     """
 
@@ -152,7 +156,6 @@ class SolverReport:
     merit_trace: np.ndarray
     gamma_trace: np.ndarray
     gap_trace: np.ndarray
-    step_trace: np.ndarray
     residual: "StationarityResidual | None"
 
 
@@ -178,25 +181,18 @@ def _step(state: IterateState, problem: SplitProblem, gamma: float, factor: floa
         raise ValueError("gamma must be positive")
     x = state.x
     y = problem.f.prox(gamma, x)
-    w = 2.0 * y - x
-    z = problem.g.prox(gamma, w)
-    return IterateState(
-        x=x + factor * (z - y),
-        y=y,
-        z=z,
-        t=state.t + 1,
-        g_subgrad=(w - z) / gamma,
-    )
+    z = problem.g.prox(gamma, 2.0 * y - x)
+    return IterateState(x=x + factor * (z - y), y=y, z=z, t=state.t + 1, x_prev=x)
 
 
 def pr_step(state: IterateState, problem: SplitProblem, gamma: float) -> IterateState:
     """One Peaceman-Rachford step: x' = x + 2 (z' - y')."""
-    return _step(state, problem, gamma, 2.0)
+    return _step(state, problem, gamma, _METHODS["pr"][0])
 
 
 def dr_step(state: IterateState, problem: SplitProblem, gamma: float) -> IterateState:
     """One Douglas-Rachford step: x' = x + (z' - y')."""
-    return _step(state, problem, gamma, 1.0)
+    return _step(state, problem, gamma, _METHODS["dr"][0])
 
 
 def _merit(problem: SplitProblem, y, z, dyz: float, inner: float, gamma: float, method: str) -> float:
@@ -206,7 +202,7 @@ def _merit(problem: SplitProblem, y, z, dyz: float, inner: float, gamma: float, 
         raise ValueError("merit undefined: g is infinite at z (z outside dom g)")
     if not np.isfinite(fy):
         raise ValueError("merit undefined: f is infinite at y")
-    return fy + gz - _COUPLING[method] * dyz / gamma + inner / gamma
+    return fy + gz - _METHODS[method][1] * dyz / gamma + inner / gamma
 
 
 def merit_pr(
@@ -234,15 +230,16 @@ def stationarity_residual(
 ) -> StationarityResidual:
     """Residual pair of the stationarity inclusion at a post-step state.
 
-    With v the recorded subgradient of g at z, the identity residual
-    |grad f(y) + v + (z - y)/gamma| vanishes up to rounding for any state a
-    step produced; the practical residual evaluates the gradient at the
-    merged point z instead, |grad f(z) + v + (z - y)/gamma|, and measures
-    how close z is to an actual stationary point.
+    The z-update certifies v = (2y - x_prev - z)/gamma in the subdifferential
+    of g at z, so grad f + v + (z - y)/gamma = grad f + (y - x_prev)/gamma.
+    The identity residual |grad f(y) + (y - x_prev)/gamma| is the optimality
+    condition of y = prox of gamma f at x_prev and vanishes up to rounding
+    after any step; the practical residual evaluates the gradient at the
+    merged point z instead and measures how close z is to a stationary point.
     """
-    if state.g_subgrad is None or state.y is None or state.z is None:
+    if state.x_prev is None or state.y is None or state.z is None:
         raise ValueError("stationarity_residual needs a state produced by a step")
-    drift = (state.z - state.y) / gamma + state.g_subgrad
+    drift = (state.y - state.x_prev) / gamma
     identity = float(np.linalg.norm(problem.f.gradient(state.y) + drift))
     practical = float(np.linalg.norm(problem.f.gradient(state.z) + drift))
     return StationarityResidual(identity, practical)
@@ -299,7 +296,7 @@ def run(
     state = initial_state(x0)
     if state.x.shape != (problem.dim,):
         raise ValueError(f"x0 has shape {state.x.shape}, expected ({problem.dim},)")
-    step = pr_step if config.method == "pr" else dr_step
+    factor, _ = _METHODS[config.method]
     if config.gamma0 is not None:
         gamma = config.gamma0
     else:
@@ -308,12 +305,11 @@ def run(
     merits: list[float] = []
     gammas: list[float] = []
     gaps: list[float] = []
-    steps: list[float] = []
 
     reason = "max_iter"
     for t in range(1, config.max_iter + 1):
         prev = state
-        new = step(prev, problem, gamma)
+        new = _step(prev, problem, gamma, factor)
         norms = _norms(new)
         if norms is None:
             reason = "diverged"
@@ -326,14 +322,13 @@ def run(
         merits.append(_merit(problem, y, z, gap**2, inner, gamma, config.method))
         gammas.append(gamma)
         gaps.append(gap)
-        steps.append(float(np.linalg.norm(x - prev.x)))
         if observer is not None:
             observer(state, gamma)
 
         drift = 0.0
         if prev_norms is not None:
             drift = float(np.linalg.norm(y - prev.y))
-            change = max(steps[-1], drift, float(np.linalg.norm(z - prev.z)))
+            change = max(factor * gap, drift, float(np.linalg.norm(z - prev.z)))
             if change < config.tol * max(*prev_norms, 1.0):
                 reason = "converged"
                 break
@@ -352,7 +347,6 @@ def run(
         merit_trace=np.asarray(merits),
         gamma_trace=np.asarray(gammas),
         gap_trace=np.asarray(gaps),
-        step_trace=np.asarray(steps),
         residual=residual,
     )
 

@@ -294,7 +294,7 @@ def test_criterion_5_ergodic_bound(convex_box_suite):
                     n=n_window,
                 )
                 assert lhs <= rhs
-            steps = trace.step_trace
+            steps = 2.0 * trace.gap_trace  # |x - x_prev| = k |z - y| with k = 2 for PR
             scaled_100 = np.min(steps[:100]) * np.sqrt(100.0)
             scaled_1000 = np.min(steps[:1000]) * np.sqrt(1000.0)
             assert scaled_1000 <= 0.2 * scaled_100

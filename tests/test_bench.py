@@ -1,6 +1,7 @@
 """Tests for the benchmark harness and its table formats."""
 
 import gc
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -81,6 +82,8 @@ def test_bench_config_validation():
         BenchConfig(pairs=((10, 40),), methods=("newton",))
     with pytest.raises(ValueError, match="must not repeat"):
         BenchConfig(pairs=((10, 40),), methods=("pr", "pr"))
+    with pytest.raises(ValueError, match=r"^pairs must not repeat, got \(\(10, 40\), \(10, 40\)\)$"):
+        BenchConfig(pairs=((10, 40), (10, 40)))
     with pytest.raises(ValueError, match="gamma1"):
         BenchConfig(pairs=((10, 40),), dr_gamma1=float("nan"))
     with pytest.raises(ValueError, match="m must be at least 5"):
@@ -90,12 +93,15 @@ def test_bench_config_validation():
 
 
 def test_bench_config_rejects_non_integer_counts():
-    with pytest.raises(ValueError, match="trials must be an integer of at least 1"):
-        BenchConfig(pairs=((10, 40),), trials=1.5)
-    with pytest.raises(ValueError, match="max_iter must be a nonnegative integer"):
-        BenchConfig(pairs=((10, 40),), max_iter=3.0)
-    with pytest.raises(ValueError, match=r"^base_seed must be an integer, got 1\.5$"):
-        BenchConfig(pairs=((10, 40),), base_seed=1.5)
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="trials must be an integer of at least 1"):
+            BenchConfig(pairs=((10, 40),), trials=bad)
+    for bad in (3.0, True):
+        with pytest.raises(ValueError, match="max_iter must be a nonnegative integer"):
+            BenchConfig(pairs=((10, 40),), max_iter=bad)
+    for bad in (1.5, False):
+        with pytest.raises(ValueError, match=rf"^base_seed must be an integer, got {re.escape(repr(bad))}$"):
+            BenchConfig(pairs=((10, 40),), base_seed=bad)
     BenchConfig(pairs=((10, 40),), base_seed=-1)
     cfg = BenchConfig(pairs=((10, 40),), trials=np.int32(2), max_iter=np.int64(3), base_seed=np.int64(-7))
     rows = run_bench(cfg)
@@ -105,6 +111,8 @@ def test_bench_config_rejects_non_integer_counts():
 def test_bench_config_rejects_a_non_integer_shape():
     with pytest.raises(ValueError, match=r"^m and n must be integers, got 10\.5x40$"):
         BenchConfig(pairs=((10, 40), (10.5, 40)))
+    with pytest.raises(ValueError, match=r"^m and n must be integers, got Truex40$"):
+        BenchConfig(pairs=((True, 40),))
     rows = run_bench(BenchConfig(pairs=((np.int64(10), np.int32(40)),), trials=1, methods=("pr",)))
     assert (rows[0].m, rows[0].n) == (10, 40)
 

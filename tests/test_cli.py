@@ -71,6 +71,13 @@ def test_bench_rejects_a_repeated_method(capsys):
     assert captured.err == "error: methods must not repeat, got ('pr', 'pr')\n"
 
 
+def test_bench_rejects_a_repeated_shape(capsys):
+    assert main(["bench", "--pairs", "50x500,50x500"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pairs must not repeat, got ((50, 500), (50, 500))\n"
+
+
 def test_bench_rejects_bad_shape_before_the_first_solve(capsys):
     code = main(["bench", "--pairs", "10x40,4x10", "--trials", "1"])
     # The bad shape comes second; no cell of the good one runs or prints first.

@@ -1,6 +1,7 @@
 """Tests for the prox/projection toolkit, each against an independent oracle."""
 
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -163,7 +164,7 @@ def test_box_sets_reject_a_nan_bound_and_accept_inf(make, projected):
     assert make(float("inf")).project(np.array([3.0, -1.0, 2.0])).tolist() == projected
 
 
-@pytest.mark.parametrize("r", [2.5, 2.0])
+@pytest.mark.parametrize("r", [2.5, 2.0, True])
 def test_sparse_box_set_rejects_a_non_integer_cap(r):
     with pytest.raises(ValueError, match="r must be an integer of at least 1"):
         SparseBoxSet(r)
@@ -556,3 +557,26 @@ def test_smooth_oracle_validates_moduli():
             grad_lipschitz=1.0,
             prox=lambda gamma, w: w,
         )
+
+
+# ------------------------------------------------------------ boundary errors
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: SmoothOracle(lambda y: 0.0, lambda y: y, 0.0, 0.0, lambda gamma, w: w),
+            "gradient Lipschitz modulus must be positive",
+        ),
+        (lambda: AffineSet(np.eye(2, 3), np.ones(3)), "A must be m x n and b of length m"),
+        (lambda: AffineSet(np.eye(2, 3), np.ones(2)).project(np.zeros(4)), "point has length 4, set lives in R^3"),
+        (lambda: SparseBoxSet(3).project(np.zeros(2)), "point has length 2 but the cap keeps 3 entries"),
+        (lambda: ShiftedQuadraticProx(np.eye(2, 3), np.ones(3)), "b has shape (3,), expected (2,)"),
+        (lambda: quadratic_oracle(np.diag([1.0, -1.0])), "quadratic_oracle needs a positive semidefinite Q"),
+    ],
+    ids=["lipschitz", "affine shape", "affine point", "sparse box point", "least-squares b", "indefinite Q"],
+)
+def test_boundary_errors_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -434,6 +434,17 @@ def rejects(path, lines, match):
         load_instance(path)
 
 
+def test_ls_instance_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="^A must be m x n with b of length m$"):
+        LsInstance(A=np.eye(4, 3), b=np.ones(3), constraint=BoxSet(1.0))
+
+
+def test_load_instance_rejects_an_a_block_of_the_wrong_width(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    lines[1:13] = [" ".join(row.split()[:-1]) for row in lines[1:13]]
+    rejects(path, lines, r"^matrix block has shape \(12, 39\), header says \(12, 40\)$")
+
+
 def test_load_instance_rejects_empty_file(tmp_path):
     path = tmp_path / "instance.txt"
     rejects(path, [], "header line")
