@@ -9,7 +9,6 @@ a CLI that reproduces the head-to-head iteration/quality comparison.
 from .bench import BenchConfig, BenchRow, parse_csv, run_bench, solve_trial, trial_seed
 from .linalg import (
     NotPositiveDefiniteError,
-    SpdFactorization,
     spd_factor,
     spectral_norm_sq,
 )
@@ -19,7 +18,6 @@ from .oracles import (
     ProxOracle,
     ProxShiftError,
     RankDeficientError,
-    ShiftedQuadraticProx,
     SmoothOracle,
     SparseBoxSet,
     quadratic_oracle,

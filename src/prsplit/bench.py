@@ -85,9 +85,9 @@ class BenchConfig:
     pairs: tuple[tuple[int, int], ...] = DESK_PAIRS
     trials: int = 50
     base_seed: int = 0
-    methods: tuple[str, ...] = ("pr", "dr")
-    tol: float = 1e-8
-    max_iter: int = 50_000
+    methods: tuple[str, ...] = tuple(METHOD_STEPS)
+    tol: float = SolverConfig.tol
+    max_iter: int = SolverConfig.max_iter
     pr_gamma0: float = METHOD_STEPS["pr"][0]
     pr_gamma1: float = METHOD_STEPS["pr"][1]
     dr_gamma0: float = METHOD_STEPS["dr"][0]

@@ -58,10 +58,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "full: the m in 100..500, n in 4000..6000 grid)",
     )
     bench.add_argument("--trials", type=int, default=None, help="instances per shape (desk default 20, full 50)")
-    bench.add_argument("--methods", type=_parse_methods, default=("pr", "dr"))
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--tol", type=float, default=1e-8)
-    bench.add_argument("--max-iter", type=int, default=50_000)
+    bench.add_argument("--methods", type=_parse_methods, default=BenchConfig.methods)
+    bench.add_argument("--seed", type=int, default=BenchConfig.base_seed)
+    bench.add_argument("--tol", type=float, default=SolverConfig.tol)
+    bench.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     for method, (gamma0, gamma1) in METHOD_STEPS.items():
         bench.add_argument(f"--{method}-gamma0", type=float, default=gamma0)
         bench.add_argument(f"--{method}-gamma1", type=float, default=gamma1)
@@ -75,9 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--instance", default=None, help="load a saved instance instead of generating")
     solve.add_argument("--save-instance", default=None, help="write the instance to this path")
-    solve.add_argument("--method", choices=("pr", "dr"), default="pr")
-    solve.add_argument("--tol", type=float, default=1e-8)
-    solve.add_argument("--max-iter", type=int, default=50_000)
+    solve.add_argument("--method", choices=tuple(METHOD_STEPS), default=SolverConfig.method)
+    solve.add_argument("--tol", type=float, default=SolverConfig.tol)
+    solve.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     solve.add_argument("--gamma0", type=float, default=None, help="heuristic start (method default if omitted)")
     solve.add_argument("--gamma1", type=float, default=None, help="heuristic floor (method default if omitted)")
     solve.add_argument("--fixed-gamma", type=float, default=None, help="disable the heuristic, use this step")

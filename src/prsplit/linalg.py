@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "NotPositiveDefiniteError",
-    "SpdFactorization",
     "rng_from_seed",
     "spd_factor",
     "spectral_norm_sq",

@@ -44,7 +44,6 @@ __all__ = [
     "ProxOracle",
     "ProxShiftError",
     "RankDeficientError",
-    "ShiftedQuadraticProx",
     "SmoothOracle",
     "SparseBoxSet",
     "quadratic_oracle",

@@ -55,7 +55,6 @@ __all__ = [
     "build_constrained_ls",
     "build_feasibility_dr",
     "build_feasibility_pr",
-    "check_shape",
     "classify",
     "distance_feasibility_problem",
     "evaluate_fval",
@@ -134,12 +133,13 @@ def check_shape(m: int, n: int) -> None:
         raise ValueError(f"need n >= m, got {m}x{n}")
 
 
-def gen_feasibility(m: int, n: int, seed: int, bound: float = 1e6) -> FeasibilityInstance:
+def gen_feasibility(m: int, n: int, seed: int) -> FeasibilityInstance:
     """Random instance: Gaussian A, planted r-sparse solution, r = ceil(m/5).
 
     All draws come from one seeded stream in a fixed order (A row-major,
     then the r support values, then the support positions by a seeded
-    shuffle), so the instance is a pure function of (m, n, seed, bound).
+    shuffle), so the instance is a pure function of (m, n, seed). Its entry
+    bound is :class:`SparseBoxSet`'s default.
     """
     check_shape(m, n)
     r = math.ceil(m / 5)
@@ -149,7 +149,7 @@ def gen_feasibility(m: int, n: int, seed: int, bound: float = 1e6) -> Feasibilit
     support = rng.permutation(n)[:r]
     x_true = np.zeros(n)
     x_true[support] = values
-    return FeasibilityInstance(A=A, b=A @ x_true, r=r, bound=bound, seed=seed, x_true=x_true)
+    return FeasibilityInstance(A=A, b=A @ x_true, r=r, bound=SparseBoxSet.bound, seed=seed, x_true=x_true)
 
 
 def distance_feasibility_problem(cset: AffineSet, dset) -> SplitProblem:
@@ -293,9 +293,11 @@ def load_instance(path) -> FeasibilityInstance:
     bound = SparseBoxSet(r, float(header[4])).bound  # the set's own checks of r and bound
     if len(lines) != m + 4:
         raise ValueError(f"expected {m + 4} lines for an {m} x {n} instance, got {len(lines)}")
-    A = np.array([[float(tok) for tok in lines[1 + i].split()] for i in range(m)])
-    if A.shape != (m, n):
-        raise ValueError(f"matrix block has shape {A.shape}, header says {(m, n)}")
+    rows = [[float(tok) for tok in lines[1 + i].split()] for i in range(m)]
+    for i, row in enumerate(rows, 1):
+        if len(row) != n:
+            raise ValueError(f"A row {i} has {len(row)} entries, header says n = {n}")
+    A = np.array(rows)
     b = np.array([float(tok) for tok in lines[m + 1].split()])
     if b.shape != (m,):
         raise ValueError(f"b has {b.size} entries, header says m = {m}")

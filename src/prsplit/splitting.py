@@ -99,7 +99,8 @@ class SolverConfig:
     starts at ``gamma0`` and shrinks toward just below the floor ``gamma1``;
     it needs an explicit gamma0. Without it the step stays fixed at
     ``gamma0``, or, with that unset too, at 0.99 * gamma_threshold(sigma, L)
-    of the problem the engine is given.
+    of the problem the engine is given. BenchConfig and the CLI read their
+    method, tol and max_iter defaults here.
     """
 
     gamma0: float | None = None

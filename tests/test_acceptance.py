@@ -437,3 +437,39 @@ def test_criterion_9_boundedness(quad_suite):
                     + 0.5 * (1.0 / gamma - lipschitz) * float(np.linalg.norm(state.y - state.z)) ** 2
                 )
                 assert first_merit >= floor - 1e-8
+
+
+# Rounding allowance of criterion 10, relative to 1 + |merit|. The largest
+# merit rise measured on its four runs was 2.7e-14.
+THEORY_ROUNDING = 1e-12
+
+
+def test_criterion_10_theorem_on_the_feasibility_split():
+    description = "fixed-step PR inside the theory on the shifted feasibility split: descent and stationarity"
+    with criterion("10", description):
+        # The shifted split has sigma = 5 and L = 6, so its step cap is 1/12.
+        sigma, lipschitz = 5.0, 6.0
+        gamma = 0.99 * gamma_threshold(sigma, lipschitz)
+        rate = 0.5 * (-3.0 * sigma + 2.0 * lipschitz + gamma * lipschitz**2)
+        config = SolverConfig(gamma0=gamma, tol=1e-10, max_iter=3000)
+        converged = []
+        for m, n in ((50, 500), (100, 1000)):
+            for trial in range(2):
+                inst = gen_feasibility(m, n, trial_seed(GATE_SEED, m, n, trial))
+                problem = build_feasibility_pr(inst)
+                assert (problem.f.strong_convexity, problem.f.grad_lipschitz) == (sigma, lipschitz)
+                ys = []
+                report = run(problem, config, np.zeros(n), observer=lambda state, _: ys.append(state.y))
+                merits = report.merit_trace
+                slack = THEORY_ROUNDING * (1.0 + np.abs(merits[:-1]))
+                assert np.max(np.diff(merits) - slack) <= 0.0, (m, n, trial)
+                dy_sq = np.array([float(np.linalg.norm(b - a)) ** 2 for a, b in zip(ys, ys[1:])])
+                assert np.max(np.diff(merits) - rate * dy_sq - slack) <= 0.0, (m, n, trial)
+                if report.reason == "converged":
+                    converged.append(report)
+        # Criterion 8's termination contract on the runs that converged.
+        assert converged
+        for report in converged:
+            assert report.residual.practical <= 1e-6
+            gap = report.gap_trace[-1]
+            assert gap <= 10.0 * config.tol * max(1.0, float(np.linalg.norm(report.state.y)))

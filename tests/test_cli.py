@@ -1,12 +1,21 @@
 """End-to-end tests of the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import prsplit
 from prsplit.bench import METHOD_STEPS, BenchConfig, parse_csv, solver_config
 from prsplit.cli import _build_parser, main
 from prsplit.problems import load_instance
 from prsplit.splitting import SolverConfig
+
+# The directory holding the imported package, for subprocesses to import the same copy.
+PACKAGE_ROOT = str(Path(prsplit.__file__).resolve().parents[1])
 
 
 def test_bench_writes_csv(tmp_path, capsys):
@@ -160,7 +169,14 @@ def test_solve_rejects_fixed_gamma_with_heuristic_steps(flag, capsys):
 
 def test_step_defaults_come_from_method_steps(capsys):
     bench = _build_parser().parse_args(["bench"])
-    cfg = BenchConfig()
+    solve = _build_parser().parse_args(["solve"])
+    cfg, solver = BenchConfig(), SolverConfig()
+    # tol, max_iter and method are SolverConfig's, methods and seed BenchConfig's.
+    for args in (bench, solve):
+        assert (args.tol, args.max_iter) == (cfg.tol, cfg.max_iter) == (solver.tol, solver.max_iter)
+    assert solve.method == solver.method
+    assert bench.methods == cfg.methods == tuple(METHOD_STEPS)
+    assert bench.seed == cfg.base_seed
     for method, (gamma0, gamma1) in METHOD_STEPS.items():
         assert getattr(bench, f"{method}_gamma0") == getattr(cfg, f"{method}_gamma0") == gamma0
         assert getattr(bench, f"{method}_gamma1") == getattr(cfg, f"{method}_gamma1") == gamma1
@@ -171,21 +187,51 @@ def test_step_defaults_come_from_method_steps(capsys):
         assert f"final gamma : {gamma0:.6g}\n" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("damage", ["truncated", "nan bound"])
+@pytest.mark.parametrize("damage", ["truncated", "nan bound", "short row"])
 def test_solve_rejects_a_malformed_instance_file(damage, tmp_path, capsys):
     path = tmp_path / "inst.txt"
     assert main(["solve", "--m", "10", "--n", "40", "--max-iter", "1", "--save-instance", str(path)]) == 0
     lines = path.read_text().splitlines()
     if damage == "truncated":
         lines = lines[:-2]
-    else:
+    elif damage == "nan bound":
         lines[0] = " ".join(lines[0].split()[:4] + ["nan"])
+    else:
+        lines[4] = " ".join(lines[4].split()[:-1])
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["solve", "--instance", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if damage == "short row":
+        assert err == "error: A row 4 has 39 entries, header says n = 40\n"
 
 
 def test_solve_rejects_missing_instance(capsys):
     code = main(["solve", "--instance", "/nonexistent/path.txt"])
     assert code == 2
+
+
+def _bench_rows(threads):
+    """`prsplit bench` rows from a subprocess with every BLAS thread variable set to `threads`."""
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), str(threads)))
+    args = ["bench", "--pairs", "50x500,100x500", "--trials", "5", "--seed", "42", "--quiet"]
+    result = subprocess.run(
+        [sys.executable, "-m", "prsplit.cli", *args], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    return parse_csv(result.stdout)
+
+
+def test_bench_table_is_the_same_at_one_and_two_blas_threads():
+    # BLAS reductions can round differently with the thread count, so an fval
+    # far below the success threshold may differ in its printed digit.
+    one, two = _bench_rows(1), _bench_rows(2)
+    assert len(one) == len(two) == 4
+    for a, b in zip(one, two):
+        fields = ("m", "n", "method", "mean_iterations", "successes", "failures", "undecided")
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+        for fval_a, fval_b in ((a.fval_max, b.fval_max), (a.fval_min, b.fval_min)):
+            assert fval_a == fval_b or max(fval_a, fval_b) < 1e-12, (a, b)

@@ -442,7 +442,13 @@ def test_ls_instance_rejects_mismatched_shapes():
 def test_load_instance_rejects_an_a_block_of_the_wrong_width(tmp_path):
     path, lines = saved_lines(tmp_path)
     lines[1:13] = [" ".join(row.split()[:-1]) for row in lines[1:13]]
-    rejects(path, lines, r"^matrix block has shape \(12, 39\), header says \(12, 40\)$")
+    rejects(path, lines, r"^A row 1 has 39 entries, header says n = 40$")
+
+
+def test_load_instance_names_one_short_a_row(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    lines[4] = " ".join(lines[4].split()[:-1])
+    rejects(path, lines, r"^A row 4 has 39 entries, header says n = 40$")
 
 
 def test_load_instance_rejects_empty_file(tmp_path):
