@@ -13,7 +13,8 @@ mix, so every row is reproducible in isolation and the whole table is a
 pure function of its configuration (wall time aside).
 
 Both engines run the step-size heuristic by default, from the (start,
-floor) steps of :data:`METHOD_STEPS`, the one place those constants live.
+floor) steps of :data:`METHOD_STEPS`, the one place those constants live,
+as :data:`PRESETS` is of each preset's shapes and trials per shape.
 PR starts 5% below 1/5, where its shifted g-prox stops being well-posed,
 and decays toward 1/12, its stationary cap for this problem. The DR
 baseline starts large and decays toward its floor should the iterates ever
@@ -30,7 +31,9 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -54,6 +57,7 @@ __all__ = [
     "DESK_PAIRS",
     "FULL_PAIRS",
     "METHOD_STEPS",
+    "PRESETS",
     "format_fval",
     "parse_csv",
     "render_csv",
@@ -67,33 +71,35 @@ __all__ = [
 DESK_PAIRS = tuple((m, n) for m in (50, 100, 150) for n in (500, 1000))
 FULL_PAIRS = tuple((m, n) for m in (100, 200, 300, 400, 500) for n in (4000, 5000, 6000))
 
+# Each preset's shapes and instances per shape. BenchConfig's defaults are
+# the desk row; the CLI's --preset choices and --trials default read it here.
+PRESETS = MappingProxyType({"desk": (DESK_PAIRS, 20), "full": (FULL_PAIRS, 50)})
+
 # Default heuristic (gamma0, gamma1) of each method: the start step and the
 # floor it decays toward. BenchConfig and both CLI subcommands read them here.
 # PR's follow from the shift weight a (L = 1): 0.95 / a and the cap 1/12.
-METHOD_STEPS = {
+METHOD_STEPS = MappingProxyType({
     "pr": (0.95 / _SHIFT_WEIGHT, gamma_threshold(_SHIFT_WEIGHT, _SHIFT_WEIGHT + 1.0)),
     "dr": (50.0, 1.0 / 3.0),
-}
+})
 
 _MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """What to run: shapes, trials, methods, solver settings."""
+    """What to run: shapes, trials, methods, solver settings, and each method's (gamma0, gamma1) steps."""
 
-    pairs: tuple[tuple[int, int], ...] = DESK_PAIRS
-    trials: int = 50
+    pairs: tuple[tuple[int, int], ...] = PRESETS["desk"][0]
+    trials: int = PRESETS["desk"][1]
     base_seed: int = 0
     methods: tuple[str, ...] = tuple(METHOD_STEPS)
     tol: float = SolverConfig.tol
     max_iter: int = SolverConfig.max_iter
-    pr_gamma0: float = METHOD_STEPS["pr"][0]
-    pr_gamma1: float = METHOD_STEPS["pr"][1]
-    dr_gamma0: float = METHOD_STEPS["dr"][0]
-    dr_gamma1: float = METHOD_STEPS["dr"][1]
+    steps: Mapping[str, tuple[float, float]] = field(default_factory=METHOD_STEPS.copy, hash=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "steps", MappingProxyType(dict(self.steps)))
         if not self.pairs:
             raise ValueError("need at least one (m, n) pair")
         for m, n in self.pairs:
@@ -109,7 +115,10 @@ class BenchConfig:
         if len(set(self.methods)) != len(self.methods):
             raise ValueError(f"methods must not repeat, got {self.methods}")
         for method in self.methods:
-            solver_config(self, method)  # an unknown method, bad steps or tol fail here, before any solve
+            pair = self.steps.get(method)
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise ValueError(f"steps must map method {method!r} to a (gamma0, gamma1) pair, got {pair!r}")
+            solver_config(self, method)  # bad steps or tol fail here, before any solve
 
 
 @dataclass(frozen=True)
@@ -144,11 +153,8 @@ def trial_seed(base_seed: int, m: int, n: int, trial: int) -> int:
 
 
 def solver_config(cfg: BenchConfig, method: str) -> SolverConfig:
-    """Heuristic-enabled solver settings for one method."""
-    if method == "pr":
-        gamma0, gamma1 = cfg.pr_gamma0, cfg.pr_gamma1
-    else:
-        gamma0, gamma1 = cfg.dr_gamma0, cfg.dr_gamma1
+    """Heuristic-enabled solver settings for one method, from its ``cfg.steps`` pair."""
+    gamma0, gamma1 = cfg.steps[method]
     return SolverConfig(gamma0=gamma0, gamma1=gamma1, method=method, tol=cfg.tol, max_iter=cfg.max_iter)
 
 

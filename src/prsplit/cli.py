@@ -2,13 +2,13 @@
 
 Examples
 --------
-Desk-scale benchmark of both methods, CSV to a file::
+The desk preset with both methods, CSV to a file::
 
-    prsplit bench --trials 20 --seed 42 --out results.csv
+    prsplit bench --seed 42 --out results.csv
 
-Explicit shapes and a markdown table on stdout::
+Explicit shapes and trial count, a markdown table on stdout::
 
-    prsplit bench --pairs 100x1000,150x500 --trials 20 --methods pr,dr --format markdown
+    prsplit bench --pairs 100x1000,150x500 --trials 10 --methods pr,dr --format markdown
 
 One instance with a per-iteration trace::
 
@@ -22,9 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import (
-    DESK_PAIRS, FULL_PAIRS, METHOD_STEPS, BenchConfig, render_csv, render_markdown, run_bench, solve_trial
-)
+from .bench import METHOD_STEPS, PRESETS, BenchConfig, render_csv, render_markdown, run_bench, solve_trial
 from .problems import evaluate_fval, gen_feasibility, load_instance, save_instance
 from .splitting import SolverConfig
 
@@ -50,14 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run a batch of random instances and tabulate")
     bench.add_argument("--pairs", type=_parse_pairs, default=None, help="comma list of MxN shapes")
-    bench.add_argument(
-        "--preset",
-        choices=("desk", "full"),
-        default="desk",
-        help="shape preset when --pairs is not given (desk: m in 50..150, n in 500..1000; "
-        "full: the m in 100..500, n in 4000..6000 grid)",
-    )
-    bench.add_argument("--trials", type=int, default=None, help="instances per shape (desk default 20, full 50)")
+    sizes = "; ".join(f"{name}: {len(pairs)} shapes x {trials} trials" for name, (pairs, trials) in PRESETS.items())
+    bench.add_argument("--preset", choices=tuple(PRESETS), default="desk", help=f"default shapes and trials ({sizes})")
+    bench.add_argument("--trials", type=int, default=None, help="instances per shape (default: the preset's)")
     bench.add_argument("--methods", type=_parse_methods, default=BenchConfig.methods)
     bench.add_argument("--seed", type=int, default=BenchConfig.base_seed)
     bench.add_argument("--tol", type=float, default=SolverConfig.tol)
@@ -86,20 +79,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bench(args) -> int:
-    full = args.preset == "full"
-    pairs = (FULL_PAIRS if full else DESK_PAIRS) if args.pairs is None else args.pairs
-    trials = (50 if full else 20) if args.trials is None else args.trials
+    pairs, trials = PRESETS[args.preset]
     cfg = BenchConfig(
-        pairs=pairs,
-        trials=trials,
+        pairs=pairs if args.pairs is None else args.pairs,
+        trials=trials if args.trials is None else args.trials,
         base_seed=args.seed,
         methods=args.methods,
         tol=args.tol,
         max_iter=args.max_iter,
-        pr_gamma0=args.pr_gamma0,
-        pr_gamma1=args.pr_gamma1,
-        dr_gamma0=args.dr_gamma0,
-        dr_gamma1=args.dr_gamma1,
+        steps={
+            method: (getattr(args, f"{method}_gamma0"), getattr(args, f"{method}_gamma1"))
+            for method in METHOD_STEPS
+        },
     )
     progress = None if args.quiet else lambda line: print(line, file=sys.stderr)
     rows = run_bench(cfg, progress=progress)

@@ -238,20 +238,14 @@ class ShiftedQuadraticProx:
 
     which is the same inverse pushed through the Woodbury identity.
 
-    A or b holding NaN or inf, a zero A or an empty A raises ValueError naming it.
+    A zero A raises ValueError. The shape and finiteness of A and b are
+    :class:`~prsplit.problems.LsInstance`'s to check, not checked again here.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         m, n = self.A.shape
-        if self.b.shape != (m,):
-            raise ValueError(f"b has shape {self.b.shape}, expected ({m},)")
-        if self.A.size == 0:
-            raise ValueError(f"A has shape {self.A.shape}: least squares needs a row and a column")
-        for name, data in (("A", self.A), ("b", self.b)):
-            if not np.isfinite(data).all():
-                raise ValueError(f"{name} holds NaN or infinite entries")
         self.dim = n
         self.Atb = self.A.T @ self.b
         self._wide = m < n / 2

@@ -105,6 +105,8 @@ class FeasibilityInstance:
 class LsInstance:
     """Data and constraint set of a constrained least-squares problem.
 
+    Construction is the one check of the data: A must be a nonempty m x n
+    array and b of length m, both finite, or ValueError names the field.
     Do not modify A or b in place once a problem is built from them: the
     problem keeps an eigendecomposition of their Gram matrix, and problems
     built from the same A and b arrays share it (see
@@ -118,6 +120,8 @@ class LsInstance:
     def __post_init__(self):
         if self.A.ndim != 2 or self.b.shape != (self.A.shape[0],):
             raise ValueError("A must be m x n with b of length m")
+        if self.A.size == 0:
+            raise ValueError(f"A has shape {self.A.shape}: least squares needs a row and a column")
         for name, data in (("A", self.A), ("b", self.b)):
             if not np.isfinite(data).all():
                 raise ValueError(f"{name} holds NaN or infinite entries")

@@ -66,6 +66,11 @@ __all__ = [
 
 # Iterates beyond this norm abort the run as diverged.
 _DIVERGENCE_NORM = 1e12
+# So does a relative change >= 1 (each step moves the iterates by their own
+# size) this many steps in a row at a step the heuristic can no longer shrink,
+# as when a bounded prox holds an unstable step's iterates below the norm guard;
+# while gamma can still shrink, the heuristic's own triggers answer instead.
+_STALL_STEPS = 100
 
 # The paper's fixed numbers of the step-size heuristic (see heuristic_update).
 _SHRINK = 0.5
@@ -289,9 +294,11 @@ def run(
     iterates drops below ``config.tol`` (checked from the second iteration
     on, once a previous triple exists), with "max_iter" when the budget runs
     out, and with "diverged" when an iterate goes non-finite or beyond the
-    divergence guard; the diverging step itself is discarded so the report
-    always ends at a finite state. The observer, if given, is called after
-    every kept step with the new state and the gamma that produced it.
+    divergence guard, or when the relative change stays at or above 1 for
+    ``_STALL_STEPS`` steps in a row at a fixed or fully shrunk step; a
+    non-finite or too large step is discarded, so the report always ends at
+    a finite state. The observer, if given, is called after every kept step
+    with the new state and the gamma that produced it.
     An x0 not of shape ``(problem.dim,)`` raises ValueError naming both shapes.
     """
     state = initial_state(x0)
@@ -303,6 +310,7 @@ def run(
     else:
         gamma = 0.99 * gamma_threshold(problem.f.strong_convexity, problem.f.grad_lipschitz)
     prev_norms = None
+    stalled = 0
     merits: list[float] = []
     gammas: list[float] = []
     gaps: list[float] = []
@@ -330,8 +338,14 @@ def run(
         if prev_norms is not None:
             drift = float(np.linalg.norm(y - prev.y))
             change = max(factor * gap, drift, float(np.linalg.norm(z - prev.z)))
-            if change < config.tol * max(*prev_norms, 1.0):
+            scale = max(*prev_norms, 1.0)
+            if change < config.tol * scale:
                 reason = "converged"
+                break
+            settled = config.gamma1 is None or gamma <= config.gamma1
+            stalled = stalled + 1 if settled and change >= scale else 0
+            if stalled == _STALL_STEPS:
+                reason = "diverged"
                 break
         prev_norms = norms
 

@@ -24,6 +24,7 @@ from prsplit.bench import (
 )
 from prsplit.cli import main
 from prsplit.problems import classify, gen_feasibility
+from prsplit.splitting import SolverConfig
 
 
 def small_config(**overrides):
@@ -65,12 +66,27 @@ def test_run_bench_respects_method_selection():
 
 
 def test_solver_config_maps_method_constants():
-    cfg = small_config()
-    pr = solver_config(cfg, "pr")
-    dr = solver_config(cfg, "dr")
-    assert pr.gamma0 == cfg.pr_gamma0 and pr.gamma1 == cfg.pr_gamma1
-    assert dr.gamma0 == cfg.dr_gamma0 and dr.gamma1 == cfg.dr_gamma1
-    assert pr.method == "pr" and dr.method == "dr"
+    cfg = small_config(steps={"pr": (0.15, 0.05), "dr": (40.0, 0.5)}, tol=1e-6, max_iter=300)
+    for method, (gamma0, gamma1) in (("pr", (0.15, 0.05)), ("dr", (40.0, 0.5))):
+        expected = SolverConfig(gamma0=gamma0, gamma1=gamma1, method=method, tol=1e-6, max_iter=300)
+        assert solver_config(cfg, method) == expected
+
+
+def test_bench_config_keeps_a_read_only_copy_of_steps_covering_every_method():
+    steps = {"pr": (0.15, 0.05)}
+    cfg = small_config(methods=("pr",), steps=steps)
+    steps["pr"] = (0.3, 0.05)
+    assert dict(cfg.steps) == {"pr": (0.15, 0.05)}
+    with pytest.raises(TypeError):
+        cfg.steps["pr"] = (0.3, 0.05)
+    assert small_config() == small_config(steps=dict(bench.METHOD_STEPS))
+    assert hash(small_config()) == hash(small_config(steps=dict(bench.METHOD_STEPS)))
+    with pytest.raises(ValueError, match=r"^steps must map method 'dr' to a \(gamma0, gamma1\) pair, got None$"):
+        small_config(steps=steps)
+    with pytest.raises(ValueError, match=r"^steps must map method 'newton' to a \(gamma0, gamma1\) pair, got None$"):
+        small_config(methods=("newton",))
+    with pytest.raises(ValueError, match=r"^steps must map method 'pr' to a \(gamma0, gamma1\) pair, got 0\.19$"):
+        small_config(methods=("pr",), steps={"pr": 0.19})
 
 
 def test_bench_config_validation():
@@ -85,7 +101,7 @@ def test_bench_config_validation():
     with pytest.raises(ValueError, match=r"^pairs must not repeat, got \(\(10, 40\), \(10, 40\)\)$"):
         BenchConfig(pairs=((10, 40), (10, 40)))
     with pytest.raises(ValueError, match="gamma1"):
-        BenchConfig(pairs=((10, 40),), dr_gamma1=float("nan"))
+        BenchConfig(pairs=((10, 40),), steps={**bench.METHOD_STEPS, "dr": (50.0, float("nan"))})
     with pytest.raises(ValueError, match="m must be at least 5"):
         BenchConfig(pairs=((10, 40), (4, 10)))
     with pytest.raises(ValueError, match="need n >= m"):
@@ -196,11 +212,12 @@ def test_run_bench_counts_divergence_as_failure():
 
 
 def test_run_bench_counts_a_raising_trial_as_failure():
-    # pr_gamma0 = 0.3 makes the shifted g-prox ill-posed (5 * 0.3 >= 1), so
-    # every PR solve raises ProxShiftError at its first step; the DR row of
+    # A PR start step of 0.3 makes the shifted g-prox ill-posed (5 * 0.3 >= 1),
+    # so every PR solve raises ProxShiftError at its first step; the DR row of
     # the same table is unaffected.
     dr_alone = run_bench(small_config(methods=("dr",)))
-    dr, pr = run_bench(small_config(methods=("dr", "pr"), pr_gamma0=0.3))
+    steps = {**bench.METHOD_STEPS, "pr": (0.3, bench.METHOD_STEPS["pr"][1])}
+    dr, pr = run_bench(small_config(methods=("dr", "pr"), steps=steps))
     assert strip_seconds(render_csv([dr])) == strip_seconds(render_csv(dr_alone))
     assert (pr.method, pr.failures, pr.successes, pr.undecided) == ("pr", 2, 0, 0)
     assert pr.mean_iterations == 0.0

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import prsplit
-from prsplit.bench import METHOD_STEPS, BenchConfig, parse_csv, solver_config
+from prsplit import cli
+from prsplit.bench import DESK_PAIRS, FULL_PAIRS, METHOD_STEPS, PRESETS, BenchConfig, parse_csv, solver_config
 from prsplit.cli import _build_parser, main
 from prsplit.problems import load_instance
 from prsplit.splitting import SolverConfig
@@ -178,13 +179,29 @@ def test_step_defaults_come_from_method_steps(capsys):
     assert bench.methods == cfg.methods == tuple(METHOD_STEPS)
     assert bench.seed == cfg.base_seed
     for method, (gamma0, gamma1) in METHOD_STEPS.items():
-        assert getattr(bench, f"{method}_gamma0") == getattr(cfg, f"{method}_gamma0") == gamma0
-        assert getattr(bench, f"{method}_gamma1") == getattr(cfg, f"{method}_gamma1") == gamma1
+        assert (getattr(bench, f"{method}_gamma0"), getattr(bench, f"{method}_gamma1")) == cfg.steps[method]
+        assert cfg.steps[method] == (gamma0, gamma1)
         assert solver_config(cfg, method) == SolverConfig(gamma0=gamma0, gamma1=gamma1, method=method)
         # One iteration runs at the heuristic's start step.
         code = main(["solve", "--m", "10", "--n", "40", "--method", method, "--max-iter", "1"])
         assert code == 0
         assert f"final gamma : {gamma0:.6g}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("preset", ["desk", "full"])
+def test_bench_without_trials_runs_the_preset_table_count(preset, monkeypatch, capsys):
+    # 20 instances per desk shape and 50 per full-grid shape, in one table.
+    assert PRESETS == {"desk": (DESK_PAIRS, 20), "full": (FULL_PAIRS, 50)}
+    configs = []
+    monkeypatch.setattr(cli, "run_bench", lambda cfg, progress=None: configs.append(cfg) or [])
+    for args in (["--preset", preset], ["--preset", preset, "--pairs", "10x40"]):
+        assert main(["bench", "--quiet", *args]) == 0
+    pairs, trials = PRESETS[preset]
+    assert [(cfg.pairs, cfg.trials) for cfg in configs] == [(pairs, trials), (((10, 40),), trials)]
+    if preset == "desk":
+        # `prsplit bench` with no option runs exactly the library's default config.
+        assert main(["bench", "--quiet"]) == 0
+        assert configs[-1] == BenchConfig()
 
 
 @pytest.mark.parametrize("damage", ["truncated", "nan bound", "short row"])

@@ -183,17 +183,19 @@ def test_feasibility_pr_matches_generic_shift_split():
 
 @pytest.mark.parametrize("name", ["A", "b"])
 def test_ls_instance_names_non_finite_data(name):
-    data = {"A": np.eye(4, 3), "b": np.ones(4)}
-    data[name][1] = np.inf if name == "A" else np.nan
-    with pytest.raises(ValueError, match=f"^{name} holds NaN or infinite entries"):
-        LsInstance(A=data["A"], b=data["b"], constraint=BoxSet(1.0))
+    # LsInstance is the one check of the data; ShiftedQuadraticProx repeats none.
+    for value in (np.nan, np.inf, -np.inf):
+        data = {"A": np.eye(4, 3), "b": np.ones(4)}
+        data[name][1] = value
+        with pytest.raises(ValueError, match=f"^{name} holds NaN or infinite entries"):
+            LsInstance(A=data["A"], b=data["b"], constraint=BoxSet(1.0))
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0)], ids=["no rows", "no columns"])
 def test_build_constrained_ls_rejects_empty_data(shape):
-    inst = LsInstance(A=np.ones(shape), b=np.ones(shape[0]), constraint=BoxSet(1.0))
+    # The instance that would carry the data to the build fails first.
     with pytest.raises(ValueError, match=rf"^A has shape \({shape[0]}, {shape[1]}\)"):
-        build_constrained_ls(inst)
+        build_constrained_ls(LsInstance(A=np.ones(shape), b=np.ones(shape[0]), constraint=BoxSet(1.0)))
 
 
 def test_build_constrained_ls_threshold():

@@ -271,6 +271,26 @@ def test_run_detects_divergence():
     assert report.iterations < 1000
 
 
+def test_run_ends_diverged_when_an_unstable_step_stalls():
+    # PR at the fixed step 0.19, above the cap 1/12 of the shifted feasibility
+    # f. From t = 2 on each step moves the iterates by 1-2.6 times their own
+    # size; the box bound 1e6 caps z, and from t of about 35 on |x| stays near
+    # 1e7, so the 1e12 norm guard never trips and only the stall stop ends
+    # the run before max_iter, at t = 101. A heuristic whose floor is above
+    # its start cannot shrink, so it stalls alike.
+    inst = gen_feasibility(150, 500, trial_seed(42, 150, 500, 0))
+    problem = build_feasibility_pr(inst)
+    for gamma1 in (None, 0.2):
+        config = SolverConfig(gamma0=0.19, gamma1=gamma1, max_iter=2000)
+        report = run(problem, config, np.zeros(500))
+        assert (report.reason, report.iterations) == ("diverged", 101)
+        assert np.all(np.isfinite(report.state.x)) and np.linalg.norm(report.state.x) < 1e8
+        assert np.all(np.abs(report.state.z) <= 1e6)
+    # A step below the cap on the same instance runs on past that point.
+    steady = run(problem, SolverConfig(gamma0=0.99 / 12, max_iter=200), np.zeros(500))
+    assert steady.reason == "max_iter"
+
+
 def test_run_ends_diverged_on_a_nan_iterate():
     calls = []
 
@@ -377,7 +397,7 @@ def reference_run(problem, config, x0):
         gamma = 0.99 * gamma_threshold(problem.f.strong_convexity, problem.f.grad_lipschitz)
     state = initial_state(x0)
     merits, gammas, gaps, steps = [], [], [], []
-    reason = "max_iter"
+    reason, stalled = "max_iter", 0
     for t in range(1, config.max_iter + 1):
         prev = state
         new = step(prev, problem, gamma)
@@ -407,6 +427,11 @@ def reference_run(problem, config, x0):
             if change < config.tol * anchor:
                 reason = "converged"
                 break
+            can_shrink = config.gamma1 is not None and gamma > config.gamma1
+            stalled = 0 if can_shrink or change < anchor else stalled + 1
+            if stalled == 100:
+                reason = "diverged"
+                break
         gamma1 = config.gamma1
         if gamma1 is not None and gamma > gamma1:
             y_prev = prev.y if prev.y is not None else state.y
@@ -419,13 +444,14 @@ def reference_run(problem, config, x0):
 def reference_case(label):
     """(problem, config, x0) of one run to replay through `reference_run`.
 
-    PR whose heuristic shrinks gamma near t = 10, heuristic DR at 100x1000,
-    fixed-step least squares that converges, and two runs on f = |y|^2/2,
-    g = 0, whose norms shrink 2-3x per step and scale with x0. In
-    "halved-anchor" |x0| = 2e10 puts the 1e10 norm trigger between
-    |x_1| = |x0|/3 and |y_1| = |x0|/1.5, and tol = 1 stops the run at t = 2
-    only against the previous step's norms. In "halved-trigger" |x0| = 1000,
-    so the drift 4|x0|/9 at t = 2 stays below 1000 / 2 but above 1000 / 3.
+    PR whose heuristic shrinks gamma near t = 10, PR on the same instance at
+    the fixed step 0.19, which stalls, heuristic DR at 100x1000, fixed-step
+    least squares that converges, and two runs on f = |y|^2/2, g = 0, whose
+    norms shrink 2-3x per step and scale with x0. In "halved-anchor"
+    |x0| = 2e10 puts the 1e10 norm trigger between |x_1| = |x0|/3 and
+    |y_1| = |x0|/1.5, and tol = 1 stops the run at t = 2 only against the
+    previous step's norms. In "halved-trigger" |x0| = 1000, so the drift
+    4|x0|/9 at t = 2 stays below 1000 / 2 but above 1000 / 3.
     """
     if label == "ls-fixed":
         rng = np.random.default_rng(4000)
@@ -444,17 +470,22 @@ def reference_case(label):
     m, n = (150, 500) if method == "pr" else (100, 1000)
     inst = gen_feasibility(m, n, trial_seed(42, m, n, 0))
     build = build_feasibility_pr if method == "pr" else build_feasibility_dr
-    return build(inst), solver_config(BenchConfig(), method), np.zeros(n)
+    config = solver_config(BenchConfig(), method)
+    if label == "pr-stalled":
+        config = SolverConfig(gamma0=0.19, max_iter=2000)
+    return build(inst), config, np.zeros(n)
 
 
 @pytest.mark.parametrize(
-    "label", ["pr-heuristic", "dr-heuristic", "ls-fixed", "halved-anchor", "halved-trigger"]
+    "label", ["pr-heuristic", "pr-stalled", "dr-heuristic", "ls-fixed", "halved-anchor", "halved-trigger"]
 )
 def test_run_matches_plain_reference_loop(label):
     problem, config, x0 = reference_case(label)
     report = run(problem, config, x0)
     state, reason, merits, gammas, gaps, steps, residual = reference_run(problem, config, x0)
     assert (report.iterations, report.reason) == (state.t, reason)
+    if label == "pr-stalled":
+        assert (state.t, reason) == (101, "diverged")
     if label == "pr-heuristic":
         assert len(set(gammas)) > 1  # the heuristic shrank gamma on this instance
     if label in ("ls-fixed", "halved-anchor"):
