@@ -35,6 +35,12 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_symmetric(M: np.ndarray) -> bool:
+    """True when the finite square M equals M^T to within 1e-10 * (1 + max |M_ij|)."""
+    scale = np.max(np.abs(M), initial=0.0)
+    return bool(np.abs(M - M.T).max(initial=0.0) <= 1e-10 * (1.0 + scale))
+
+
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Generator for `seed`; the single RNG construction point of the package."""
     return np.random.Generator(np.random.PCG64(seed))
@@ -122,8 +128,7 @@ def spd_factor(M: np.ndarray) -> SpdFactorization:
         raise ValueError(f"expected a nonempty square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError("matrix contains NaN or infinite entries")
-    scale = np.max(np.abs(M), initial=0.0)
-    if np.abs(M - M.T).max(initial=0.0) > 1e-10 * (1.0 + scale):
+    if not _is_symmetric(M):
         raise ValueError("matrix is not symmetric")
 
     pivot_floor = 1e-12 * float(np.trace(M)) / M.shape[0]

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import NotPositiveDefiniteError, SpdFactorization, _is_integer, spd_factor
+from .linalg import NotPositiveDefiniteError, SpdFactorization, _is_integer, _is_symmetric, spd_factor
 
 # Safety margin on top of the computed largest eigenvalue of A^T A before it
 # is used as a curvature bound. The eigensolver is exact up to a relative
@@ -329,14 +329,23 @@ def _shifted_g(G: ProxOracle, lipschitz: float) -> ProxOracle:
 def quadratic_oracle(Q: np.ndarray, c: np.ndarray | None = None) -> SmoothOracle:
     """Smooth oracle for f(y) = y^T Q y / 2 + c^T y with Q symmetric PSD.
 
+    Q must be finite and symmetric to :func:`spd_factor`'s tolerance, and c
+    of length n, or ValueError names the argument.
+
     Q is diagonalized once, Q = V diag(d) V^T. The moduli are the extreme
     eigenvalues, and the prox solves (I + gamma Q) y = w - gamma c as
     V diag(1 / (1 + gamma d)) V^T (w - gamma c), so any step costs two
     matrix-vector products with V.
     """
     Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.size == 0:
+        raise ValueError(f"Q must be a nonempty square matrix, got shape {Q.shape}")
+    if not (np.isfinite(Q).all() and _is_symmetric(Q)):
+        raise ValueError("Q must be finite and symmetric")
     n = Q.shape[0]
     c = np.zeros(n) if c is None else np.asarray(c, dtype=float)
+    if c.shape != (n,):
+        raise ValueError(f"c must have length {n}, got shape {c.shape}")
     eigenvalues, V = np.linalg.eigh(Q)
     if eigenvalues[0] < -1e-10 * max(1.0, abs(eigenvalues[-1])):
         raise ValueError("quadratic_oracle needs a positive semidefinite Q")

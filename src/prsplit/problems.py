@@ -107,6 +107,8 @@ class LsInstance:
 
     Construction is the one check of the data: A must be a nonempty m x n
     array and b of length m, both finite, or ValueError names the field.
+    Array-likes are converted to float arrays; a float64 array is kept as
+    the same object.
     Do not modify A or b in place once a problem is built from them: the
     problem keeps an eigendecomposition of their Gram matrix, and problems
     built from the same A and b arrays share it (see
@@ -118,6 +120,8 @@ class LsInstance:
     constraint: SparseBoxSet | BoxSet
 
     def __post_init__(self):
+        for name in ("A", "b"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.A.ndim != 2 or self.b.shape != (self.A.shape[0],):
             raise ValueError("A must be m x n with b of length m")
         if self.A.size == 0:
@@ -205,8 +209,9 @@ def _smooth_prox(A: np.ndarray, b: np.ndarray) -> ShiftedQuadraticProx:
     """The prox built from exactly these A and b arrays, built once while it lives.
 
     A hit needs ``prox.A is A and prox.b is b``: the live prox holds both
-    arrays, so their ids cannot be reused by other data. Input that the prox
-    converts (not float64) never passes that test and is not shared.
+    arrays, so their ids cannot be reused by other data. Data that
+    :class:`LsInstance` converts (not float64) is a new array per instance
+    and is not shared.
     """
     key = (id(A), id(b))
     prox = _SMOOTH_PROXES.get(key)
@@ -263,18 +268,15 @@ def classify(fval: float) -> str:
 def save_instance(inst: FeasibilityInstance, path) -> None:
     """Write an instance to a plain-text file for exact reproduction.
 
-    Format: a header line "m n r seed bound", then the m rows of A (n
-    entries each), one line with b, one line with the support positions of
-    the planted point, and one line with its values there. Floats use repr
-    precision, so a load reproduces the instance bit for bit.
+    Format: a header line "m n r seed bound", then m + 2 lines of floats:
+    the m rows of A (n entries each), b (m entries) and the planted point
+    x_true (n entries, zeros included). Floats use repr precision, so a load
+    reproduces the instance bit for bit. Files written before x_true was
+    stored densely (support positions and values on two lines) do not load.
     """
-    support = np.nonzero(inst.x_true)[0]
     lines = [f"{inst.m} {inst.n} {inst.r} {inst.seed} {float(inst.bound)!r}"]
-    for row in inst.A:
+    for row in (*inst.A, inst.b, inst.x_true):
         lines.append(" ".join(repr(float(v)) for v in row))
-    lines.append(" ".join(repr(float(v)) for v in inst.b))
-    lines.append(" ".join(str(int(i)) for i in support))
-    lines.append(" ".join(repr(float(v)) for v in inst.x_true[support]))
     with open(path, "w", encoding="ascii") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -283,10 +285,10 @@ def load_instance(path) -> FeasibilityInstance:
     """Read an instance written by :func:`save_instance`.
 
     Raises ``ValueError`` on a file that does not describe one: a missing
-    header, a header r or bound :class:`SparseBoxSet` rejects, a wrong line
-    count or row length, a ``b`` line whose length is not m, support and
-    value lines of different lengths, support positions out of range,
-    repeated or more than r, or non-finite numbers in A, b or the values.
+    header, a header r or bound :class:`SparseBoxSet` rejects, a line count
+    other than m + 3 (so a file in the older two-line support layout fails
+    here), an A row, b or x_true line of the wrong length, non-finite
+    numbers, or an x_true with more than r nonzeros.
     """
     with open(path, "r", encoding="ascii") as handle:
         lines = [line.strip() for line in handle if line.strip()]
@@ -295,29 +297,20 @@ def load_instance(path) -> FeasibilityInstance:
         raise ValueError("expected a header line 'm n r seed bound'")
     m, n, r, seed = (int(tok) for tok in header[:4])
     bound = SparseBoxSet(r, float(header[4])).bound  # the set's own checks of r and bound
-    if len(lines) != m + 4:
-        raise ValueError(f"expected {m + 4} lines for an {m} x {n} instance, got {len(lines)}")
-    rows = [[float(tok) for tok in lines[1 + i].split()] for i in range(m)]
-    for i, row in enumerate(rows, 1):
-        if len(row) != n:
-            raise ValueError(f"A row {i} has {len(row)} entries, header says n = {n}")
-    A = np.array(rows)
-    b = np.array([float(tok) for tok in lines[m + 1].split()])
-    if b.shape != (m,):
-        raise ValueError(f"b has {b.size} entries, header says m = {m}")
-    support = np.array([int(tok) for tok in lines[m + 2].split()], dtype=int)
-    values = np.array([float(tok) for tok in lines[m + 3].split()])
-    if support.shape != values.shape:
-        raise ValueError(f"{support.size} support positions but {values.size} values")
-    if support.size > r:
-        raise ValueError(f"{support.size} support positions, header caps them at r = {r}")
-    if np.any((support < 0) | (support >= n)):
-        raise ValueError(f"support positions must lie in [0, {n})")
-    if np.unique(support).size != support.size:
-        raise ValueError("support positions repeat")
-    for name, data in (("A", A), ("b", b), ("values", values)):
+    if len(lines) != m + 3:
+        raise ValueError(f"expected {m + 3} lines for an {m} x {n} instance, got {len(lines)}")
+    shapes = [(f"A row {i}", "n", n) for i in range(1, m + 1)] + [("b", "m", m), ("x_true", "n", n)]
+    blocks = []
+    for line, (name, axis, size) in zip(lines[1:], shapes):
+        block = [float(tok) for tok in line.split()]
+        if len(block) != size:
+            raise ValueError(f"{name} has {len(block)} entries, header says {axis} = {size}")
+        blocks.append(block)
+    A, b, x_true = np.array(blocks[:m]).reshape(m, n), np.array(blocks[m]), np.array(blocks[m + 1])
+    for name, data in (("A", A), ("b", b), ("x_true", x_true)):
         if not np.all(np.isfinite(data)):
             raise ValueError(f"{name} holds non-finite entries")
-    x_true = np.zeros(n)
-    x_true[support] = values
+    nonzeros = np.count_nonzero(x_true)
+    if nonzeros > r:
+        raise ValueError(f"x_true has {nonzeros} nonzeros, header caps them at r = {r}")
     return FeasibilityInstance(A=A, b=b, r=r, bound=bound, seed=seed, x_true=x_true)

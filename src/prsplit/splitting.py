@@ -37,6 +37,7 @@ fit for linearly convergent tails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -92,6 +93,8 @@ class SplitProblem:
     dim: int
 
     def __post_init__(self):
+        if not _is_integer(self.dim):
+            raise ValueError(f"dim must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise ValueError("dimension must be positive")
 
@@ -172,6 +175,9 @@ class StationarityResidual(NamedTuple):
 
 def gamma_threshold(sigma: float, lipschitz: float) -> float:
     """Stationary step-size cap (3 sigma - 2 L) / L^2 for the PR merit descent."""
+    for name, value in (("sigma", sigma), ("lipschitz", lipschitz)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if lipschitz <= 0:
         raise ValueError("lipschitz modulus must be positive")
     if 3.0 * sigma <= 2.0 * lipschitz:
@@ -255,13 +261,16 @@ def heuristic_update(gamma: float, t: int, drift: float, y_norm: float, gamma1: 
     """Shrink gamma toward 0.9999 * gamma1 when the iterates look unstable.
 
     No-op unless gamma > gamma1 and drift = |y_t - y_{t-1}| (0 at t = 1)
-    exceeds 1000 / t or y_norm = |y_t| exceeds 1e10. Then the new value is
-    max(gamma / 2, 0.9999 * gamma1), so gamma lands just below gamma1 after
-    finitely many shrinks and never moves again. Those four numbers are the
-    paper's and are fixed: only the floor gamma1 varies by method.
+    exceeds 1000 / t or y_norm = |y_t| exceeds 1e10; t must be at least 1.
+    Then the new value is max(gamma / 2, 0.9999 * gamma1), so gamma lands
+    just below gamma1 after finitely many shrinks and never moves again.
+    Those four numbers are the paper's and are fixed: only the floor gamma1
+    varies by method.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
+    if not t >= 1:
+        raise ValueError(f"t must be at least 1, got {t}")
     if gamma > gamma1 and (drift > _DRIFT_LIMIT / t or y_norm > _NORM_LIMIT):
         return max(_SHRINK * gamma, _SETTLE * gamma1)
     return gamma

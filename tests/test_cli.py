@@ -146,11 +146,14 @@ def test_solve_trace_and_instance_round_trip(tmp_path, capsys):
     inst = load_instance(saved)
     assert inst.m == 10 and inst.n == 40
 
-    # Re-solving from the saved instance reproduces the run.
-    code = main(["solve", "--instance", str(saved)])
-    assert code == 0
-    second_out = capsys.readouterr().out
-    assert first_out.splitlines()[2:4] == second_out.splitlines()[2:4]  # iterations + fval lines
+    # Re-solving from the saved instance reproduces the run, line for line, for each method.
+    assert main(["solve", "--instance", str(saved)]) == 0
+    assert capsys.readouterr().out == first_out
+    generated = ["--m", "10", "--n", "40", "--seed", "5"]
+    assert main(["solve", *generated, "--method", "dr"]) == 0
+    dr_out = capsys.readouterr().out
+    assert main(["solve", "--instance", str(saved), "--method", "dr"]) == 0
+    assert capsys.readouterr().out == dr_out
 
 
 def test_solve_fixed_gamma(capsys):

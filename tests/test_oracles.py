@@ -563,8 +563,12 @@ def test_smooth_oracle_validates_moduli():
         (lambda: AffineSet(np.eye(2, 3), np.ones(2)).project(np.zeros(4)), "point has length 4, set lives in R^3"),
         (lambda: SparseBoxSet(3).project(np.zeros(2)), "point has length 2 but the cap keeps 3 entries"),
         (lambda: quadratic_oracle(np.diag([1.0, -1.0])), "quadratic_oracle needs a positive semidefinite Q"),
+        # eigh reads only the lower triangle, which is PSD here; Q's symmetric part is not.
+        (lambda: quadratic_oracle(np.array([[1.0, 5.0], [0.0, 1.0]])), "Q must be finite and symmetric"),
+        (lambda: quadratic_oracle(np.ones(3)), "Q must be a nonempty square matrix, got shape (3,)"),
+        (lambda: quadratic_oracle(np.eye(3), np.ones(2)), "c must have length 3, got shape (2,)"),
     ],
-    ids=["lipschitz", "affine shape", "affine point", "sparse box point", "indefinite Q"],
+    ids=["lipschitz", "affine shape", "affine point", "sparse box point", "indefinite Q", "asymmetric Q", "1-D Q", "short c"],
 )
 def test_boundary_errors_name_their_cause(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

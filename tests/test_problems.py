@@ -191,6 +191,16 @@ def test_ls_instance_names_non_finite_data(name):
             LsInstance(A=data["A"], b=data["b"], constraint=BoxSet(1.0))
 
 
+def test_ls_instance_converts_array_likes():
+    inst = LsInstance(A=[[1.0, 2.0]], b=[1.0], constraint=BoxSet(1.0))
+    assert (inst.A.dtype, inst.A.shape, inst.b.dtype, inst.b.shape) == (np.float64, (1, 2), np.float64, (1,))
+    assert build_constrained_ls(inst).dim == 2
+    # A float64 array is kept as given, so problems built on it share one prox.
+    A, b = np.eye(2), np.ones(2)
+    same = LsInstance(A=A, b=b, constraint=BoxSet(1.0))
+    assert same.A is A and same.b is b
+
+
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0)], ids=["no rows", "no columns"])
 def test_build_constrained_ls_rejects_empty_data(shape):
     # The instance that would carry the data to the build fails first.
@@ -405,12 +415,9 @@ def test_instance_round_trip(tmp_path):
     path = tmp_path / "instance.txt"
     save_instance(inst, path)
     loaded = load_instance(path)
-    assert loaded.r == inst.r
-    assert loaded.seed == inst.seed
-    assert loaded.bound == inst.bound
-    assert_allclose(loaded.A, inst.A, atol=0)
-    assert_allclose(loaded.b, inst.b, atol=0)
-    assert_allclose(loaded.x_true, inst.x_true, atol=0)
+    assert (loaded.m, loaded.n, loaded.r, loaded.bound, loaded.seed) == (inst.m, inst.n, inst.r, inst.bound, inst.seed)
+    for name in ("A", "b", "x_true"):
+        assert getattr(loaded, name).tobytes() == getattr(inst, name).tobytes(), name
 
 
 def test_load_instance_rejects_truncated_file(tmp_path):
@@ -424,7 +431,7 @@ def test_load_instance_rejects_truncated_file(tmp_path):
 
 
 def saved_lines(tmp_path):
-    """Lines of a saved 12 x 40 instance (r = 3): header, A rows 1-12, b, support, values."""
+    """Lines of a saved 12 x 40 instance (r = 3): header, A rows 1-12, b, x_true."""
     path = tmp_path / "instance.txt"
     save_instance(gen_feasibility(12, 40, 78), path)
     return path, path.read_text().splitlines()
@@ -464,31 +471,22 @@ def test_load_instance_rejects_short_b_line(tmp_path):
     rejects(path, lines, "b has 11 entries")
 
 
-def test_load_instance_rejects_support_value_length_mismatch(tmp_path):
-    path, lines = saved_lines(tmp_path)
-    lines[15] = " ".join(lines[15].split()[:-1])
-    rejects(path, lines, "3 support positions but 2 values")
-
-
-def test_load_instance_rejects_out_of_range_support(tmp_path):
-    path, lines = saved_lines(tmp_path)
-    lines[14] = " ".join(lines[14].split()[:-1] + ["40"])
-    rejects(path, lines, "must lie in")
-
-
-def test_load_instance_rejects_repeated_support(tmp_path):
-    path, lines = saved_lines(tmp_path)
-    support = lines[14].split()
-    lines[14] = " ".join(support[:-1] + support[:1])
-    rejects(path, lines, "repeat")
-
-
 def test_load_instance_rejects_more_than_r_support_positions(tmp_path):
     path, lines = saved_lines(tmp_path)
-    unused = next(str(i) for i in range(40) if str(i) not in lines[14].split())
-    lines[14] += " " + unused
-    lines[15] += " 1.0"
-    rejects(path, lines, "caps them at r = 3")
+    x_true = lines[14].split()
+    x_true[x_true.index("0.0")] = "1.0"
+    lines[14] = " ".join(x_true)
+    rejects(path, lines, r"^x_true has 4 nonzeros, header caps them at r = 3$")
+
+
+def test_load_instance_rejects_a_file_in_the_support_layout(tmp_path):
+    # Before x_true was written densely, its support positions and its
+    # values there took one line each.
+    path, lines = saved_lines(tmp_path)
+    x_true = lines[14].split()
+    support = [i for i, tok in enumerate(x_true) if float(tok) != 0.0]
+    lines[14:] = [" ".join(map(str, support)), " ".join(x_true[i] for i in support)]
+    rejects(path, lines, r"^expected 15 lines for an 12 x 40 instance, got 16$")
 
 
 @pytest.mark.parametrize(
@@ -509,7 +507,7 @@ def test_load_instance_rejects_a_bad_header_r_or_bound(tmp_path, field, token, m
     rejects(path, lines, match)
 
 
-@pytest.mark.parametrize("name, line", [("A", 5), ("b", 13), ("values", 15)])
+@pytest.mark.parametrize("name, line", [("A", 5), ("b", 13), ("x_true", 14)])
 def test_load_instance_rejects_non_finite_entries(tmp_path, name, line):
     path, lines = saved_lines(tmp_path)
     lines[line] = " ".join(["nan"] + lines[line].split()[1:])

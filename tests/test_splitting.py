@@ -644,3 +644,21 @@ def test_fit_contraction_needs_enough_points():
 def test_boundary_errors_name_their_cause(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: heuristic_update(0.19, 0, 0.0, 1.0, 1 / 12), "t"),
+        (lambda: SplitProblem(halved_norm_problem().f, zero_prox_oracle(), dim=2.5), "dim"),
+        (lambda: SplitProblem(halved_norm_problem().f, zero_prox_oracle(), dim=True), "dim"),
+        (lambda: gamma_threshold(np.nan, 1.0), "sigma"),
+        (lambda: gamma_threshold(np.inf, 1.0), "sigma"),
+        (lambda: gamma_threshold(5.0, np.nan), "lipschitz"),
+        (lambda: gamma_threshold(5.0, np.inf), "lipschitz"),
+    ],
+    ids=["t 0", "dim 2.5", "dim True", "sigma nan", "sigma inf", "lipschitz nan", "lipschitz inf"],
+)
+def test_engine_arguments_are_checked_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
