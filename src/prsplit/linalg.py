@@ -37,8 +37,8 @@ def _is_integer(value) -> bool:
 
 def _is_symmetric(M: np.ndarray) -> bool:
     """True when the finite square M equals M^T to within 1e-10 * (1 + max |M_ij|)."""
-    scale = np.max(np.abs(M), initial=0.0)
-    return bool(np.abs(M - M.T).max(initial=0.0) <= 1e-10 * (1.0 + scale))
+    D = M - M.T  # the one m x m temporary; max |X| is max(X.max(), -X.min())
+    return bool(max(D.max(), -D.min()) <= 1e-10 * (1.0 + max(M.max(), -M.min())))
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -91,23 +91,21 @@ class SpdFactorization:
         return self.inv_lower.T @ (self.inv_lower @ rhs)
 
 
-def _invert_lower(L: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular lower-triangular matrix, by 2x2 blocks.
+def _invert_lower(L: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the inverse of a nonsingular lower-triangular L into the zero `out`.
 
     With L = [[A, 0], [B, C]], L^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]];
-    the halves recurse down to leaves of order at most `_INVERSE_LEAF`, and
-    the strictly upper triangle of the result is exactly zero.
+    the halves recurse into views of `out` down to leaves of order at most
+    `_INVERSE_LEAF`, so nothing above the diagonal is written and it stays zero.
     """
     n = L.shape[0]
     if n <= _INVERSE_LEAF:
-        return np.tril(np.linalg.inv(L))
-    h = n // 2
-    a_inv = _invert_lower(L[:h, :h])
-    c_inv = _invert_lower(L[h:, h:])
-    out = np.zeros_like(L)
-    out[:h, :h] = a_inv
-    out[h:, h:] = c_inv
-    out[h:, :h] = -(c_inv @ (L[h:, :h] @ a_inv))
+        out[...] = np.tril(np.linalg.inv(L))
+    else:
+        h = n // 2
+        _invert_lower(L[:h, :h], out[:h, :h])
+        _invert_lower(L[h:, h:], out[h:, h:])
+        out[h:, :h] = -(out[h:, h:] @ (L[h:, :h] @ out[:h, :h]))
     return out
 
 
@@ -120,8 +118,8 @@ def spd_factor(M: np.ndarray) -> SpdFactorization:
     pivot L[j, j]^2 at or below 1e-12 * trace(M) / dim, or a breakdown
     inside LAPACK, is treated as loss of positive definiteness and raises
     :class:`NotPositiveDefiniteError` instead of producing a garbage factor.
-    The checked factor is then inverted once, at about the cost of a second
-    Cholesky, and only L^{-1} is kept.
+    The checked factor is then inverted once, into one m x m array and at
+    about the cost of a second Cholesky, and only L^{-1} is kept.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
@@ -143,4 +141,4 @@ def spd_factor(M: np.ndarray) -> SpdFactorization:
         raise NotPositiveDefiniteError(
             f"pivot {pivots[j]:.3e} at column {j} is at or below the floor {pivot_floor:.3e}"
         )
-    return SpdFactorization(_invert_lower(lower))
+    return SpdFactorization(_invert_lower(lower, np.zeros_like(lower)))

@@ -285,17 +285,28 @@ def load_instance(path) -> FeasibilityInstance:
     """Read an instance written by :func:`save_instance`.
 
     Raises ``ValueError`` on a file that does not describe one: a missing
-    header, a header r or bound :class:`SparseBoxSet` rejects, a line count
-    other than m + 3 (so a file in the older two-line support layout fails
-    here), an A row, b or x_true line of the wrong length, non-finite
-    numbers, or an x_true with more than r nonzeros.
+    header, a header m, n, r or seed that is not an integer, a shape
+    :func:`gen_feasibility` refuses (:func:`check_shape`), a header r or
+    bound :class:`SparseBoxSet` rejects, a line count other than m + 3 (so a
+    file in the older two-line support layout fails here), an A row, b or
+    x_true line of the wrong length, non-finite numbers, an x_true with more
+    than r nonzeros, or an x_true that does not solve A x = b to rounding:
+    |A x_true - b| must be at most 1e-10 * |A|_F * |x_true| (2-norms), which
+    bounds the rounding of A x_true for any n below about 4e5.
     """
     with open(path, "r", encoding="ascii") as handle:
         lines = [line.strip() for line in handle if line.strip()]
     header = lines[0].split() if lines else []
     if len(header) != 5:
         raise ValueError("expected a header line 'm n r seed bound'")
-    m, n, r, seed = (int(tok) for tok in header[:4])
+    ints = []
+    for name, tok in zip(("m", "n", "r", "seed"), header):
+        try:
+            ints.append(int(tok))
+        except ValueError:
+            raise ValueError(f"header field {name} must be an integer, got {tok!r}") from None
+    m, n, r, seed = ints
+    check_shape(m, n)
     bound = SparseBoxSet(r, float(header[4])).bound  # the set's own checks of r and bound
     if len(lines) != m + 3:
         raise ValueError(f"expected {m + 3} lines for an {m} x {n} instance, got {len(lines)}")
@@ -313,4 +324,7 @@ def load_instance(path) -> FeasibilityInstance:
     nonzeros = np.count_nonzero(x_true)
     if nonzeros > r:
         raise ValueError(f"x_true has {nonzeros} nonzeros, header caps them at r = {r}")
+    residual, tol = np.linalg.norm(A @ x_true - b), 1e-10 * np.linalg.norm(A) * np.linalg.norm(x_true)
+    if not residual <= tol:
+        raise ValueError(f"x_true does not solve A x = b: |A x_true - b| = {residual:.3e} > {tol:.3e}")
     return FeasibilityInstance(A=A, b=b, r=r, bound=bound, seed=seed, x_true=x_true)

@@ -12,6 +12,8 @@ from prsplit.linalg import (
     spectral_norm_sq,
 )
 
+LEAF = linalg._INVERSE_LEAF
+
 
 def test_spectral_norm_sq_diagonal():
     value = spectral_norm_sq(np.diag([2.0, 1.0]))
@@ -84,7 +86,9 @@ def test_spd_factor_gram_matrix_residual():
 
 
 def test_spd_factor_reconstructs_matrix():
-    for seed, dim in [(0, 5), (1, 40), (2, 200)]:
+    # 65, 131 and 500 split oddly at several levels of the blocked inverse,
+    # whose blocks are written into views of one array.
+    for seed, dim in [(0, 5), (1, 40), (2, 200), (3, 2 * LEAF + 1), (4, 4 * LEAF + 3), (5, 500)]:
         B = rng_from_seed(seed).standard_normal((dim, dim))
         M = B @ B.T + 0.5 * dim * np.eye(dim)
         factor = spd_factor(M)
@@ -161,9 +165,6 @@ def test_solve_rejects_non_finite_rhs(bad):
     factor = spd_factor(np.diag([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         factor.solve(np.array([1.0, bad, 0.0]))
-
-
-LEAF = linalg._INVERSE_LEAF
 
 
 @pytest.mark.parametrize("dim", [1, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF, 2 * LEAF + 1, 200])

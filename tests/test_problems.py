@@ -496,8 +496,10 @@ def test_load_instance_rejects_a_file_in_the_support_layout(tmp_path):
         (4, "-1.0", "bound must be positive"),
         (4, "0", "bound must be positive"),
         (2, "0", "cardinality cap r must be an integer of at least 1, got 0"),
+        (0, "5e1", r"^header field m must be an integer, got '5e1'$"),
+        (3, "1.5", r"^header field seed must be an integer, got '1.5'$"),
     ],
-    ids=["nan bound", "negative bound", "zero bound", "zero r"],
+    ids=["nan bound", "negative bound", "zero bound", "zero r", "float m", "float seed"],
 )
 def test_load_instance_rejects_a_bad_header_r_or_bound(tmp_path, field, token, match):
     path, lines = saved_lines(tmp_path)
@@ -505,6 +507,29 @@ def test_load_instance_rejects_a_bad_header_r_or_bound(tmp_path, field, token, m
     header[field] = token
     lines[0] = " ".join(header)
     rejects(path, lines, match)
+
+
+def test_load_instance_rejects_a_shape_gen_feasibility_refuses(tmp_path):
+    # A consistent 1 x 3 file: every line has its length, yet m < 5.
+    rejects(tmp_path / "instance.txt", ["1 3 1 0 1.0", "1 2 3", "1", "0 0 0"], r"^m must be at least 5, got 1x3$")
+
+
+def test_load_instance_rejects_an_x_true_that_does_not_solve_a_x_b(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    x_true = lines[14].split()
+    i = next(k for k, tok in enumerate(x_true) if float(tok) != 0.0)
+    x_true[i] = repr(float(x_true[i]) * (1 + 1e-8))
+    lines[14] = " ".join(x_true)
+    rejects(path, lines, r"^x_true does not solve A x = b: \|A x_true - b\| = ")
+
+
+def test_load_instance_accepts_b_off_by_rounding(tmp_path):
+    path, lines = saved_lines(tmp_path)
+    b = [float(tok) for tok in lines[13].split()]
+    b[0] = float(np.nextafter(b[0], np.inf))
+    lines[13] = " ".join(repr(v) for v in b)
+    path.write_text("\n".join(lines) + "\n")
+    assert load_instance(path).b[0] == b[0]
 
 
 @pytest.mark.parametrize("name, line", [("A", 5), ("b", 13), ("x_true", 14)])
