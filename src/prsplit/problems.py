@@ -67,13 +67,14 @@ SUCCESS_THRESHOLD = 1e-12
 FAILURE_THRESHOLD = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeasibilityInstance:
-    """A planted sparse-feasibility instance; immutable after generation.
+    """A planted sparse-feasibility instance, checked once when it is built.
 
-    The planted point ``x_true`` has at most ``r`` nonzeros and satisfies
-    A x_true = b by construction. The affine set caches its factorization,
-    so reuse ``affine_set()`` rather than rebuilding from A and b.
+    :class:`SparseBoxSet` checks r and bound; :class:`AffineSet` checks A and
+    b, factors A A^T and raises :class:`RankDeficientError` without full row
+    rank; x_true must hold n finite entries, at most r nonzero. A x_true = b is
+    the maker's part (:func:`load_instance` tests it). Modify no array in place.
     """
 
     A: np.ndarray
@@ -82,7 +83,16 @@ class FeasibilityInstance:
     bound: float
     seed: int
     x_true: np.ndarray
-    _cset: AffineSet | None = field(default=None, repr=False, compare=False)
+    _dset: SparseBoxSet = field(init=False, repr=False, compare=False)
+    _cset: AffineSet = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        dset, cset = SparseBoxSet(self.r, self.bound), AffineSet(self.A, self.b)
+        x_true = np.asarray(self.x_true, dtype=float)
+        if x_true.shape != (cset.dim,) or not np.isfinite(x_true).all() or np.count_nonzero(x_true) > self.r:
+            raise ValueError(f"x_true must hold n = {cset.dim} finite entries, at most r = {self.r} of them nonzero")
+        for name, value in (("A", cset.A), ("b", cset.b), ("x_true", x_true), ("_dset", dset), ("_cset", cset)):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -93,12 +103,10 @@ class FeasibilityInstance:
         return self.A.shape[1]
 
     def affine_set(self) -> AffineSet:
-        if self._cset is None:
-            self._cset = AffineSet(self.A, self.b)
         return self._cset
 
     def sparse_set(self) -> SparseBoxSet:
-        return SparseBoxSet(self.r, self.bound)
+        return self._dset
 
 
 @dataclass(frozen=True)
@@ -284,47 +292,46 @@ def save_instance(inst: FeasibilityInstance, path) -> None:
 def load_instance(path) -> FeasibilityInstance:
     """Read an instance written by :func:`save_instance`.
 
-    Raises ``ValueError`` on a file that does not describe one: a missing
-    header, a header m, n, r or seed that is not an integer, a shape
-    :func:`gen_feasibility` refuses (:func:`check_shape`), a header r or
-    bound :class:`SparseBoxSet` rejects, a line count other than m + 3 (so a
-    file in the older two-line support layout fails here), an A row, b or
-    x_true line of the wrong length, non-finite numbers, an x_true with more
-    than r nonzeros, or an x_true that does not solve A x = b to rounding:
-    |A x_true - b| must be at most 1e-10 * |A|_F * |x_true| (2-norms), which
-    bounds the rounding of A x_true for any n below about 4e5.
+    Raises ``ValueError`` on a file that does not describe one. Parsing
+    checks the header (integer m, n, r and seed, a number bound; the shape
+    by :func:`check_shape`), the line count m + 3 (so the older two-line
+    support layout fails), each line's length and that each token is a
+    number, naming the field or line at fault. The built
+    :class:`FeasibilityInstance` checks its fields. Last, x_true must solve
+    A x = b to rounding: |A x_true - b| <= 1e-10 * |A|_F * |x_true|
+    (2-norms), which bounds the rounding of A x_true for any n below 4e5.
     """
     with open(path, "r", encoding="ascii") as handle:
         lines = [line.strip() for line in handle if line.strip()]
     header = lines[0].split() if lines else []
     if len(header) != 5:
         raise ValueError("expected a header line 'm n r seed bound'")
-    ints = []
-    for name, tok in zip(("m", "n", "r", "seed"), header):
+    fields = []
+    for name, tok in zip(("m", "n", "r", "seed", "bound"), header):
+        kind, noun = (float, "a number") if name == "bound" else (int, "an integer")
         try:
-            ints.append(int(tok))
+            fields.append(kind(tok))
         except ValueError:
-            raise ValueError(f"header field {name} must be an integer, got {tok!r}") from None
-    m, n, r, seed = ints
+            raise ValueError(f"header field {name} must be {noun}, got {tok!r}") from None
+    m, n, r, seed, bound = fields
     check_shape(m, n)
-    bound = SparseBoxSet(r, float(header[4])).bound  # the set's own checks of r and bound
     if len(lines) != m + 3:
         raise ValueError(f"expected {m + 3} lines for an {m} x {n} instance, got {len(lines)}")
     shapes = [(f"A row {i}", "n", n) for i in range(1, m + 1)] + [("b", "m", m), ("x_true", "n", n)]
     blocks = []
     for line, (name, axis, size) in zip(lines[1:], shapes):
-        block = [float(tok) for tok in line.split()]
+        block = line.split()
         if len(block) != size:
             raise ValueError(f"{name} has {len(block)} entries, header says {axis} = {size}")
+        for j, tok in enumerate(block):
+            try:
+                block[j] = float(tok)
+            except ValueError:
+                raise ValueError(f"{name} holds {tok!r}, which is not a number") from None
         blocks.append(block)
     A, b, x_true = np.array(blocks[:m]).reshape(m, n), np.array(blocks[m]), np.array(blocks[m + 1])
-    for name, data in (("A", A), ("b", b), ("x_true", x_true)):
-        if not np.all(np.isfinite(data)):
-            raise ValueError(f"{name} holds non-finite entries")
-    nonzeros = np.count_nonzero(x_true)
-    if nonzeros > r:
-        raise ValueError(f"x_true has {nonzeros} nonzeros, header caps them at r = {r}")
+    inst = FeasibilityInstance(A=A, b=b, r=r, bound=bound, seed=seed, x_true=x_true)
     residual, tol = np.linalg.norm(A @ x_true - b), 1e-10 * np.linalg.norm(A) * np.linalg.norm(x_true)
     if not residual <= tol:
         raise ValueError(f"x_true does not solve A x = b: |A x_true - b| = {residual:.3e} > {tol:.3e}")
-    return FeasibilityInstance(A=A, b=b, r=r, bound=bound, seed=seed, x_true=x_true)
+    return inst

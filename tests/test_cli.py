@@ -207,24 +207,33 @@ def test_bench_without_trials_runs_the_preset_table_count(preset, monkeypatch, c
         assert configs[-1] == BenchConfig()
 
 
-@pytest.mark.parametrize("damage", ["truncated", "nan bound", "short row"])
+@pytest.mark.parametrize("damage", ["truncated", "nan bound", "short row", "non-number bound", "rank deficient"])
 def test_solve_rejects_a_malformed_instance_file(damage, tmp_path, capsys):
     path = tmp_path / "inst.txt"
     assert main(["solve", "--m", "10", "--n", "40", "--max-iter", "1", "--save-instance", str(path)]) == 0
     lines = path.read_text().splitlines()
     if damage == "truncated":
         lines = lines[:-2]
-    elif damage == "nan bound":
-        lines[0] = " ".join(lines[0].split()[:4] + ["nan"])
-    else:
+    elif damage in ("nan bound", "non-number bound"):
+        lines[0] = " ".join(lines[0].split()[:4] + ["nan" if damage == "nan bound" else "1e6x"])
+    elif damage == "short row":
         lines[4] = " ".join(lines[4].split()[:-1])
+    else:  # A row 2 := row 1 and b entry 2 := entry 1, so A x_true = b still holds
+        lines[2] = lines[1]
+        b = lines[11].split()
+        lines[11] = " ".join([b[0], b[0]] + b[2:])
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["solve", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    if damage == "short row":
-        assert err == "error: A row 4 has 39 entries, header says n = 40\n"
+    expected = {
+        "short row": "A row 4 has 39 entries, header says n = 40",
+        "non-number bound": "header field bound must be a number, got '1e6x'",
+        "rank deficient": "A (10 x 40) does not have full row rank: its rows are linearly dependent",
+    }
+    if damage in expected:
+        assert err == f"error: {expected[damage]}\n"
 
 
 def test_solve_rejects_missing_instance(capsys):

@@ -1,5 +1,6 @@
 """Tests for instance generation, problem builders, and classification."""
 
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -8,12 +9,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from prsplit import oracles
 from prsplit.linalg import rng_from_seed, spectral_norm_sq
 from prsplit.oracles import (
     AffineSet,
     BoxSet,
     ProxOracle,
     ProxShiftError,
+    RankDeficientError,
     SmoothOracle,
     SparseBoxSet,
     shift_split,
@@ -38,6 +41,47 @@ def tiny_instance():
     A = np.array([[1.0, 2.0, 0.0, -1.0], [0.0, 1.0, 3.0, 1.0]])
     x_true = np.array([0.0, 0.0, 2.0, 0.0])
     return FeasibilityInstance(A=A, b=A @ x_true, r=1, bound=1e6, seed=-1, x_true=x_true)
+
+
+# ------------------------------------------------------------ instance checks
+
+
+def test_feasibility_instance_is_frozen():
+    inst = tiny_instance()
+    for name in ("A", "b", "r", "bound", "seed", "x_true"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(inst, name, getattr(inst, name))
+
+
+def test_feasibility_instance_rejects_a_rank_deficient_a():
+    inst = tiny_instance()
+    A = np.vstack([inst.A, inst.A[0]])
+    message = r"^A \(3 x 4\) does not have full row rank: its rows are linearly dependent$"
+    with pytest.raises(RankDeficientError, match=message):
+        FeasibilityInstance(A=A, b=A @ inst.x_true, r=1, bound=1e6, seed=-1, x_true=inst.x_true)
+
+
+@pytest.mark.parametrize(
+    "x_true",
+    [np.zeros(3), np.array([0.0, 0.0, np.nan, 0.0]), np.array([0.0, 0.0, np.inf, 0.0]), np.array([1.0, 0.0, 2.0, 0.0])],
+    ids=["wrong length", "nan", "inf", "over the cap"],
+)
+def test_feasibility_instance_names_a_bad_x_true(x_true):
+    A = tiny_instance().A
+    with pytest.raises(ValueError, match=r"^x_true must hold n = 4 finite entries, at most r = 1 of them nonzero$"):
+        FeasibilityInstance(A=A, b=np.zeros(2), r=1, bound=1e6, seed=-1, x_true=x_true)
+
+
+def test_spd_factor_runs_once_per_instance(monkeypatch):
+    shapes = []
+    factor = oracles.spd_factor
+    monkeypatch.setattr(oracles, "spd_factor", lambda M: shapes.append(M.shape) or factor(M))
+    inst = gen_feasibility(10, 40, 3)
+    assert shapes == [(10, 10)]  # paid when the instance is drawn
+    for build in (build_feasibility_pr, build_feasibility_dr):
+        build(inst)
+    evaluate_fval(inst.x_true, inst)
+    assert shapes == [(10, 10)]
 
 
 # ------------------------------------------------------------------ generation
@@ -476,7 +520,7 @@ def test_load_instance_rejects_more_than_r_support_positions(tmp_path):
     x_true = lines[14].split()
     x_true[x_true.index("0.0")] = "1.0"
     lines[14] = " ".join(x_true)
-    rejects(path, lines, r"^x_true has 4 nonzeros, header caps them at r = 3$")
+    rejects(path, lines, r"^x_true must hold n = 40 finite entries, at most r = 3 of them nonzero$")
 
 
 def test_load_instance_rejects_a_file_in_the_support_layout(tmp_path):
@@ -498,8 +542,9 @@ def test_load_instance_rejects_a_file_in_the_support_layout(tmp_path):
         (2, "0", "cardinality cap r must be an integer of at least 1, got 0"),
         (0, "5e1", r"^header field m must be an integer, got '5e1'$"),
         (3, "1.5", r"^header field seed must be an integer, got '1.5'$"),
+        (4, "1e6x", r"^header field bound must be a number, got '1e6x'$"),
     ],
-    ids=["nan bound", "negative bound", "zero bound", "zero r", "float m", "float seed"],
+    ids=["nan bound", "negative bound", "zero bound", "zero r", "float m", "float seed", "non-number bound"],
 )
 def test_load_instance_rejects_a_bad_header_r_or_bound(tmp_path, field, token, match):
     path, lines = saved_lines(tmp_path)
@@ -532,8 +577,36 @@ def test_load_instance_accepts_b_off_by_rounding(tmp_path):
     assert load_instance(path).b[0] == b[0]
 
 
-@pytest.mark.parametrize("name, line", [("A", 5), ("b", 13), ("x_true", 14)])
-def test_load_instance_rejects_non_finite_entries(tmp_path, name, line):
+@pytest.mark.parametrize(
+    "line, match",
+    [
+        (5, r"^A holds NaN or infinite entries, first in row 4$"),
+        (13, r"^b holds NaN or infinite entries$"),
+        (14, r"^x_true must hold n = 40 finite entries, at most r = 3 of them nonzero$"),
+    ],
+    ids=["A-5", "b-13", "x_true-14"],
+)
+def test_load_instance_rejects_non_finite_entries(tmp_path, line, match):
+    # The instance checks its data, so A's rows count from 0 as AffineSet's do.
     path, lines = saved_lines(tmp_path)
     lines[line] = " ".join(["nan"] + lines[line].split()[1:])
-    rejects(path, lines, f"{name} holds non-finite")
+    rejects(path, lines, match)
+
+
+@pytest.mark.parametrize("name, line", [("A row 2", 2), ("b", 13), ("x_true", 14)])
+def test_load_instance_names_a_token_that_is_not_a_number(tmp_path, name, line):
+    path, lines = saved_lines(tmp_path)
+    lines[line] = " ".join(["0.1.2"] + lines[line].split()[1:])
+    rejects(path, lines, f"^{name} holds '0.1.2', which is not a number$")
+
+
+def test_load_instance_rejects_a_rank_deficient_a(tmp_path):
+    # A row 2 repeats row 1 and b entry 2 repeats entry 1, so A x_true = b still holds.
+    path, lines = saved_lines(tmp_path)
+    lines[2] = lines[1]
+    b = lines[13].split()
+    lines[13] = " ".join([b[0], b[0]] + b[2:])
+    path.write_text("\n".join(lines) + "\n")
+    message = r"^A \(12 x 40\) does not have full row rank: its rows are linearly dependent$"
+    with pytest.raises(RankDeficientError, match=message):
+        load_instance(path)
