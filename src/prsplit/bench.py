@@ -180,30 +180,41 @@ def solve_trial(
     return report, fval, outcome, seconds
 
 
+# (iterations, fval, outcome, seconds) of a trial whose draw, build or solve raised.
+_FAILED_TRIAL = (0, np.inf, "failure", 0.0)
+
+
 def run_bench(cfg: BenchConfig, progress=None) -> list[BenchRow]:
     """Solve every (pair, trial, method) cell and aggregate per-row statistics.
 
     Each instance is generated once, solved by every method through
     :func:`solve_trial` and dropped before the next is drawn, so one instance
     is in memory at a time. A diverged run counts as a failure (its terminal
-    quality value still enters the extremes). A trial whose build or solve
+    quality value still enters the extremes). A method whose build or solve
     raises ``ValueError`` (a step that makes a shifted prox ill-posed raises
     :class:`ProxShiftError`, one of these) or ``np.linalg.LinAlgError`` also
     counts as a failure, with quality ``inf``, 0 iterations and 0 seconds,
-    and the table is finished. `progress`, if given, is called with one line
-    of text per (pair, method) row, once all trials of the pair are done.
+    and so does every method of a trial whose draw raises one (a
+    rank-deficient A raises :class:`RankDeficientError`); the table is
+    finished. `progress`, if given, is called with one line of text per
+    (pair, method) row, once all trials of the pair are done.
     """
     rows: list[BenchRow] = []
     for m, n in cfg.pairs:
         results: dict[str, list] = {method: [] for method in cfg.methods}
         for trial in range(cfg.trials):
-            inst = gen_feasibility(m, n, trial_seed(cfg.base_seed, m, n, trial))
+            try:
+                inst = gen_feasibility(m, n, trial_seed(cfg.base_seed, m, n, trial))
+            except (ValueError, np.linalg.LinAlgError):
+                for method in cfg.methods:
+                    results[method].append(_FAILED_TRIAL)
+                continue
             for method in cfg.methods:
                 try:
                     report, fval, outcome, seconds = solve_trial(inst, solver_config(cfg, method))
                     results[method].append((report.iterations, fval, outcome, seconds))
                 except (ValueError, np.linalg.LinAlgError):
-                    results[method].append((0, np.inf, "failure", 0.0))
+                    results[method].append(_FAILED_TRIAL)
             del inst  # before the next draw, so two instances never coexist
         for method in cfg.methods:
             iterations, fvals, outcomes, seconds = zip(*results[method])

@@ -66,8 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--m", type=int, default=100)
     solve.add_argument("--n", type=int, default=1000)
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--instance", default=None, help="load a saved instance instead of generating")
-    solve.add_argument("--save-instance", default=None, help="write the instance to this path")
+    solve.add_argument("--instance", default=None, help="load an instance .npz written by --save-instance")
+    solve.add_argument("--save-instance", default=None, help="write the instance as .npz to exactly this path")
     solve.add_argument("--method", choices=tuple(METHOD_STEPS), default=SolverConfig.method)
     solve.add_argument("--tol", type=float, default=SolverConfig.tol)
     solve.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)

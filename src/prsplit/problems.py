@@ -30,7 +30,10 @@ the band between (the band counts toward neither).
 from __future__ import annotations
 
 import math
+import re
 import weakref
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +70,7 @@ SUCCESS_THRESHOLD = 1e-12
 FAILURE_THRESHOLD = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityInstance:
     """A planted sparse-feasibility instance, checked once when it is built.
 
@@ -75,6 +78,7 @@ class FeasibilityInstance:
     b, factors A A^T and raises :class:`RankDeficientError` without full row
     rank; x_true must hold n finite entries, at most r nonzero. A x_true = b is
     the maker's part (:func:`load_instance` tests it). Modify no array in place.
+    An instance equals only itself, and hashes by identity.
     """
 
     A: np.ndarray
@@ -83,8 +87,8 @@ class FeasibilityInstance:
     bound: float
     seed: int
     x_true: np.ndarray
-    _dset: SparseBoxSet = field(init=False, repr=False, compare=False)
-    _cset: AffineSet = field(init=False, repr=False, compare=False)
+    _dset: SparseBoxSet = field(init=False, repr=False)
+    _cset: AffineSet = field(init=False, repr=False)
 
     def __post_init__(self):
         dset, cset = SparseBoxSet(self.r, self.bound), AffineSet(self.A, self.b)
@@ -109,7 +113,7 @@ class FeasibilityInstance:
         return self._dset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LsInstance:
     """Data and constraint set of a constrained least-squares problem.
 
@@ -120,7 +124,8 @@ class LsInstance:
     Do not modify A or b in place once a problem is built from them: the
     problem keeps an eigendecomposition of their Gram matrix, and problems
     built from the same A and b arrays share it (see
-    :func:`build_constrained_ls`).
+    :func:`build_constrained_ls`). An instance equals only itself, and
+    hashes by identity.
     """
 
     A: np.ndarray
@@ -154,10 +159,12 @@ def gen_feasibility(m: int, n: int, seed: int) -> FeasibilityInstance:
 
     All draws come from one seeded stream in a fixed order (A row-major,
     then the r support values, then the support positions by a seeded
-    shuffle), so the instance is a pure function of (m, n, seed). Its entry
-    bound is :class:`SparseBoxSet`'s default.
+    shuffle), so the instance is a pure function of (m, n, seed); the seed
+    must be an integer. Its entry bound is :class:`SparseBoxSet`'s default.
     """
     check_shape(m, n)
+    if not _is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     r = math.ceil(m / 5)
     rng = rng_from_seed(seed)
     A = rng.standard_normal((m, n))
@@ -274,63 +281,62 @@ def classify(fval: float) -> str:
 
 
 def save_instance(inst: FeasibilityInstance, path) -> None:
-    """Write an instance to a plain-text file for exact reproduction.
+    """Write an instance to `path`, with no suffix added, as one ``.npz`` archive.
 
-    Format: a header line "m n r seed bound", then m + 2 lines of floats:
-    the m rows of A (n entries each), b (m entries) and the planted point
-    x_true (n entries, zeros included). Floats use repr precision, so a load
-    reproduces the instance bit for bit. Files written before x_true was
-    stored densely (support positions and values on two lines) do not load.
+    The seed is stored as its decimal string, so any integer seed, even one
+    past 64 bits, reloads exactly, as A, b, x_true, r and bound do, and
+    nothing is pickled.
     """
-    lines = [f"{inst.m} {inst.n} {inst.r} {inst.seed} {float(inst.bound)!r}"]
-    for row in (*inst.A, inst.b, inst.x_true):
-        lines.append(" ".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+    with open(path, "wb") as handle:
+        np.savez(handle, A=inst.A, b=inst.b, x_true=inst.x_true, r=inst.r, seed=str(inst.seed), bound=float(inst.bound))
+
+
+# The arrays of an instance file, each with its dimension and the numpy type of its dtype.
+_FILE_ARRAYS = {
+    "A": (2, np.float64),
+    "b": (1, np.float64),
+    "x_true": (1, np.float64),
+    "r": (0, np.integer),
+    "seed": (0, np.str_),
+    "bound": (0, np.float64),
+}
 
 
 def load_instance(path) -> FeasibilityInstance:
-    """Read an instance written by :func:`save_instance`.
+    """Read an instance written by :func:`save_instance`; ValueError if the file is not one.
 
-    Raises ``ValueError`` on a file that does not describe one. Parsing
-    checks the header (integer m, n, r and seed, a number bound; the shape
-    by :func:`check_shape`), the line count m + 3 (so the older two-line
-    support layout fails), each line's length and that each token is a
-    number, naming the field or line at fault. The built
-    :class:`FeasibilityInstance` checks its fields. Last, x_true must solve
-    A x = b to rounding: |A x_true - b| <= 1e-10 * |A|_F * |x_true|
-    (2-norms), which bounds the rounding of A x_true for any n below 4e5.
+    A file that is not an ``.npz`` archive of plain arrays (empty, truncated,
+    text or ``.npy``) fails naming the file. The archive must hold exactly
+    the six arrays that :func:`save_instance` writes: float64 A (2-d), b and
+    x_true (1-d) and bound (0-d), an integer r and a decimal seed string,
+    with a shape :func:`gen_feasibility` accepts and b and x_true to match
+    it. The built :class:`FeasibilityInstance` checks the values.
+    Last, x_true must solve A x = b to rounding: |A x_true - b| <= 1e-10 *
+    |A|_F * |x_true| (2-norms), which bounds the rounding of A x_true for
+    any n below 4e5.
     """
-    with open(path, "r", encoding="ascii") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
-    header = lines[0].split() if lines else []
-    if len(header) != 5:
-        raise ValueError("expected a header line 'm n r seed bound'")
-    fields = []
-    for name, tok in zip(("m", "n", "r", "seed", "bound"), header):
-        kind, noun = (float, "a number") if name == "bound" else (int, "an integer")
-        try:
-            fields.append(kind(tok))
-        except ValueError:
-            raise ValueError(f"header field {name} must be {noun}, got {tok!r}") from None
-    m, n, r, seed, bound = fields
+    try:
+        with open(path, "rb") as handle:
+            data = np.load(handle, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):  # a .npy file loads as one array
+                raise ValueError
+            arrays = {key: np.asarray(data[key]) for key in data.files}
+    except (EOFError, ValueError, zipfile.BadZipFile, zlib.error):
+        raise ValueError(f"{path} is not an instance file: expected an .npz archive of arrays") from None
+    if sorted(arrays) != sorted(_FILE_ARRAYS):
+        raise ValueError(f"{path} must hold exactly the arrays {', '.join(_FILE_ARRAYS)}, got {', '.join(arrays)}")
+    for key, value in arrays.items():
+        ndim, kind = _FILE_ARRAYS[key]
+        if value.ndim != ndim or not np.issubdtype(value.dtype, kind):
+            raise ValueError(f"{key} must be a {ndim}-d {kind.__name__} array, got {value.ndim}-d {value.dtype}")
+    A, b, x_true, seed = arrays["A"], arrays["b"], arrays["x_true"], str(arrays["seed"])
+    if not re.fullmatch(r"-?[0-9]+", seed):
+        raise ValueError(f"seed must be a decimal integer, got {seed!r}")
+    (m, n), r, bound = A.shape, int(arrays["r"]), float(arrays["bound"])
     check_shape(m, n)
-    if len(lines) != m + 3:
-        raise ValueError(f"expected {m + 3} lines for an {m} x {n} instance, got {len(lines)}")
-    shapes = [(f"A row {i}", "n", n) for i in range(1, m + 1)] + [("b", "m", m), ("x_true", "n", n)]
-    blocks = []
-    for line, (name, axis, size) in zip(lines[1:], shapes):
-        block = line.split()
-        if len(block) != size:
-            raise ValueError(f"{name} has {len(block)} entries, header says {axis} = {size}")
-        for j, tok in enumerate(block):
-            try:
-                block[j] = float(tok)
-            except ValueError:
-                raise ValueError(f"{name} holds {tok!r}, which is not a number") from None
-        blocks.append(block)
-    A, b, x_true = np.array(blocks[:m]).reshape(m, n), np.array(blocks[m]), np.array(blocks[m + 1])
-    inst = FeasibilityInstance(A=A, b=b, r=r, bound=bound, seed=seed, x_true=x_true)
+    if b.shape != (m,) or x_true.shape != (n,):
+        raise ValueError(f"A is {m} x {n}, so b needs {m} entries and x_true {n}; got {b.size} and {x_true.size}")
+    inst = FeasibilityInstance(A=A, b=b, r=r, bound=bound, seed=int(seed), x_true=x_true)
     residual, tol = np.linalg.norm(A @ x_true - b), 1e-10 * np.linalg.norm(A) * np.linalg.norm(x_true)
     if not residual <= tol:
         raise ValueError(f"x_true does not solve A x = b: |A x_true - b| = {residual:.3e} > {tol:.3e}")

@@ -23,6 +23,7 @@ from prsplit.bench import (
     trial_seed,
 )
 from prsplit.cli import main
+from prsplit.oracles import RankDeficientError
 from prsplit.problems import classify, gen_feasibility
 from prsplit.splitting import SolverConfig
 
@@ -266,6 +267,28 @@ def test_run_bench_counts_a_raising_build_as_failure(monkeypatch):
     pr, dr = run_bench(small_config())
     assert strip_seconds(render_csv([pr])) == strip_seconds(render_csv(pr_alone))
     assert (dr.failures, dr.mean_iterations, dr.fval_min, dr.mean_seconds) == (2, 0.0, np.inf, 0.0)
+
+
+def test_run_bench_counts_a_raising_draw_as_failure(monkeypatch):
+    # A draw that raises (a rank-deficient A raises RankDeficientError) fails
+    # every method of its trial; the table is finished, and the other trial
+    # is solved as it is alone.
+    cfg = small_config()
+    [(m, n)] = cfg.pairs
+    real_gen_feasibility = bench.gen_feasibility
+
+    def rank_deficient_second_draw(m, n, seed):
+        if seed == trial_seed(cfg.base_seed, m, n, 1):
+            raise RankDeficientError(f"A ({m} x {n}) does not have full row rank")
+        return real_gen_feasibility(m, n, seed)
+
+    first_alone = run_bench(small_config(trials=1))
+    monkeypatch.setattr(bench, "gen_feasibility", rank_deficient_second_draw)
+    rows = run_bench(cfg)
+    assert [row.method for row in rows] == list(cfg.methods)
+    for row, alone in zip(rows, first_alone):
+        assert (row.successes, row.undecided, row.failures) == (alone.successes, alone.undecided, alone.failures + 1)
+        assert (row.mean_iterations, row.fval_min, row.fval_max) == (alone.mean_iterations / 2, alone.fval_min, np.inf)
 
 
 def peak_traced_bytes(cfg):

@@ -117,7 +117,7 @@ def test_solve_prints_summary(capsys):
 
 def test_solve_trace_and_instance_round_trip(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
-    saved = tmp_path / "instance.txt"
+    saved = tmp_path / "instance.npz"
     code = main(
         [
             "solve",
@@ -207,33 +207,78 @@ def test_bench_without_trials_runs_the_preset_table_count(preset, monkeypatch, c
         assert configs[-1] == BenchConfig()
 
 
-@pytest.mark.parametrize("damage", ["truncated", "nan bound", "short row", "non-number bound", "rank deficient"])
+def _old_text_layout(arrays):
+    """The plain-text instance file of earlier releases: a header line, A's rows, b and x_true."""
+    m, n = arrays["A"].shape
+    header = f"{m} {n} {arrays['r']} {arrays['seed']} {float(arrays['bound'])!r}"
+    rows = (*arrays["A"], arrays["b"], arrays["x_true"])
+    return "\n".join([header] + [" ".join(repr(float(v)) for v in row) for row in rows]) + "\n"
+
+
+def _write(path, save, *args, **kwargs):
+    """Write through `save` (np.save or np.savez) to exactly `path`."""
+    with open(path, "wb") as handle:
+        save(handle, *args, **kwargs)
+
+
+def _with(array, index, value):
+    """A copy of `array` with `value` at `index`."""
+    out = array.copy()
+    out[index] = value
+    return out
+
+
+# Files that do not open as an .npz archive, each written over a saved instance
+# from the path and the instance's arrays.
+NOT_AN_NPZ = {
+    "empty": lambda path, a: path.write_bytes(b""),
+    "truncated": lambda path, a: path.write_bytes(path.read_bytes()[:-100]),
+    "old text layout": lambda path, a: path.write_text(_old_text_layout(a)),
+    "npy": lambda path, a: _write(path, np.save, a["A"]),
+}
+# Archives with bad contents, each from the arrays of a saved 10 x 40 instance,
+# with the start of its error message (PATH stands for the file's path).
+BAD_ARRAYS = {
+    "missing key": (
+        lambda a: {k: v for k, v in a.items() if k != "seed"},
+        "PATH must hold exactly the arrays A, b, x_true, r, seed, bound, got A, b, x_true, r, bound",
+    ),
+    "extra key": (lambda a: dict(a, m=np.array(10)), "PATH must hold exactly the arrays"),
+    "string A": (lambda a: dict(a, A=a["A"].astype(str)), "A must be a 2-d float64 array, got 2-d <U"),
+    "integer A": (lambda a: dict(a, A=a["A"].astype(np.int64)), "A must be a 2-d float64 array, got 2-d int64"),
+    "short row": (lambda a: dict(a, A=a["A"][:, :-1]), "A is 10 x 39, so b needs 10 entries and x_true 39; got 10"),
+    "long b": (lambda a: dict(a, b=np.append(a["b"], 0.0)), "A is 10 x 40, so b needs 10 entries and x_true 40"),
+    "2-d x_true": (lambda a: dict(a, x_true=a["x_true"][None]), "x_true must be a 1-d float64 array, got 2-d float64"),
+    "non-integer r": (lambda a: dict(a, r=np.array(2.0)), "r must be a 0-d integer array, got 0-d float64"),
+    "nan bound": (lambda a: dict(a, bound=np.array(np.nan)), "bound must be positive"),
+    "non-number bound": (lambda a: dict(a, bound=np.array("1e6x")), "bound must be a 0-d float64 array, got 0-d <U4"),
+    "bad x_true": (lambda a: dict(a, x_true=2 * a["x_true"]), "x_true does not solve A x = b"),
+    "nan in A": (lambda a: dict(a, A=_with(a["A"], (4, 0), np.nan)), "A holds NaN or infinite entries, first in row 4"),
+    "rank deficient": (  # A row 1 := row 0 and b[1] := b[0], so A x_true = b still holds
+        lambda a: dict(a, A=_with(a["A"], 1, a["A"][0]), b=_with(a["b"], 1, a["b"][0])),
+        "A (10 x 40) does not have full row rank: its rows are linearly dependent",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", [*NOT_AN_NPZ, *BAD_ARRAYS])
 def test_solve_rejects_a_malformed_instance_file(damage, tmp_path, capsys):
-    path = tmp_path / "inst.txt"
+    path = tmp_path / "inst.npz"
     assert main(["solve", "--m", "10", "--n", "40", "--max-iter", "1", "--save-instance", str(path)]) == 0
-    lines = path.read_text().splitlines()
-    if damage == "truncated":
-        lines = lines[:-2]
-    elif damage in ("nan bound", "non-number bound"):
-        lines[0] = " ".join(lines[0].split()[:4] + ["nan" if damage == "nan bound" else "1e6x"])
-    elif damage == "short row":
-        lines[4] = " ".join(lines[4].split()[:-1])
-    else:  # A row 2 := row 1 and b entry 2 := entry 1, so A x_true = b still holds
-        lines[2] = lines[1]
-        b = lines[11].split()
-        lines[11] = " ".join([b[0], b[0]] + b[2:])
-    path.write_text("\n".join(lines) + "\n")
+    with np.load(path) as data:
+        arrays = dict(data)
+    if damage in NOT_AN_NPZ:
+        NOT_AN_NPZ[damage](path, arrays)
+        message = "PATH is not an instance file: expected an .npz archive of arrays"
+    else:
+        change, message = BAD_ARRAYS[damage]
+        _write(path, np.savez, **change(arrays))
+    with pytest.raises(ValueError) as raised:
+        load_instance(path)
+    assert str(raised.value).startswith(message.replace("PATH", str(path)))
     capsys.readouterr()
     assert main(["solve", "--instance", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    expected = {
-        "short row": "A row 4 has 39 entries, header says n = 40",
-        "non-number bound": "header field bound must be a number, got '1e6x'",
-        "rank deficient": "A (10 x 40) does not have full row rank: its rows are linearly dependent",
-    }
-    if damage in expected:
-        assert err == f"error: {expected[damage]}\n"
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
 
 
 def test_solve_rejects_missing_instance(capsys):
@@ -241,12 +286,12 @@ def test_solve_rejects_missing_instance(capsys):
     assert code == 2
 
 
-def _bench_rows(threads):
+def _bench_rows(threads, pairs, trials):
     """`prsplit bench` rows from a subprocess with every BLAS thread variable set to `threads`."""
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), str(threads)))
-    args = ["bench", "--pairs", "50x500,100x500", "--trials", "5", "--seed", "42", "--quiet"]
+    args = ["bench", "--pairs", pairs, "--trials", str(trials), "--seed", "42", "--quiet"]
     result = subprocess.run(
         [sys.executable, "-m", "prsplit.cli", *args], env=env, capture_output=True, text=True, timeout=300
     )
@@ -254,13 +299,28 @@ def _bench_rows(threads):
     return parse_csv(result.stdout)
 
 
-def test_bench_table_is_the_same_at_one_and_two_blas_threads():
-    # BLAS reductions can round differently with the thread count, so an fval
-    # far below the success threshold may differ in its printed digit.
-    one, two = _bench_rows(1), _bench_rows(2)
-    assert len(one) == len(two) == 4
+def _assert_same_but_for_rounding(one, two):
+    """Every column but `seconds` equal, or both fvals far below the success threshold.
+
+    BLAS reductions can round differently with the thread count, so an fval
+    far below the success threshold may differ in its printed digit.
+    """
+    assert len(one) == len(two)
     for a, b in zip(one, two):
         fields = ("m", "n", "method", "mean_iterations", "successes", "failures", "undecided")
         assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
         for fval_a, fval_b in ((a.fval_max, b.fval_max), (a.fval_min, b.fval_min)):
             assert fval_a == fval_b or max(fval_a, fval_b) < 1e-12, (a, b)
+
+
+def test_bench_table_is_the_same_at_one_and_two_blas_threads():
+    one, two = (_bench_rows(threads, "50x500,100x500", 5) for threads in (1, 2))
+    assert len(one) == 4
+    _assert_same_but_for_rounding(one, two)
+
+
+def test_bench_table_is_the_same_at_one_and_two_blas_threads_at_full_scale():
+    # The full preset's n, at its smallest m: one trial takes a few seconds per thread count.
+    one, two = (_bench_rows(threads, "100x4000", 1) for threads in (1, 2))
+    assert [row.method for row in one] == ["pr", "dr"]
+    _assert_same_but_for_rounding(one, two)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import re
 import tracemalloc
 import weakref
 
@@ -51,6 +52,13 @@ def test_feasibility_instance_is_frozen():
     for name in ("A", "b", "r", "bound", "seed", "x_true"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(inst, name, getattr(inst, name))
+
+
+def test_feasibility_instance_equals_only_itself():
+    # Field-wise == would compare arrays, whose truth value is ambiguous.
+    inst = gen_feasibility(10, 40, 1)
+    assert inst == inst and inst != gen_feasibility(10, 40, 1)
+    assert len({inst, inst}) == 1
 
 
 def test_feasibility_instance_rejects_a_rank_deficient_a():
@@ -123,6 +131,13 @@ def test_gen_feasibility_rejects_a_non_integer_shape():
     with pytest.raises(ValueError, match=r"^m and n must be integers, got 10x40\.0$"):
         gen_feasibility(10, 40.0, 1)
     assert gen_feasibility(np.int64(10), np.int32(40), 1).A.shape == (10, 40)
+
+
+@pytest.mark.parametrize("seed", [None, 1.0, "1", True])
+def test_gen_feasibility_rejects_a_seed_that_is_not_an_integer(seed):
+    # An instance file stores the seed as its decimal string, so only an integer reproduces.
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
+        gen_feasibility(10, 40, seed)
 
 
 # ----------------------------------------------------------- feasibility split
@@ -243,6 +258,18 @@ def test_ls_instance_converts_array_likes():
     A, b = np.eye(2), np.ones(2)
     same = LsInstance(A=A, b=b, constraint=BoxSet(1.0))
     assert same.A is A and same.b is b
+
+
+def test_ls_instance_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="^A must be m x n with b of length m$"):
+        LsInstance(A=np.eye(4, 3), b=np.ones(3), constraint=BoxSet(1.0))
+
+
+def test_ls_instance_equals_only_itself():
+    A, b = np.eye(2), np.ones(2)
+    inst = LsInstance(A=A, b=b, constraint=BoxSet(1.0))
+    assert inst == inst and inst != LsInstance(A=A, b=b, constraint=BoxSet(1.0))
+    assert len({inst, inst}) == 1
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0)], ids=["no rows", "no columns"])
@@ -455,158 +482,200 @@ def test_classify_rejects_negative():
 
 
 def test_instance_round_trip(tmp_path):
-    inst = gen_feasibility(12, 40, 77)
-    path = tmp_path / "instance.txt"
-    save_instance(inst, path)
-    loaded = load_instance(path)
-    assert (loaded.m, loaded.n, loaded.r, loaded.bound, loaded.seed) == (inst.m, inst.n, inst.r, inst.bound, inst.seed)
-    for name in ("A", "b", "x_true"):
-        assert getattr(loaded, name).tobytes() == getattr(inst, name).tobytes(), name
+    # Seeds past 64 bits too: the file holds the seed's decimal string.
+    path = tmp_path / "instance.npz"
+    for m, n, seed in ((10, 40, 1), (500, 4000, 7), (12, 40, 2**64 - 1), (12, 40, 2**70)):
+        inst = gen_feasibility(m, n, seed)
+        save_instance(inst, path)
+        loaded = load_instance(path)
+        assert (loaded.r, loaded.seed, loaded.bound) == (inst.r, seed, inst.bound)
+        assert (type(loaded.r), type(loaded.seed), type(loaded.bound)) == (int, int, float)
+        for name in ("A", "b", "x_true"):
+            assert getattr(loaded, name).tobytes() == getattr(inst, name).tobytes(), name
+
+
+def test_save_instance_writes_exactly_the_path_given(tmp_path):
+    save_instance(gen_feasibility(10, 40, 1), tmp_path / "x.txt")
+    assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]
+    assert load_instance(tmp_path / "x.txt").seed == 1
+
+
+def saved_arrays(tmp_path, m=12):
+    """Path and arrays of a saved m x 40 instance (r = 3 at m = 12)."""
+    path = tmp_path / "instance.npz"
+    save_instance(gen_feasibility(m, 40, 78), path)
+    with np.load(path) as data:
+        return path, dict(data)
+
+
+def rejects(path, arrays, match, error=ValueError):
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+    with pytest.raises(error, match=match):
+        load_instance(path)
+
+
+def not_an_instance_file(path):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} is not an instance file: "):
+        load_instance(path)
 
 
 def test_load_instance_rejects_truncated_file(tmp_path):
-    inst = gen_feasibility(12, 40, 78)
-    path = tmp_path / "instance.txt"
-    save_instance(inst, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-2]) + "\n")
-    with pytest.raises(ValueError):
-        load_instance(path)
-
-
-def saved_lines(tmp_path):
-    """Lines of a saved 12 x 40 instance (r = 3): header, A rows 1-12, b, x_true."""
-    path = tmp_path / "instance.txt"
-    save_instance(gen_feasibility(12, 40, 78), path)
-    return path, path.read_text().splitlines()
-
-
-def rejects(path, lines, match):
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=match):
-        load_instance(path)
-
-
-def test_ls_instance_rejects_mismatched_shapes():
-    with pytest.raises(ValueError, match="^A must be m x n with b of length m$"):
-        LsInstance(A=np.eye(4, 3), b=np.ones(3), constraint=BoxSet(1.0))
-
-
-def test_load_instance_rejects_an_a_block_of_the_wrong_width(tmp_path):
-    path, lines = saved_lines(tmp_path)
-    lines[1:13] = [" ".join(row.split()[:-1]) for row in lines[1:13]]
-    rejects(path, lines, r"^A row 1 has 39 entries, header says n = 40$")
-
-
-def test_load_instance_names_one_short_a_row(tmp_path):
-    path, lines = saved_lines(tmp_path)
-    lines[4] = " ".join(lines[4].split()[:-1])
-    rejects(path, lines, r"^A row 4 has 39 entries, header says n = 40$")
+    path, _ = saved_arrays(tmp_path)
+    path.write_bytes(path.read_bytes()[:-100])
+    not_an_instance_file(path)
 
 
 def test_load_instance_rejects_empty_file(tmp_path):
-    path = tmp_path / "instance.txt"
-    rejects(path, [], "header line")
+    path = tmp_path / "instance.npz"
+    path.write_bytes(b"")
+    not_an_instance_file(path)
 
 
-def test_load_instance_rejects_short_b_line(tmp_path):
-    path, lines = saved_lines(tmp_path)
-    lines[13] = " ".join(lines[13].split()[:-1])
-    rejects(path, lines, "b has 11 entries")
-
-
-def test_load_instance_rejects_more_than_r_support_positions(tmp_path):
-    path, lines = saved_lines(tmp_path)
-    x_true = lines[14].split()
-    x_true[x_true.index("0.0")] = "1.0"
-    lines[14] = " ".join(x_true)
-    rejects(path, lines, r"^x_true must hold n = 40 finite entries, at most r = 3 of them nonzero$")
+def old_text_lines(arrays):
+    """The plain-text layout instance files had before .npz: a header line, A's rows, b, x_true."""
+    m, n = arrays["A"].shape
+    header = f"{m} {n} {arrays['r']} {arrays['seed']} {float(arrays['bound'])!r}"
+    return [header] + [" ".join(repr(float(v)) for v in row) for row in (*arrays["A"], arrays["b"], arrays["x_true"])]
 
 
 def test_load_instance_rejects_a_file_in_the_support_layout(tmp_path):
-    # Before x_true was written densely, its support positions and its
-    # values there took one line each.
-    path, lines = saved_lines(tmp_path)
-    x_true = lines[14].split()
-    support = [i for i, tok in enumerate(x_true) if float(tok) != 0.0]
-    lines[14:] = [" ".join(map(str, support)), " ".join(x_true[i] for i in support)]
-    rejects(path, lines, r"^expected 15 lines for an 12 x 40 instance, got 16$")
+    # The oldest text layout: x_true as a line of support positions and a line of values.
+    path, arrays = saved_arrays(tmp_path)
+    lines = old_text_lines(arrays)
+    support = np.flatnonzero(arrays["x_true"])
+    lines[-1:] = [" ".join(map(str, support)), " ".join(repr(float(v)) for v in arrays["x_true"][support])]
+    path.write_text("\n".join(lines) + "\n")
+    not_an_instance_file(path)
+
+
+@pytest.mark.parametrize("kind", ["text", "npy", "object array", "bad crc", "bad deflate stream"])
+def test_load_instance_rejects_a_file_that_is_not_an_npz_of_plain_arrays(kind, tmp_path):
+    path, arrays = saved_arrays(tmp_path)
+    if kind == "text":  # the dense text layout
+        path.write_text("\n".join(old_text_lines(arrays)) + "\n")
+    elif kind == "npy":
+        with open(path, "wb") as handle:
+            np.save(handle, arrays["A"])
+    elif kind == "object array":  # loading it would unpickle
+        ragged = np.empty(2, dtype=object)
+        ragged[:] = [arrays["A"][0], arrays["A"][1, :-1]]
+        with open(path, "wb") as handle:
+            np.savez(handle, **dict(arrays, A=ragged))
+    else:  # one byte of A's stored or compressed data flipped
+        if kind == "bad deflate stream":
+            with open(path, "wb") as handle:
+                np.savez_compressed(handle, **arrays)
+        data = bytearray(path.read_bytes())
+        data[{"bad crc": 200, "bad deflate stream": 100}[kind]] ^= 0xFF
+        path.write_bytes(bytes(data))
+    not_an_instance_file(path)
+
+
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_load_instance_requires_exactly_the_instance_arrays(change, tmp_path):
+    path, arrays = saved_arrays(tmp_path)
+    if change == "missing":
+        del arrays["bound"]
+    else:
+        arrays["m"] = np.array(12)
+    rejects(path, arrays, rf"^{re.escape(str(path))} must hold exactly the arrays A, b, x_true, r, seed, bound, got ")
 
 
 @pytest.mark.parametrize(
-    "field, token, match",
+    "name, convert, match",
     [
-        (4, "nan", "bound must be positive"),
-        (4, "-1.0", "bound must be positive"),
-        (4, "0", "bound must be positive"),
-        (2, "0", "cardinality cap r must be an integer of at least 1, got 0"),
-        (0, "5e1", r"^header field m must be an integer, got '5e1'$"),
-        (3, "1.5", r"^header field seed must be an integer, got '1.5'$"),
-        (4, "1e6x", r"^header field bound must be a number, got '1e6x'$"),
+        ("A", lambda A: A.astype(str), r"^A must be a 2-d float64 array, got 2-d <U"),
+        ("A", lambda A: np.rint(A).astype(np.int64), r"^A must be a 2-d float64 array, got 2-d int64$"),
+        ("A", np.ravel, r"^A must be a 2-d float64 array, got 1-d float64$"),
+        ("b", lambda b: b.astype(np.float32), r"^b must be a 1-d float64 array, got 1-d float32$"),
+        ("r", lambda r: r.astype(float), r"^r must be a 0-d integer array, got 0-d float64$"),
+        ("r", np.atleast_1d, r"^r must be a 0-d integer array, got 1-d int64$"),
+        ("bound", lambda bound: bound.astype(np.int64), r"^bound must be a 0-d float64 array, got 0-d int64$"),
+        ("seed", lambda seed: seed.astype(np.int64), r"^seed must be a 0-d str_ array, got 0-d int64$"),
     ],
-    ids=["nan bound", "negative bound", "zero bound", "zero r", "float m", "float seed", "non-number bound"],
+    ids=["string A", "integer A", "flat A", "float32 b", "float r", "array r", "integer bound", "integer seed"],
 )
-def test_load_instance_rejects_a_bad_header_r_or_bound(tmp_path, field, token, match):
-    path, lines = saved_lines(tmp_path)
-    header = lines[0].split()
-    header[field] = token
-    lines[0] = " ".join(header)
-    rejects(path, lines, match)
+def test_load_instance_names_an_array_of_the_wrong_dtype_or_dimension(name, convert, match, tmp_path):
+    path, arrays = saved_arrays(tmp_path)
+    arrays[name] = convert(arrays[name])
+    rejects(path, arrays, match)
+
+
+def test_load_instance_rejects_an_a_block_of_the_wrong_width(tmp_path):
+    path, arrays = saved_arrays(tmp_path)
+    arrays["A"] = arrays["A"][:, :-1]
+    rejects(path, arrays, r"^A is 12 x 39, so b needs 12 entries and x_true 39; got 12 and 40$")
+
+
+def test_load_instance_rejects_short_b_line(tmp_path):
+    path, arrays = saved_arrays(tmp_path)
+    arrays["b"] = arrays["b"][:-1]
+    rejects(path, arrays, r"^A is 12 x 40, so b needs 12 entries and x_true 40; got 11 and 40$")
+
+
+def test_load_instance_rejects_more_than_r_support_positions(tmp_path):
+    path, arrays = saved_arrays(tmp_path)
+    arrays["x_true"][np.flatnonzero(arrays["x_true"] == 0.0)[0]] = 1.0
+    rejects(path, arrays, r"^x_true must hold n = 40 finite entries, at most r = 3 of them nonzero$")
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("bound", np.nan, "bound must be positive"),
+        ("bound", -1.0, "bound must be positive"),
+        ("bound", 0.0, "bound must be positive"),
+        ("r", 0, "cardinality cap r must be an integer of at least 1, got 0"),
+        ("seed", "1.5", r"^seed must be a decimal integer, got '1\.5'$"),
+        ("bound", "1e6x", r"^bound must be a 0-d float64 array, got 0-d <U4$"),
+    ],
+    ids=["nan bound", "negative bound", "zero bound", "zero r", "float seed", "non-number bound"],
+)
+def test_load_instance_rejects_a_bad_header_r_or_bound(tmp_path, field, value, match):
+    # r, seed and bound: the scalars that the text layout kept in its header line.
+    path, arrays = saved_arrays(tmp_path)
+    arrays[field] = np.asarray(value)
+    rejects(path, arrays, match)
 
 
 def test_load_instance_rejects_a_shape_gen_feasibility_refuses(tmp_path):
-    # A consistent 1 x 3 file: every line has its length, yet m < 5.
-    rejects(tmp_path / "instance.txt", ["1 3 1 0 1.0", "1 2 3", "1", "0 0 0"], r"^m must be at least 5, got 1x3$")
+    # A consistent 1 x 3 instance: every array fits, yet m < 5.
+    arrays = dict(A=np.array([[1.0, 2.0, 3.0]]), b=np.ones(1), x_true=np.array([1.0, 0.0, 0.0]))
+    arrays.update(r=np.array(1), seed=np.array("0"), bound=np.array(1.0))
+    rejects(tmp_path / "instance.npz", arrays, r"^m must be at least 5, got 1x3$")
 
 
 def test_load_instance_rejects_an_x_true_that_does_not_solve_a_x_b(tmp_path):
-    path, lines = saved_lines(tmp_path)
-    x_true = lines[14].split()
-    i = next(k for k, tok in enumerate(x_true) if float(tok) != 0.0)
-    x_true[i] = repr(float(x_true[i]) * (1 + 1e-8))
-    lines[14] = " ".join(x_true)
-    rejects(path, lines, r"^x_true does not solve A x = b: \|A x_true - b\| = ")
+    path, arrays = saved_arrays(tmp_path)
+    arrays["x_true"][np.flatnonzero(arrays["x_true"])[0]] *= 1 + 1e-8
+    rejects(path, arrays, r"^x_true does not solve A x = b: \|A x_true - b\| = ")
 
 
 def test_load_instance_accepts_b_off_by_rounding(tmp_path):
-    path, lines = saved_lines(tmp_path)
-    b = [float(tok) for tok in lines[13].split()]
-    b[0] = float(np.nextafter(b[0], np.inf))
-    lines[13] = " ".join(repr(v) for v in b)
-    path.write_text("\n".join(lines) + "\n")
-    assert load_instance(path).b[0] == b[0]
+    path, arrays = saved_arrays(tmp_path)
+    arrays["b"][0] = np.nextafter(arrays["b"][0], np.inf)
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+    assert load_instance(path).b[0] == arrays["b"][0]
 
 
-@pytest.mark.parametrize(
-    "line, match",
-    [
-        (5, r"^A holds NaN or infinite entries, first in row 4$"),
-        (13, r"^b holds NaN or infinite entries$"),
-        (14, r"^x_true must hold n = 40 finite entries, at most r = 3 of them nonzero$"),
-    ],
-    ids=["A-5", "b-13", "x_true-14"],
-)
-def test_load_instance_rejects_non_finite_entries(tmp_path, line, match):
+@pytest.mark.parametrize("name, index", [("A", 5), ("b", 13), ("x_true", 14)])
+def test_load_instance_rejects_non_finite_entries(tmp_path, name, index):
     # The instance checks its data, so A's rows count from 0 as AffineSet's do.
-    path, lines = saved_lines(tmp_path)
-    lines[line] = " ".join(["nan"] + lines[line].split()[1:])
-    rejects(path, lines, match)
-
-
-@pytest.mark.parametrize("name, line", [("A row 2", 2), ("b", 13), ("x_true", 14)])
-def test_load_instance_names_a_token_that_is_not_a_number(tmp_path, name, line):
-    path, lines = saved_lines(tmp_path)
-    lines[line] = " ".join(["0.1.2"] + lines[line].split()[1:])
-    rejects(path, lines, f"^{name} holds '0.1.2', which is not a number$")
+    path, arrays = saved_arrays(tmp_path, m=20)
+    arrays[name][index] = np.nan
+    match = {
+        "A": r"^A holds NaN or infinite entries, first in row 5$",
+        "b": r"^b holds NaN or infinite entries$",
+        "x_true": r"^x_true must hold n = 40 finite entries, at most r = 4 of them nonzero$",
+    }[name]
+    rejects(path, arrays, match)
 
 
 def test_load_instance_rejects_a_rank_deficient_a(tmp_path):
-    # A row 2 repeats row 1 and b entry 2 repeats entry 1, so A x_true = b still holds.
-    path, lines = saved_lines(tmp_path)
-    lines[2] = lines[1]
-    b = lines[13].split()
-    lines[13] = " ".join([b[0], b[0]] + b[2:])
-    path.write_text("\n".join(lines) + "\n")
+    # A row 1 repeats row 0 and b entry 1 repeats entry 0, so A x_true = b still holds.
+    path, arrays = saved_arrays(tmp_path)
+    arrays["A"][1], arrays["b"][1] = arrays["A"][0], arrays["b"][0]
     message = r"^A \(12 x 40\) does not have full row rank: its rows are linearly dependent$"
-    with pytest.raises(RankDeficientError, match=message):
-        load_instance(path)
+    rejects(path, arrays, message, error=RankDeficientError)
