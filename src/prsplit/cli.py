@@ -63,17 +63,21 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--quiet", action="store_true", help="suppress per-cell progress on stderr")
 
     solve = sub.add_parser("solve", help="solve one feasibility instance")
-    solve.add_argument("--m", type=int, default=100)
-    solve.add_argument("--n", type=int, default=1000)
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--m", type=int, default=None, help="rows of a generated instance (default 100)")
+    solve.add_argument("--n", type=int, default=None, help="columns of a generated instance (default 1000)")
+    solve.add_argument("--seed", type=int, default=None, help="seed of a generated instance (default 0)")
     solve.add_argument("--instance", default=None, help="load an instance .npz written by --save-instance")
     solve.add_argument("--save-instance", default=None, help="write the instance as .npz to exactly this path")
     solve.add_argument("--method", choices=tuple(METHOD_STEPS), default=SolverConfig.method)
     solve.add_argument("--tol", type=float, default=SolverConfig.tol)
     solve.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
-    solve.add_argument("--gamma0", type=float, default=None, help="heuristic start (method default if omitted)")
-    solve.add_argument("--gamma1", type=float, default=None, help="heuristic floor (method default if omitted)")
-    solve.add_argument("--fixed-gamma", type=float, default=None, help="disable the heuristic, use this step")
+    solve.add_argument("--gamma0", type=float, default=None, help="start step (method default if omitted)")
+    solve.add_argument(
+        "--gamma1",
+        type=float,
+        default=None,
+        help="floor the step may shrink to (method default if omitted); equal to --gamma0, a fixed step",
+    )
     solve.add_argument("--trace", default=None, help="write per-iteration CSV (t,gamma,merit,dz,fval) here")
     return parser
 
@@ -104,20 +108,20 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.fixed_gamma is not None:
-        if args.gamma0 is not None or args.gamma1 is not None:
-            raise ValueError("--fixed-gamma turns the heuristic off, so it takes no --gamma0 or --gamma1")
-        gamma0, gamma1 = args.fixed_gamma, None
-    else:
-        default0, default1 = METHOD_STEPS[args.method]
-        gamma0 = default0 if args.gamma0 is None else args.gamma0
-        gamma1 = default1 if args.gamma1 is None else args.gamma1
+    default0, default1 = METHOD_STEPS[args.method]
+    gamma0 = default0 if args.gamma0 is None else args.gamma0
+    gamma1 = default1 if args.gamma1 is None else args.gamma1
     cfg = SolverConfig(gamma0=gamma0, gamma1=gamma1, method=args.method, tol=args.tol, max_iter=args.max_iter)
 
     if args.instance is not None:
+        given = [f"--{name}" for name in ("m", "n", "seed") if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"--instance reads the shape and seed from its file, so it takes no {', '.join(given)}")
         inst = load_instance(args.instance)
     else:
-        inst = gen_feasibility(args.m, args.n, args.seed)
+        m = 100 if args.m is None else args.m
+        n = 1000 if args.n is None else args.n
+        inst = gen_feasibility(m, n, 0 if args.seed is None else args.seed)
     if args.save_instance is not None:
         save_instance(inst, args.save_instance)
 

@@ -23,16 +23,16 @@ coupling term, and the two are related by merit_pr = merit_dr -
 
     max(|dx|, |dy|, |dz|) / max(|x_prev|, |y_prev|, |z_prev|, 1) < tol,
 
-where |dx| = k |z - y| reuses the norm of the gap trace, and an optional
-step-size heuristic that starts above the stationary cap and halves gamma
-whenever the iterates look unstable (see :func:`heuristic_update`). One
-:class:`SolverConfig` holds every setting: the heuristic is on exactly when
-its floor ``gamma1`` is set, and its shrink factor, settle factor, drift
-limit and norm limit are the paper's fixed numbers, module constants that no
-config can change. The remaining helpers are convergence diagnostics: the
-explicit stationarity residual available after every step, the ergodic
-objective-gap bound that holds when g is convex, and a contraction-factor
-fit for linearly convergent tails.
+where |dx| = k |z - y| reuses the norm of the gap trace, and one step-size
+rule: the heuristic of :func:`heuristic_update`, which halves gamma toward a
+floor whenever the iterates look unstable. One :class:`SolverConfig` holds
+every setting; the floor ``gamma1`` defaults to the start step, so a fixed
+step is the heuristic with nothing left to shrink. Its shrink factor, settle
+factor, drift limit and norm limit are the paper's fixed numbers, module
+constants that no config can change. The remaining helpers are convergence
+diagnostics: the explicit stationarity residual available after every step,
+the ergodic objective-gap bound that holds when g is convex, and a
+contraction-factor fit for linearly convergent tails.
 """
 
 from __future__ import annotations
@@ -103,12 +103,12 @@ class SplitProblem:
 class SolverConfig:
     """Engine selection, step size and termination.
 
-    With ``gamma1`` set, the step-size heuristic of :func:`heuristic_update`
-    starts at ``gamma0`` and shrinks toward just below the floor ``gamma1``;
-    it needs an explicit gamma0. Without it the step stays fixed at
-    ``gamma0``, or, with that unset too, at 0.99 * gamma_threshold(sigma, L)
-    of the problem the engine is given. BenchConfig and the CLI read their
-    method, tol and max_iter defaults here.
+    The step starts at ``gamma0``, or, with that unset, at
+    0.99 * gamma_threshold(sigma, L) of the problem the engine is given. The
+    step-size heuristic of :func:`heuristic_update` may shrink it toward just
+    below the floor ``gamma1``, which needs an explicit gamma0 and defaults to
+    the start step, so an unset or equal floor keeps the step fixed.
+    BenchConfig and the CLI read their method, tol and max_iter defaults here.
     """
 
     gamma0: float | None = None
@@ -153,9 +153,10 @@ class SolverReport:
     """Everything a finished run exposes.
 
     Per-iteration traces hold the merit value (PR or DR merit to match the
-    engine), the gamma used, and |z - y|, which is |x - x_prev| / k for the
-    step factor k (2 for PR, 1 for DR); ``run(..., observer=lambda state,
-    gamma: states.append(state))`` keeps the states.
+    engine, +inf where f or g is), the gamma used, and |z - y|, which is
+    |x - x_prev| / k for the step factor k (2 for PR, 1 for DR);
+    ``run(..., observer=lambda state, gamma: states.append(state))`` keeps
+    the states.
     The stationarity residual pair is None only for runs that took no step.
     """
 
@@ -208,13 +209,8 @@ def dr_step(state: IterateState, problem: SplitProblem, gamma: float) -> Iterate
 
 
 def _merit(problem: SplitProblem, y, z, dyz: float, inner: float, gamma: float, method: str) -> float:
-    """The merit of `method` at (y, z, x) from |y-z|^2 and <x-y, z-y>."""
-    fy, gz = problem.f.value(y), problem.g.value(z)
-    if not np.isfinite(gz):
-        raise ValueError("merit undefined: g is infinite at z (z outside dom g)")
-    if not np.isfinite(fy):
-        raise ValueError("merit undefined: f is infinite at y")
-    return fy + gz - _METHODS[method][1] * dyz / gamma + inner / gamma
+    """The merit of `method` at (y, z, x) from |y-z|^2 and <x-y, z-y>; +inf where f or g is."""
+    return problem.f.value(y) + problem.g.value(z) - _METHODS[method][1] * dyz / gamma + inner / gamma
 
 
 def merit_pr(
@@ -304,7 +300,7 @@ def run(
     on, once a previous triple exists), with "max_iter" when the budget runs
     out, and with "diverged" when an iterate goes non-finite or beyond the
     divergence guard, or when the relative change stays at or above 1 for
-    ``_STALL_STEPS`` steps in a row at a fixed or fully shrunk step; a
+    ``_STALL_STEPS`` steps in a row at a step at or below its floor; a
     non-finite or too large step is discarded, so the report always ends at
     a finite state. The observer, if given, is called after every kept step
     with the new state and the gamma that produced it.
@@ -318,6 +314,7 @@ def run(
         gamma = config.gamma0
     else:
         gamma = 0.99 * gamma_threshold(problem.f.strong_convexity, problem.f.grad_lipschitz)
+    floor = gamma if config.gamma1 is None else config.gamma1
     prev_norms = None
     stalled = 0
     merits: list[float] = []
@@ -351,15 +348,12 @@ def run(
             if change < config.tol * scale:
                 reason = "converged"
                 break
-            settled = config.gamma1 is None or gamma <= config.gamma1
-            stalled = stalled + 1 if settled and change >= scale else 0
+            stalled = stalled + 1 if gamma <= floor and change >= scale else 0
             if stalled == _STALL_STEPS:
                 reason = "diverged"
                 break
         prev_norms = norms
-
-        if config.gamma1 is not None:
-            gamma = heuristic_update(gamma, t, drift, norms[1], config.gamma1)
+        gamma = heuristic_update(gamma, t, drift, norms[1], floor)
 
     residual = None
     if state.t > 0:

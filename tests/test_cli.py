@@ -157,17 +157,26 @@ def test_solve_trace_and_instance_round_trip(tmp_path, capsys):
 
 
 def test_solve_fixed_gamma(capsys):
-    code = main(["solve", "--m", "10", "--n", "40", "--seed", "2", "--fixed-gamma", "0.08"])
+    # A floor at the start step leaves the heuristic nothing to shrink.
+    code = main(["solve", "--m", "10", "--n", "40", "--seed", "2", "--gamma0", "0.08", "--gamma1", "0.08"])
     assert code == 0
     assert "final gamma : 0.08" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flag", ["--gamma0", "--gamma1"])
-def test_solve_rejects_fixed_gamma_with_heuristic_steps(flag, capsys):
-    code = main(["solve", "--m", "10", "--n", "40", "--fixed-gamma", "0.08", flag, "0.3"])
-    assert code == 2
+@pytest.mark.parametrize(
+    "flags",
+    [["--m", "7"], ["--n", "9"], ["--seed", "99"], ["--m", "7", "--n", "9", "--seed", "99"], ["--seed", "0"]],
+    ids=["m", "n", "seed", "all three", "the file's own seed"],
+)
+def test_solve_rejects_generator_flags_with_an_instance_file(flags, tmp_path, capsys):
+    # The file fixes the shape and seed, so --m, --n and --seed would be ignored.
+    path = tmp_path / "inst.npz"
+    assert main(["solve", "--m", "10", "--n", "40", "--max-iter", "1", "--save-instance", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--instance", str(path), "--max-iter", "1", *flags]) == 2
     captured = capsys.readouterr()
-    assert "--fixed-gamma" in captured.err and flag in captured.err
+    given = ", ".join(flag for flag in flags if flag.startswith("--"))
+    assert captured.err == f"error: --instance reads the shape and seed from its file, so it takes no {given}\n"
     assert captured.out == ""
 
 

@@ -191,10 +191,14 @@ def test_merit_dr_minus_pr_is_gap_term():
 
 
 def test_merit_rejects_point_outside_domain():
+    # The merit is +inf at a z outside dom g or a y outside dom f, for either
+    # method, instead of raising.
     problem = random_quadratic_sparse_problem(7)
     z_bad = np.ones(12)  # 12 nonzeros > r = 4
-    with pytest.raises(ValueError, match="outside dom g"):
-        merit_pr(np.zeros(12), z_bad, np.zeros(12), problem, 0.5)
+    infinite_f = SplitProblem(replace(problem.f, value=lambda y: np.inf), problem.g, problem.dim)
+    for merit in (merit_pr, merit_dr):
+        assert merit(np.zeros(12), z_bad, np.zeros(12), problem, 0.5) == np.inf
+        assert merit(np.zeros(12), np.zeros(12), np.zeros(12), infinite_f, 0.5) == np.inf
 
 
 # ---------------------------------------------------------------- stationarity
@@ -316,6 +320,25 @@ def test_run_ends_diverged_on_a_nan_iterate():
     assert np.all(np.isfinite(report.state.x))
     assert np.all(np.isfinite(report.state.z))
     assert len(report.merit_trace) == 2
+
+
+@pytest.mark.parametrize("method", ["pr", "dr"])
+def test_run_records_an_infinite_merit_and_runs_on(method):
+    # A merit that cannot be evaluated is a diagnostic: it reads inf, and the
+    # run keeps its iterations, reason and final state bit for bit.
+    problem = halved_norm_problem(4)
+    outside = SplitProblem(problem.f, replace(problem.g, value=lambda z: np.inf), problem.dim)
+    config = SolverConfig(gamma0=0.5, gamma1=0.1, method=method, tol=1e-10)
+    x0 = np.full(4, 3.0)
+    finite, infinite = run(problem, config, x0), run(outside, config, x0)
+    assert finite.reason == "converged"
+    assert (infinite.iterations, infinite.reason) == (finite.iterations, finite.reason)
+    np.testing.assert_array_equal(infinite.state.x, finite.state.x)
+    np.testing.assert_array_equal(infinite.state.z, finite.state.z)
+    np.testing.assert_array_equal(infinite.gamma_trace, finite.gamma_trace)
+    np.testing.assert_array_equal(infinite.gap_trace, finite.gap_trace)
+    assert infinite.residual == finite.residual
+    assert np.all(np.isfinite(finite.merit_trace)) and np.all(infinite.merit_trace == np.inf)
 
 
 def test_run_observer_sees_every_kept_step():
@@ -445,7 +468,8 @@ def reference_case(label):
     """(problem, config, x0) of one run to replay through `reference_run`.
 
     PR whose heuristic shrinks gamma near t = 10, PR on the same instance at
-    the fixed step 0.19, which stalls, heuristic DR at 100x1000, fixed-step
+    the fixed step 0.19, which stalls, once with no floor and once with its
+    floor at that start, heuristic DR at 100x1000, fixed-step
     least squares that converges, and two runs on f = |y|^2/2, g = 0, whose
     norms shrink 2-3x per step and scale with x0. In "halved-anchor"
     |x0| = 2e10 puts the 1e10 norm trigger between |x_1| = |x0|/3 and
@@ -473,18 +497,21 @@ def reference_case(label):
     config = solver_config(BenchConfig(), method)
     if label == "pr-stalled":
         config = SolverConfig(gamma0=0.19, max_iter=2000)
+    if label == "pr-floor-at-start":
+        config = SolverConfig(gamma0=0.19, gamma1=0.19, max_iter=2000)
     return build(inst), config, np.zeros(n)
 
 
 @pytest.mark.parametrize(
-    "label", ["pr-heuristic", "pr-stalled", "dr-heuristic", "ls-fixed", "halved-anchor", "halved-trigger"]
+    "label",
+    ["pr-heuristic", "pr-stalled", "pr-floor-at-start", "dr-heuristic", "ls-fixed", "halved-anchor", "halved-trigger"],
 )
 def test_run_matches_plain_reference_loop(label):
     problem, config, x0 = reference_case(label)
     report = run(problem, config, x0)
     state, reason, merits, gammas, gaps, steps, residual = reference_run(problem, config, x0)
     assert (report.iterations, report.reason) == (state.t, reason)
-    if label == "pr-stalled":
+    if label in ("pr-stalled", "pr-floor-at-start"):
         assert (state.t, reason) == (101, "diverged")
     if label == "pr-heuristic":
         assert len(set(gammas)) > 1  # the heuristic shrank gamma on this instance
@@ -622,16 +649,6 @@ def test_fit_contraction_needs_enough_points():
         (lambda: SplitProblem(halved_norm_problem().f, zero_prox_oracle(), dim=0), "dimension must be positive"),
         (lambda: SolverConfig(method="newton"), "method must be 'pr' or 'dr', got 'newton'"),
         (lambda: gamma_threshold(1.0, 0.0), "lipschitz modulus must be positive"),
-        (
-            lambda: merit_dr(
-                np.zeros(2),
-                np.zeros(2),
-                np.zeros(2),
-                SplitProblem(replace(halved_norm_problem().f, value=lambda y: np.inf), zero_prox_oracle(), 2),
-                0.5,
-            ),
-            "merit undefined: f is infinite at y",
-        ),
         (lambda: heuristic_update(0.0, 1, 0.0, 0.0, 0.1), "gamma must be positive"),
         (lambda: initial_state(np.array([0.0, np.nan])), "x0 must be finite"),
         (
@@ -639,7 +656,7 @@ def test_fit_contraction_needs_enough_points():
             "need at least 2 z-iterates, got 1",
         ),
     ],
-    ids=["dimension", "method", "lipschitz", "infinite f", "heuristic gamma", "x0", "z-iterates"],
+    ids=["dimension", "method", "lipschitz", "heuristic gamma", "x0", "z-iterates"],
 )
 def test_boundary_errors_name_their_cause(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
