@@ -2,9 +2,9 @@
 
 Examples
 --------
-The desk preset with both methods, CSV to a file::
+The desk preset with both methods, CSV on stdout redirected to a file::
 
-    prsplit bench --seed 42 --out results.csv
+    prsplit bench --seed 42 > results.csv
 
 Explicit shapes and trial count, a markdown table on stdout::
 
@@ -58,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for method, (gamma0, gamma1) in METHOD_STEPS.items():
         bench.add_argument(f"--{method}-gamma0", type=float, default=gamma0)
         bench.add_argument(f"--{method}-gamma1", type=float, default=gamma1)
-    bench.add_argument("--out", default=None, help="output path (default stdout)")
     bench.add_argument("--format", choices=("csv", "markdown"), default="csv")
     bench.add_argument("--quiet", action="store_true", help="suppress per-cell progress on stderr")
 
@@ -98,12 +97,7 @@ def _cmd_bench(args) -> int:
     )
     progress = None if args.quiet else lambda line: print(line, file=sys.stderr)
     rows = run_bench(cfg, progress=progress)
-    text = render_csv(rows) if args.format == "csv" else render_markdown(rows)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(text)
+    sys.stdout.write(render_csv(rows) if args.format == "csv" else render_markdown(rows))
     return 0
 
 
@@ -125,21 +119,21 @@ def _cmd_solve(args) -> int:
     if args.save_instance is not None:
         save_instance(inst, args.save_instance)
 
-    fvals: list[float] = []
-    observer = None
-    if args.trace is not None:
-        observer = lambda state, gamma: fvals.append(evaluate_fval(state.z, inst))
-
-    report, fval, outcome, _ = solve_trial(inst, cfg, observer)
-
-    if args.trace is not None:
-        lines = ["t,gamma,merit,dz,fval"]
-        for t in range(report.iterations):
-            lines.append(
-                f"{t + 1},{float(report.gamma_trace[t])!r},{float(report.merit_trace[t])!r},"
-                f"{float(report.gap_trace[t])!r},{float(fvals[t])!r}"
-            )
+    if args.trace is None:
+        report, fval, outcome, _ = solve_trial(inst, cfg)
+    else:
+        # Opened first, so a path that cannot be written fails before the solve.
         with open(args.trace, "w", encoding="ascii") as handle:
+            fvals: list[float] = []
+            report, fval, outcome, _ = solve_trial(
+                inst, cfg, lambda state, gamma: fvals.append(evaluate_fval(state.z, inst))
+            )
+            lines = ["t,gamma,merit,dz,fval"]
+            for t in range(report.iterations):
+                lines.append(
+                    f"{t + 1},{float(report.gamma_trace[t])!r},{float(report.merit_trace[t])!r},"
+                    f"{float(report.gap_trace[t])!r},{float(fvals[t])!r}"
+                )
             handle.write("\n".join(lines) + "\n")
 
     print(f"method      : {args.method}")

@@ -160,11 +160,12 @@ def gen_feasibility(m: int, n: int, seed: int) -> FeasibilityInstance:
     All draws come from one seeded stream in a fixed order (A row-major,
     then the r support values, then the support positions by a seeded
     shuffle), so the instance is a pure function of (m, n, seed); the seed
-    must be an integer. Its entry bound is :class:`SparseBoxSet`'s default.
+    must be a nonnegative integer. Its entry bound is :class:`SparseBoxSet`'s
+    default.
     """
     check_shape(m, n)
-    if not _is_integer(seed):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     r = math.ceil(m / 5)
     rng = rng_from_seed(seed)
     A = rng.standard_normal((m, n))
@@ -283,9 +284,9 @@ def classify(fval: float) -> str:
 def save_instance(inst: FeasibilityInstance, path) -> None:
     """Write an instance to `path`, with no suffix added, as one ``.npz`` archive.
 
-    The seed is stored as its decimal string, so any integer seed, even one
-    past 64 bits, reloads exactly, as A, b, x_true, r and bound do, and
-    nothing is pickled.
+    The seed is stored as its decimal string, so any nonnegative integer
+    seed, even one past 64 bits, reloads exactly, as A, b, x_true, r and
+    bound do, and nothing is pickled.
     """
     with open(path, "wb") as handle:
         np.savez(handle, A=inst.A, b=inst.b, x_true=inst.x_true, r=inst.r, seed=str(inst.seed), bound=float(inst.bound))
@@ -308,9 +309,9 @@ def load_instance(path) -> FeasibilityInstance:
     A file that is not an ``.npz`` archive of plain arrays (empty, truncated,
     text or ``.npy``) fails naming the file. The archive must hold exactly
     the six arrays that :func:`save_instance` writes: float64 A (2-d), b and
-    x_true (1-d) and bound (0-d), an integer r and a decimal seed string,
-    with a shape :func:`gen_feasibility` accepts and b and x_true to match
-    it. The built :class:`FeasibilityInstance` checks the values.
+    x_true (1-d) and bound (0-d), an integer r and a seed string of decimal
+    digits, with a shape and seed :func:`gen_feasibility` accepts and b and
+    x_true to match it. The built :class:`FeasibilityInstance` checks the values.
     Last, x_true must solve A x = b to rounding: |A x_true - b| <= 1e-10 *
     |A|_F * |x_true| (2-norms), which bounds the rounding of A x_true for
     any n below 4e5.
@@ -330,8 +331,8 @@ def load_instance(path) -> FeasibilityInstance:
         if value.ndim != ndim or not np.issubdtype(value.dtype, kind):
             raise ValueError(f"{key} must be a {ndim}-d {kind.__name__} array, got {value.ndim}-d {value.dtype}")
     A, b, x_true, seed = arrays["A"], arrays["b"], arrays["x_true"], str(arrays["seed"])
-    if not re.fullmatch(r"-?[0-9]+", seed):
-        raise ValueError(f"seed must be a decimal integer, got {seed!r}")
+    if not re.fullmatch(r"[0-9]+", seed):
+        raise ValueError(f"seed must be a nonnegative decimal integer, got {seed!r}")
     (m, n), r, bound = A.shape, int(arrays["r"]), float(arrays["bound"])
     check_shape(m, n)
     if b.shape != (m,) or x_true.shape != (n,):

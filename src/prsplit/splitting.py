@@ -106,8 +106,9 @@ class SolverConfig:
     The step starts at ``gamma0``, or, with that unset, at
     0.99 * gamma_threshold(sigma, L) of the problem the engine is given. The
     step-size heuristic of :func:`heuristic_update` may shrink it toward just
-    below the floor ``gamma1``, which needs an explicit gamma0 and defaults to
-    the start step, so an unset or equal floor keeps the step fixed.
+    below the floor ``gamma1``, which needs an explicit gamma0, must not
+    exceed it and defaults to it, so an unset or equal floor keeps the step
+    fixed.
     BenchConfig and the CLI read their method, tol and max_iter defaults here.
     """
 
@@ -130,6 +131,8 @@ class SolverConfig:
             raise ValueError(f"max_iter must be a nonnegative integer, got {self.max_iter!r}")
         if self.gamma1 is not None and self.gamma0 is None:
             raise ValueError("the step-size heuristic (gamma1) needs an explicit gamma0")
+        if self.gamma1 is not None and self.gamma1 > self.gamma0:
+            raise ValueError(f"the floor gamma1 = {self.gamma1} must not exceed the start step gamma0 = {self.gamma0}")
 
 
 @dataclass(frozen=True)
@@ -208,9 +211,10 @@ def dr_step(state: IterateState, problem: SplitProblem, gamma: float) -> Iterate
     return _step(state, problem, gamma, _METHODS["dr"][0])
 
 
-def _merit(problem: SplitProblem, y, z, dyz: float, inner: float, gamma: float, method: str) -> float:
-    """The merit of `method` at (y, z, x) from |y-z|^2 and <x-y, z-y>; +inf where f or g is."""
-    return problem.f.value(y) + problem.g.value(z) - _METHODS[method][1] * dyz / gamma + inner / gamma
+def _merit(problem: SplitProblem, y, z, x, gap: float, gamma: float, method: str) -> float:
+    """The merit of `method` at (y, z, x) given gap = |z-y|; +inf where f or g is."""
+    inner = float((x - y) @ (z - y))
+    return problem.f.value(y) + problem.g.value(z) - _METHODS[method][1] * gap**2 / gamma + inner / gamma
 
 
 def merit_pr(
@@ -221,16 +225,14 @@ def merit_pr(
     Acceptance criterion 3 checks it against its two expanded forms, with the
     inner product rewritten through 2y - z - x or through |x-y|^2 - |x-z|^2.
     """
-    dyz, inner = float(np.linalg.norm(y - z)) ** 2, float((x - y) @ (z - y))
-    return _merit(problem, y, z, dyz, inner, gamma, "pr")
+    return _merit(problem, y, z, x, float(np.linalg.norm(z - y)), gamma, "pr")
 
 
 def merit_dr(
     y: np.ndarray, z: np.ndarray, x: np.ndarray, problem: SplitProblem, gamma: float
 ) -> float:
     """DR merit f(y) + g(z) - |y-z|^2/(2 gamma) + <x-y, z-y>/gamma."""
-    dyz, inner = float(np.linalg.norm(y - z)) ** 2, float((x - y) @ (z - y))
-    return _merit(problem, y, z, dyz, inner, gamma, "dr")
+    return _merit(problem, y, z, x, float(np.linalg.norm(z - y)), gamma, "dr")
 
 
 def stationarity_residual(
@@ -333,8 +335,7 @@ def run(
         x, y, z = state.x, state.y, state.z
 
         gap = float(np.linalg.norm(z - y))
-        inner = float((x - y) @ (z - y))
-        merits.append(_merit(problem, y, z, gap**2, inner, gamma, config.method))
+        merits.append(_merit(problem, y, z, x, gap, gamma, config.method))
         gammas.append(gamma)
         gaps.append(gap)
         if observer is not None:

@@ -103,6 +103,8 @@ def test_bench_config_validation():
         BenchConfig(pairs=((10, 40), (10, 40)))
     with pytest.raises(ValueError, match="gamma1"):
         BenchConfig(pairs=((10, 40),), steps={**bench.METHOD_STEPS, "dr": (50.0, float("nan"))})
+    with pytest.raises(ValueError, match=r"^the floor gamma1 = 0\.3 must not exceed the start step gamma0 = 0\.19$"):
+        BenchConfig(pairs=((10, 40),), steps={**bench.METHOD_STEPS, "pr": (0.19, 0.3)})
     with pytest.raises(ValueError, match="m must be at least 5"):
         BenchConfig(pairs=((10, 40), (4, 10)))
     with pytest.raises(ValueError, match="need n >= m"):

@@ -19,24 +19,10 @@ from prsplit.splitting import SolverConfig
 PACKAGE_ROOT = str(Path(prsplit.__file__).resolve().parents[1])
 
 
-def test_bench_writes_csv(tmp_path, capsys):
-    out = tmp_path / "results.csv"
-    code = main(
-        [
-            "bench",
-            "--pairs",
-            "10x40",
-            "--trials",
-            "2",
-            "--seed",
-            "1",
-            "--quiet",
-            "--out",
-            str(out),
-        ]
-    )
+def test_bench_writes_csv(capsys):
+    code = main(["bench", "--pairs", "10x40", "--trials", "2", "--seed", "1", "--quiet"])
     assert code == 0
-    rows = parse_csv(out.read_text())
+    rows = parse_csv(capsys.readouterr().out)
     assert len(rows) == 2
     assert {row.method for row in rows} == {"pr", "dr"}
 
@@ -48,18 +34,6 @@ def test_bench_stdout_markdown(capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("| m | n | PR iter")
-
-
-def test_bench_out_writes_exactly_what_stdout_prints(tmp_path, capsys):
-    # Markdown has no seconds column, so two runs of one config agree byte for byte.
-    args = ["bench", "--pairs", "10x40,12x40", "--trials", "2", "--seed", "3", "--quiet", "--format", "markdown"]
-    assert main(args) == 0
-    printed = capsys.readouterr().out
-    out = tmp_path / "table.md"
-    assert main(args + ["--out", str(out)]) == 0
-    assert capsys.readouterr().out == ""
-    assert out.read_text(encoding="ascii") == printed
-    assert printed.startswith("| m | n | PR iter") and printed.count("\n") == 4
 
 
 def test_bench_rejects_malformed_pairs(capsys):
@@ -154,6 +128,16 @@ def test_solve_trace_and_instance_round_trip(tmp_path, capsys):
     dr_out = capsys.readouterr().out
     assert main(["solve", "--instance", str(saved), "--method", "dr"]) == 0
     assert capsys.readouterr().out == dr_out
+
+
+def test_solve_rejects_an_unwritable_trace_path_before_the_solve(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "solve_trial", lambda *args: pytest.fail("solve_trial was called"))
+    trace = tmp_path / "missing" / "trace.csv"
+    assert main(["solve", "--m", "10", "--n", "40", "--trace", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(trace) in captured.err
 
 
 def test_solve_fixed_gamma(capsys):

@@ -1,4 +1,4 @@
-"""The library runs on numpy alone: scipy is a test-only dependency."""
+"""The library runs on numpy alone: the benchmark in perfbench/ is the only importer of scipy."""
 
 import subprocess
 import sys

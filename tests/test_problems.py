@@ -133,10 +133,11 @@ def test_gen_feasibility_rejects_a_non_integer_shape():
     assert gen_feasibility(np.int64(10), np.int32(40), 1).A.shape == (10, 40)
 
 
-@pytest.mark.parametrize("seed", [None, 1.0, "1", True])
+@pytest.mark.parametrize("seed", [None, 1.0, "1", True, -1])
 def test_gen_feasibility_rejects_a_seed_that_is_not_an_integer(seed):
-    # An instance file stores the seed as its decimal string, so only an integer reproduces.
-    with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
+    # An instance file stores the seed as its decimal string, so only an integer reproduces;
+    # PCG64 draws from nonnegative seeds alone.
+    with pytest.raises(ValueError, match=rf"^seed must be a nonnegative integer, got {re.escape(repr(seed))}$"):
         gen_feasibility(10, 40, seed)
 
 
@@ -627,10 +628,11 @@ def test_load_instance_rejects_more_than_r_support_positions(tmp_path):
         ("bound", -1.0, "bound must be positive"),
         ("bound", 0.0, "bound must be positive"),
         ("r", 0, "cardinality cap r must be an integer of at least 1, got 0"),
-        ("seed", "1.5", r"^seed must be a decimal integer, got '1\.5'$"),
+        ("seed", "1.5", r"^seed must be a nonnegative decimal integer, got '1\.5'$"),
+        ("seed", "-1", r"^seed must be a nonnegative decimal integer, got '-1'$"),
         ("bound", "1e6x", r"^bound must be a 0-d float64 array, got 0-d <U4$"),
     ],
-    ids=["nan bound", "negative bound", "zero bound", "zero r", "float seed", "non-number bound"],
+    ids=["nan bound", "negative bound", "zero bound", "zero r", "float seed", "negative seed", "non-number bound"],
 )
 def test_load_instance_rejects_a_bad_header_r_or_bound(tmp_path, field, value, match):
     # r, seed and bound: the scalars that the text layout kept in its header line.

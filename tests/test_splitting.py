@@ -280,16 +280,13 @@ def test_run_ends_diverged_when_an_unstable_step_stalls():
     # f. From t = 2 on each step moves the iterates by 1-2.6 times their own
     # size; the box bound 1e6 caps z, and from t of about 35 on |x| stays near
     # 1e7, so the 1e12 norm guard never trips and only the stall stop ends
-    # the run before max_iter, at t = 101. A heuristic whose floor is above
-    # its start cannot shrink, so it stalls alike.
+    # the run before max_iter, at t = 101.
     inst = gen_feasibility(150, 500, trial_seed(42, 150, 500, 0))
     problem = build_feasibility_pr(inst)
-    for gamma1 in (None, 0.2):
-        config = SolverConfig(gamma0=0.19, gamma1=gamma1, max_iter=2000)
-        report = run(problem, config, np.zeros(500))
-        assert (report.reason, report.iterations) == ("diverged", 101)
-        assert np.all(np.isfinite(report.state.x)) and np.linalg.norm(report.state.x) < 1e8
-        assert np.all(np.abs(report.state.z) <= 1e6)
+    report = run(problem, SolverConfig(gamma0=0.19, max_iter=2000), np.zeros(500))
+    assert (report.reason, report.iterations) == ("diverged", 101)
+    assert np.all(np.isfinite(report.state.x)) and np.linalg.norm(report.state.x) < 1e8
+    assert np.all(np.abs(report.state.z) <= 1e6)
     # A step below the cap on the same instance runs on past that point.
     steady = run(problem, SolverConfig(gamma0=0.99 / 12, max_iter=200), np.zeros(500))
     assert steady.reason == "max_iter"
@@ -356,6 +353,13 @@ def test_run_observer_sees_every_kept_step():
 def test_run_requires_gamma0_with_heuristic():
     with pytest.raises(ValueError, match="gamma0"):
         SolverConfig(gamma1=0.1)
+
+
+def test_solver_config_rejects_a_floor_above_the_start_step():
+    # Most likely a swapped pair; it would only hold the step fixed at gamma0.
+    with pytest.raises(ValueError, match=r"^the floor gamma1 = 0\.1 must not exceed the start step gamma0 = 0\.05$"):
+        SolverConfig(gamma0=0.05, gamma1=0.1)
+    assert SolverConfig(gamma0=0.1, gamma1=0.1).gamma1 == 0.1
 
 
 @pytest.mark.parametrize(
