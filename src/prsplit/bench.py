@@ -14,7 +14,8 @@ pure function of its configuration (wall time aside).
 
 Both engines run the step-size heuristic by default, from the (start,
 floor) steps of :data:`METHOD_STEPS`, the one place those constants live,
-as :data:`PRESETS` is of each preset's shapes and trials per shape.
+as :data:`PRESETS` is of each preset's shapes and trials per shape; every
+other setting, ``tol`` and ``max_iter`` among them, is :class:`SolverConfig`'s.
 PR starts 5% below 1/5, where its shifted g-prox stops being well-posed,
 and decays toward 1/12, its stationary cap for this problem. The DR
 baseline starts large and decays toward its floor should the iterates ever
@@ -88,14 +89,12 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """What to run: shapes, trials, methods, solver settings, and each method's (gamma0, gamma1) steps."""
+    """What to run: shapes, trials, seed, methods and each method's (gamma0, gamma1) steps, nothing more."""
 
     pairs: tuple[tuple[int, int], ...] = PRESETS["desk"][0]
     trials: int = PRESETS["desk"][1]
     base_seed: int = 0
     methods: tuple[str, ...] = tuple(METHOD_STEPS)
-    tol: float = SolverConfig.tol
-    max_iter: int = SolverConfig.max_iter
     steps: Mapping[str, tuple[float, float]] = field(default_factory=METHOD_STEPS.copy, hash=False)
 
     def __post_init__(self):
@@ -118,7 +117,7 @@ class BenchConfig:
             pair = self.steps.get(method)
             if not isinstance(pair, tuple) or len(pair) != 2:
                 raise ValueError(f"steps must map method {method!r} to a (gamma0, gamma1) pair, got {pair!r}")
-            solver_config(self, method)  # bad steps or tol fail here, before any solve
+            solver_config(self, method)  # bad steps fail here, before any solve
 
 
 @dataclass(frozen=True)
@@ -153,9 +152,9 @@ def trial_seed(base_seed: int, m: int, n: int, trial: int) -> int:
 
 
 def solver_config(cfg: BenchConfig, method: str) -> SolverConfig:
-    """Heuristic-enabled solver settings for one method, from its ``cfg.steps`` pair."""
+    """Solver settings for one method: its ``cfg.steps`` pair, and :class:`SolverConfig`'s defaults otherwise."""
     gamma0, gamma1 = cfg.steps[method]
-    return SolverConfig(gamma0=gamma0, gamma1=gamma1, method=method, tol=cfg.tol, max_iter=cfg.max_iter)
+    return SolverConfig(gamma0=gamma0, gamma1=gamma1, method=method)
 
 
 def solve_trial(

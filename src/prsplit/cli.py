@@ -20,6 +20,7 @@ Exit status is 0 on completion and 2 on a configuration error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bench import METHOD_STEPS, PRESETS, BenchConfig, render_csv, render_markdown, run_bench, solve_trial
@@ -53,8 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--trials", type=int, default=None, help="instances per shape (default: the preset's)")
     bench.add_argument("--methods", type=_parse_methods, default=BenchConfig.methods)
     bench.add_argument("--seed", type=int, default=BenchConfig.base_seed)
-    bench.add_argument("--tol", type=float, default=SolverConfig.tol)
-    bench.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     for method, (gamma0, gamma1) in METHOD_STEPS.items():
         bench.add_argument(f"--{method}-gamma0", type=float, default=gamma0)
         bench.add_argument(f"--{method}-gamma1", type=float, default=gamma1)
@@ -88,12 +87,7 @@ def _cmd_bench(args) -> int:
         trials=trials if args.trials is None else args.trials,
         base_seed=args.seed,
         methods=args.methods,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        steps={
-            method: (getattr(args, f"{method}_gamma0"), getattr(args, f"{method}_gamma1"))
-            for method in METHOD_STEPS
-        },
+        steps={name: (getattr(args, f"{name}_gamma0"), getattr(args, f"{name}_gamma1")) for name in METHOD_STEPS},
     )
     progress = None if args.quiet else lambda line: print(line, file=sys.stderr)
     rows = run_bench(cfg, progress=progress)
@@ -116,25 +110,26 @@ def _cmd_solve(args) -> int:
         m = 100 if args.m is None else args.m
         n = 1000 if args.n is None else args.n
         inst = gen_feasibility(m, n, 0 if args.seed is None else args.seed)
-    if args.save_instance is not None:
-        save_instance(inst, args.save_instance)
 
-    if args.trace is None:
-        report, fval, outcome, _ = solve_trial(inst, cfg)
-    else:
-        # Opened first, so a path that cannot be written fails before the solve.
-        with open(args.trace, "w", encoding="ascii") as handle:
-            fvals: list[float] = []
-            report, fval, outcome, _ = solve_trial(
-                inst, cfg, lambda state, gamma: fvals.append(evaluate_fval(state.z, inst))
-            )
-            lines = ["t,gamma,merit,dz,fval"]
-            for t in range(report.iterations):
-                lines.append(
-                    f"{t + 1},{float(report.gamma_trace[t])!r},{float(report.merit_trace[t])!r},"
-                    f"{float(report.gap_trace[t])!r},{float(fvals[t])!r}"
-                )
-            handle.write("\n".join(lines) + "\n")
+    # Opened first: a bad path fails before any save or solve, and a raise removes the file.
+    trace = None if args.trace is None else open(args.trace, "w", encoding="ascii")
+    fvals: list[float] = []
+    observer = None if trace is None else lambda state, gamma: fvals.append(evaluate_fval(state.z, inst))
+    try:
+        if args.save_instance is not None:
+            save_instance(inst, args.save_instance)
+        report, fval, outcome, _ = solve_trial(inst, cfg, observer)
+    except BaseException:
+        if trace is not None:
+            trace.close()
+            if os.path.isfile(args.trace):  # never a device such as /dev/null
+                os.remove(args.trace)
+        raise
+    if trace is not None:
+        with trace:
+            trace.write("t,gamma,merit,dz,fval\n")
+            for t, row in enumerate(zip(report.gamma_trace, report.merit_trace, report.gap_trace, fvals), 1):
+                trace.write(",".join([str(t), *(repr(float(v)) for v in row)]) + "\n")
 
     print(f"method      : {args.method}")
     print(f"shape       : m={inst.m} n={inst.n} r={inst.r} seed={inst.seed}")

@@ -183,15 +183,10 @@ class SparseBoxSet:
         out[keep] = np.clip(w[keep], -self.bound, self.bound)
         return out
 
-    def contains(self, z: np.ndarray, tol: float = 0.0) -> bool:
-        z = np.asarray(z, dtype=float)
-        return (
-            int(np.count_nonzero(z)) <= self.r
-            and float(np.max(np.abs(z), initial=0.0)) <= self.bound * (1.0 + tol) + tol
-        )
-
     def indicator(self, z: np.ndarray) -> float:
-        return 0.0 if self.contains(z, tol=1e-12) else np.inf
+        z = np.asarray(z, dtype=float)
+        within = np.max(np.abs(z), initial=0.0) <= self.bound * (1.0 + 1e-12) + 1e-12
+        return 0.0 if np.count_nonzero(z) <= self.r and within else np.inf
 
 
 @dataclass(frozen=True)
@@ -208,14 +203,11 @@ class BoxSet:
         """Componentwise clip of w to [-bound, bound]."""
         return np.clip(np.asarray(w, dtype=float), -self.bound, self.bound)
 
-    def contains(self, z: np.ndarray, tol: float = 0.0) -> bool:
-        z = np.asarray(z, dtype=float)
-        return float(np.max(np.abs(z), initial=0.0)) <= self.bound * (1.0 + tol) + tol
-
     def indicator(self, z: np.ndarray) -> float:
         # Tolerant membership so that convex averages of projected points,
         # which may overshoot by rounding, still count as inside.
-        return 0.0 if self.contains(z, tol=1e-9) else np.inf
+        within = np.max(np.abs(np.asarray(z, dtype=float)), initial=0.0) <= self.bound * (1.0 + 1e-9) + 1e-9
+        return 0.0 if within else np.inf
 
 
 class ShiftedQuadraticProx:

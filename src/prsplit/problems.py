@@ -76,9 +76,9 @@ class FeasibilityInstance:
 
     :class:`SparseBoxSet` checks r and bound; :class:`AffineSet` checks A and
     b, factors A A^T and raises :class:`RankDeficientError` without full row
-    rank; x_true must hold n finite entries, at most r nonzero. A x_true = b is
-    the maker's part (:func:`load_instance` tests it). Modify no array in place.
-    An instance equals only itself, and hashes by identity.
+    rank; x_true must hold n finite entries, at most r nonzero. A x_true = b
+    is the maker's part (:func:`save_instance` and :func:`load_instance` test
+    it). Modify no array in place. An instance equals only itself, and hashes by identity.
     """
 
     A: np.ndarray
@@ -281,15 +281,31 @@ def classify(fval: float) -> str:
     return "undecided"
 
 
+def _check_seed_text(seed: str) -> None:
+    if not re.fullmatch(r"[0-9]+", seed):
+        raise ValueError(f"seed must be a nonnegative decimal integer, got {seed!r}")
+
+
+def _check_solves(A: np.ndarray, b: np.ndarray, x_true: np.ndarray) -> None:
+    residual, tol = np.linalg.norm(A @ x_true - b), 1e-10 * np.linalg.norm(A) * np.linalg.norm(x_true)
+    if not residual <= tol:
+        raise ValueError(f"x_true does not solve A x = b: |A x_true - b| = {residual:.3e} > {tol:.3e}")
+
+
 def save_instance(inst: FeasibilityInstance, path) -> None:
     """Write an instance to `path`, with no suffix added, as one ``.npz`` archive.
 
     The seed is stored as its decimal string, so any nonnegative integer
     seed, even one past 64 bits, reloads exactly, as A, b, x_true, r and
-    bound do, and nothing is pickled.
+    bound do, and nothing is pickled. A seed, shape or x_true that
+    :func:`load_instance` would reject raises its ValueError, and nothing is written.
     """
+    seed = str(inst.seed)
+    _check_seed_text(seed)
+    check_shape(inst.m, inst.n)
+    _check_solves(inst.A, inst.b, inst.x_true)
     with open(path, "wb") as handle:
-        np.savez(handle, A=inst.A, b=inst.b, x_true=inst.x_true, r=inst.r, seed=str(inst.seed), bound=float(inst.bound))
+        np.savez(handle, A=inst.A, b=inst.b, x_true=inst.x_true, r=inst.r, seed=seed, bound=float(inst.bound))
 
 
 # The arrays of an instance file, each with its dimension and the numpy type of its dtype.
@@ -331,14 +347,11 @@ def load_instance(path) -> FeasibilityInstance:
         if value.ndim != ndim or not np.issubdtype(value.dtype, kind):
             raise ValueError(f"{key} must be a {ndim}-d {kind.__name__} array, got {value.ndim}-d {value.dtype}")
     A, b, x_true, seed = arrays["A"], arrays["b"], arrays["x_true"], str(arrays["seed"])
-    if not re.fullmatch(r"[0-9]+", seed):
-        raise ValueError(f"seed must be a nonnegative decimal integer, got {seed!r}")
+    _check_seed_text(seed)
     (m, n), r, bound = A.shape, int(arrays["r"]), float(arrays["bound"])
     check_shape(m, n)
     if b.shape != (m,) or x_true.shape != (n,):
         raise ValueError(f"A is {m} x {n}, so b needs {m} entries and x_true {n}; got {b.size} and {x_true.size}")
     inst = FeasibilityInstance(A=A, b=b, r=r, bound=bound, seed=int(seed), x_true=x_true)
-    residual, tol = np.linalg.norm(A @ x_true - b), 1e-10 * np.linalg.norm(A) * np.linalg.norm(x_true)
-    if not residual <= tol:
-        raise ValueError(f"x_true does not solve A x = b: |A x_true - b| = {residual:.3e} > {tol:.3e}")
+    _check_solves(A, b, x_true)
     return inst

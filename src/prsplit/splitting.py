@@ -109,7 +109,7 @@ class SolverConfig:
     below the floor ``gamma1``, which needs an explicit gamma0, must not
     exceed it and defaults to it, so an unset or equal floor keeps the step
     fixed.
-    BenchConfig and the CLI read their method, tol and max_iter defaults here.
+    ``tol`` and ``max_iter`` live here alone; only ``prsplit solve --tol/--max-iter`` override them.
     """
 
     gamma0: float | None = None

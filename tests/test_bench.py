@@ -67,10 +67,15 @@ def test_run_bench_respects_method_selection():
 
 
 def test_solver_config_maps_method_constants():
-    cfg = small_config(steps={"pr": (0.15, 0.05), "dr": (40.0, 0.5)}, tol=1e-6, max_iter=300)
+    # The steps are all BenchConfig sets: tol and max_iter are SolverConfig's defaults.
+    cfg = small_config(steps={"pr": (0.15, 0.05), "dr": (40.0, 0.5)})
     for method, (gamma0, gamma1) in (("pr", (0.15, 0.05)), ("dr", (40.0, 0.5))):
-        expected = SolverConfig(gamma0=gamma0, gamma1=gamma1, method=method, tol=1e-6, max_iter=300)
-        assert solver_config(cfg, method) == expected
+        assert solver_config(cfg, method) == SolverConfig(gamma0=gamma0, gamma1=gamma1, method=method)
+        assert solver_config(BenchConfig(), method) == SolverConfig(*bench.METHOD_STEPS[method], method=method)
+    with pytest.raises(TypeError):
+        small_config(tol=SolverConfig.tol)
+    with pytest.raises(TypeError):
+        small_config(max_iter=SolverConfig.max_iter)
 
 
 def test_bench_config_keeps_a_read_only_copy_of_steps_covering_every_method():
@@ -115,14 +120,11 @@ def test_bench_config_rejects_non_integer_counts():
     for bad in (1.5, True):
         with pytest.raises(ValueError, match="trials must be an integer of at least 1"):
             BenchConfig(pairs=((10, 40),), trials=bad)
-    for bad in (3.0, True):
-        with pytest.raises(ValueError, match="max_iter must be a nonnegative integer"):
-            BenchConfig(pairs=((10, 40),), max_iter=bad)
     for bad in (1.5, False):
         with pytest.raises(ValueError, match=rf"^base_seed must be an integer, got {re.escape(repr(bad))}$"):
             BenchConfig(pairs=((10, 40),), base_seed=bad)
     BenchConfig(pairs=((10, 40),), base_seed=-1)
-    cfg = BenchConfig(pairs=((10, 40),), trials=np.int32(2), max_iter=np.int64(3), base_seed=np.int64(-7))
+    cfg = BenchConfig(pairs=((10, 40),), trials=np.int32(2), base_seed=np.int64(-7))
     rows = run_bench(cfg)
     assert [row.successes + row.failures + row.undecided for row in rows] == [2, 2]
 
@@ -205,13 +207,20 @@ def test_markdown_marks_a_missing_cell():
 
 
 def test_run_bench_counts_divergence_as_failure():
-    # A max_iter of 0 cannot happen through BenchConfig, so exercise the
-    # failure accounting through an absurdly tight iteration budget instead:
-    # runs stop at max_iter with a nonzero residual and classify as failure.
-    rows = run_bench(small_config(max_iter=1, trials=1))
-    for row in rows:
-        assert row.successes + row.failures + row.undecided == 1
-        assert np.isfinite(row.fval_max)
+    # A fixed PR step of 0.19, above the 1/12 cap, on 30 x 100 instances: each
+    # run stalls with its relative change at or above 1 for 100 steps in a
+    # row, so the stall rule ends it "diverged" about 100 steps in (101.25 on
+    # average here), long before max_iter, and the table counts each a failure.
+    cfg = small_config(pairs=((30, 100),), trials=4, methods=("pr",), steps={"pr": (0.19, 0.19)})
+    [row] = run_bench(cfg)
+    assert (row.failures, row.successes, row.undecided) == (4, 0, 0)
+    assert 101 <= row.mean_iterations < 110
+    [(m, n)] = cfg.pairs
+    for trial in range(cfg.trials):
+        inst = gen_feasibility(m, n, trial_seed(cfg.base_seed, m, n, trial))
+        report, fval, outcome, _ = solve_trial(inst, solver_config(cfg, "pr"))
+        assert (report.reason, outcome) == ("diverged", "failure")
+        assert row.fval_min <= fval <= row.fval_max
 
 
 def test_run_bench_counts_a_raising_trial_as_failure():
@@ -303,15 +312,22 @@ def peak_traced_bytes(cfg):
         tracemalloc.stop()
 
 
-def test_run_bench_holds_one_instance_at_a_time():
+def test_run_bench_holds_one_instance_at_a_time(monkeypatch):
     # Six trials peak less than half an instance's A above one trial: each
     # instance is dropped before the next is drawn. Holding the previous one
     # during the next draw, or all six, peaks most of an A or more above.
     # An untraced first call keeps one-off allocations out of the numbers.
+    # Each run is capped at 20 steps, only to keep the test short.
     m, n = 50, 2000
+    real_run = bench.run
+
+    def capped(problem, config, x0, observer=None):
+        return real_run(problem, replace(config, max_iter=20), x0, observer)
+
+    monkeypatch.setattr(bench, "run", capped)
 
     def config(trials):
-        return BenchConfig(pairs=((m, n),), trials=trials, methods=("pr",), max_iter=20)
+        return BenchConfig(pairs=((m, n),), trials=trials, methods=("pr",))
 
     run_bench(config(1))
     one, six = (peak_traced_bytes(config(trials)) for trials in (1, 6))

@@ -43,6 +43,16 @@ def test_bench_rejects_malformed_pairs(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--tol", "--max-iter"])
+def test_bench_takes_no_solver_settings(flag, monkeypatch, capsys):
+    # tol and max_iter are SolverConfig's defaults; only `prsplit solve` sets them.
+    monkeypatch.setattr(cli, "run_bench", lambda *args, **kwargs: pytest.fail("run_bench was called"))
+    with pytest.raises(SystemExit) as info:
+        main(["bench", "--pairs", "10x40", flag, "5"])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
 def test_bench_rejects_unknown_method(capsys):
     code = main(["bench", "--pairs", "10x40", "--methods", "newton", "--quiet"])
     assert code == 2
@@ -140,6 +150,25 @@ def test_solve_rejects_an_unwritable_trace_path_before_the_solve(tmp_path, monke
     assert str(trace) in captured.err
 
 
+def test_solve_opens_the_trace_before_it_saves_the_instance(tmp_path, capsys):
+    saved, trace = tmp_path / "inst.npz", tmp_path / "missing" / "trace.csv"
+    assert main(["solve", "--m", "10", "--n", "40", "--save-instance", str(saved), "--trace", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_that_raises_leaves_no_trace_file(tmp_path, capsys):
+    # A PR start step of 0.3 makes the shifted g-prox ill-posed (5 * 0.3 >= 1).
+    trace = tmp_path / "trace.csv"
+    assert main(["solve", "--m", "10", "--n", "40", "--gamma0", "0.3", "--trace", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: shift destroys prox well-posedness") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_fixed_gamma(capsys):
     # A floor at the start step leaves the heuristic nothing to shrink.
     code = main(["solve", "--m", "10", "--n", "40", "--seed", "2", "--gamma0", "0.08", "--gamma1", "0.08"])
@@ -168,10 +197,10 @@ def test_step_defaults_come_from_method_steps(capsys):
     bench = _build_parser().parse_args(["bench"])
     solve = _build_parser().parse_args(["solve"])
     cfg, solver = BenchConfig(), SolverConfig()
-    # tol, max_iter and method are SolverConfig's, methods and seed BenchConfig's.
-    for args in (bench, solve):
-        assert (args.tol, args.max_iter) == (cfg.tol, cfg.max_iter) == (solver.tol, solver.max_iter)
-    assert solve.method == solver.method
+    # tol, max_iter and method are SolverConfig's, methods and seed BenchConfig's;
+    # only solve takes --tol and --max-iter.
+    assert (solve.tol, solve.max_iter, solve.method) == (solver.tol, solver.max_iter, solver.method)
+    assert not hasattr(bench, "tol") and not hasattr(bench, "max_iter")
     assert bench.methods == cfg.methods == tuple(METHOD_STEPS)
     assert bench.seed == cfg.base_seed
     for method, (gamma0, gamma1) in METHOD_STEPS.items():

@@ -231,7 +231,7 @@ def test_project_sparse_box_clips_to_bound():
     dset = SparseBoxSet(r=2, bound=1.5)
     out = dset.project(np.array([4.0, -3.0, 0.5]))
     assert_allclose(out, [1.5, -1.5, 0.0])
-    assert dset.contains(out)
+    assert dset.indicator(out) == 0.0
 
 
 def test_project_sparse_box_idempotent():
@@ -247,6 +247,17 @@ def test_project_box_is_clip():
     assert_allclose(bset.project(np.array([3.0, -5.0, 1.0])), [2.0, -2.0, 1.0])
     assert bset.indicator(np.array([2.0, 0.0])) == 0.0
     assert bset.indicator(np.array([2.1, 0.0])) == np.inf
+
+
+def test_set_indicators_keep_their_tolerances_and_reject_nan():
+    dset, bset = SparseBoxSet(r=2, bound=1.5), BoxSet(2.0)
+    assert dset.indicator(np.array([1.5 * (1.0 + 1e-12), 0.0, 0.0])) == 0.0
+    assert dset.indicator(np.array([1.5 * (1.0 + 1e-11), 0.0, 0.0])) == np.inf
+    assert dset.indicator(np.array([1.0, 1.0, 1.0])) == np.inf  # three nonzeros, cap 2
+    assert bset.indicator(np.array([2.0 * (1.0 + 1e-9), 0.0])) == 0.0
+    assert bset.indicator(np.array([2.0 * (1.0 + 1e-8), 0.0])) == np.inf
+    for z in (np.array([np.nan, 0.0, 0.0]), np.array([np.nan, 0.0])):
+        assert dset.indicator(z) == np.inf and bset.indicator(z) == np.inf
 
 
 # ---------------------------------------------------------------------- proxes

@@ -501,6 +501,31 @@ def test_save_instance_writes_exactly_the_path_given(tmp_path):
     assert load_instance(tmp_path / "x.txt").seed == 1
 
 
+def _with_x_true_off(inst):
+    x_true = inst.x_true.copy()
+    x_true[np.flatnonzero(x_true)[0]] *= 1 + 1e-8
+    return dataclasses.replace(inst, x_true=x_true)
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (tiny_instance, r"^seed must be a nonnegative decimal integer, got '-1'$"),
+        (lambda: dataclasses.replace(tiny_instance(), seed=0), r"^m must be at least 5, got 2x4$"),
+        (lambda: dataclasses.replace(gen_feasibility(10, 40, 1), seed=-1), r"got '-1'$"),
+        (lambda: dataclasses.replace(gen_feasibility(10, 40, 1), seed=2.5), r"got '2\.5'$"),
+        (lambda: dataclasses.replace(gen_feasibility(10, 40, 1), seed="abc"), r"got 'abc'$"),
+        (lambda: _with_x_true_off(gen_feasibility(12, 40, 78)), r"^x_true does not solve A x = b: "),
+    ],
+    ids=["tiny", "2x4", "seed -1", "seed 2.5", "seed abc", "x_true off"],
+)
+def test_save_instance_writes_nothing_load_instance_would_reject(make, match, tmp_path):
+    path = tmp_path / "instance.npz"
+    with pytest.raises(ValueError, match=match):
+        save_instance(make(), path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def saved_arrays(tmp_path, m=12):
     """Path and arrays of a saved m x 40 instance (r = 3 at m = 12)."""
     path = tmp_path / "instance.npz"
