@@ -109,8 +109,8 @@ class BenchConfig:
             raise ValueError(f"trials must be an integer of at least 1, got {self.trials!r}")
         if not _is_integer(self.base_seed):
             raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
-        if not self.methods:
-            raise ValueError(f"methods must be a nonempty subset of ('pr', 'dr'), got {self.methods}")
+        if not self.methods or not set(self.methods) <= METHOD_STEPS.keys():
+            raise ValueError(f"methods must be a nonempty subset of {tuple(METHOD_STEPS)}, got {self.methods}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError(f"methods must not repeat, got {self.methods}")
         for method in self.methods:

@@ -14,6 +14,12 @@ One instance with a per-iteration trace::
 
     prsplit solve --m 100 --n 1000 --seed 7 --method pr --trace trace.csv
 
+Both subcommands fill a method's (start, floor) steps by one rule: an
+omitted start is the method's in :data:`~prsplit.bench.METHOD_STEPS`, and
+an omitted floor is the method's or the start, whichever is lower. So
+``--gamma0 0.05`` runs the fixed step 0.05; a floor above the start fails
+only when given.
+
 Exit status is 0 on completion and 2 on a configuration error.
 """
 
@@ -43,6 +49,22 @@ def _parse_methods(text: str) -> tuple[str, ...]:
     return tuple(tok.strip().lower() for tok in text.split(","))
 
 
+def _steps(method: str, gamma0: float | None, gamma1: float | None) -> tuple[float, float]:
+    """The (start, floor) `method` runs at, filled by the rule of the module docstring."""
+    default0, default1 = METHOD_STEPS[method]
+    gamma0 = default0 if gamma0 is None else gamma0
+    return gamma0, min(default1, gamma0) if gamma1 is None else gamma1
+
+
+def _step_help(*methods: str) -> tuple[str, str]:
+    """Help of a start and a floor flag for `methods`: their defaults and the floor rule."""
+    starts, floors = (", ".join(f"{name} {METHOD_STEPS[name][i]:g}" for name in methods) for i in (0, 1))
+    return (
+        f"start step (default {starts})",
+        f"floor the step may shrink to (default {floors}, or the start if lower); at the start, a fixed step",
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="prsplit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -54,9 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--trials", type=int, default=None, help="instances per shape (default: the preset's)")
     bench.add_argument("--methods", type=_parse_methods, default=BenchConfig.methods)
     bench.add_argument("--seed", type=int, default=BenchConfig.base_seed)
-    for method, (gamma0, gamma1) in METHOD_STEPS.items():
-        bench.add_argument(f"--{method}-gamma0", type=float, default=gamma0)
-        bench.add_argument(f"--{method}-gamma1", type=float, default=gamma1)
+    for method in METHOD_STEPS:
+        start_help, floor_help = _step_help(method)
+        bench.add_argument(f"--{method}-gamma0", type=float, default=None, help=start_help)
+        bench.add_argument(f"--{method}-gamma1", type=float, default=None, help=floor_help)
     bench.add_argument("--format", choices=("csv", "markdown"), default="csv")
     bench.add_argument("--quiet", action="store_true", help="suppress per-cell progress on stderr")
 
@@ -69,25 +92,22 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--method", choices=tuple(METHOD_STEPS), default=SolverConfig.method)
     solve.add_argument("--tol", type=float, default=SolverConfig.tol)
     solve.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
-    solve.add_argument("--gamma0", type=float, default=None, help="start step (method default if omitted)")
-    solve.add_argument(
-        "--gamma1",
-        type=float,
-        default=None,
-        help="floor the step may shrink to (method default if omitted); equal to --gamma0, a fixed step",
-    )
+    start_help, floor_help = _step_help(*METHOD_STEPS)
+    solve.add_argument("--gamma0", type=float, default=None, help=start_help)
+    solve.add_argument("--gamma1", type=float, default=None, help=floor_help)
     solve.add_argument("--trace", default=None, help="write per-iteration CSV (t,gamma,merit,dz,fval) here")
     return parser
 
 
 def _cmd_bench(args) -> int:
     pairs, trials = PRESETS[args.preset]
+    flags = vars(args)
     cfg = BenchConfig(
         pairs=pairs if args.pairs is None else args.pairs,
         trials=trials if args.trials is None else args.trials,
         base_seed=args.seed,
         methods=args.methods,
-        steps={name: (getattr(args, f"{name}_gamma0"), getattr(args, f"{name}_gamma1")) for name in METHOD_STEPS},
+        steps={name: _steps(name, flags[f"{name}_gamma0"], flags[f"{name}_gamma1"]) for name in METHOD_STEPS},
     )
     progress = None if args.quiet else lambda line: print(line, file=sys.stderr)
     rows = run_bench(cfg, progress=progress)
@@ -96,9 +116,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    default0, default1 = METHOD_STEPS[args.method]
-    gamma0 = default0 if args.gamma0 is None else args.gamma0
-    gamma1 = default1 if args.gamma1 is None else args.gamma1
+    gamma0, gamma1 = _steps(args.method, args.gamma0, args.gamma1)
     cfg = SolverConfig(gamma0=gamma0, gamma1=gamma1, method=args.method, tol=args.tol, max_iter=args.max_iter)
 
     if args.instance is not None:

@@ -118,7 +118,8 @@ class LsInstance:
     """Data and constraint set of a constrained least-squares problem.
 
     Construction is the one check of the data: A must be a nonempty m x n
-    array and b of length m, both finite, or ValueError names the field.
+    array and b of length m, both finite, and constraint a
+    :class:`SparseBoxSet` or a :class:`BoxSet`, or ValueError names the field.
     Array-likes are converted to float arrays; a float64 array is kept as
     the same object.
     Do not modify A or b in place once a problem is built from them: the
@@ -142,6 +143,8 @@ class LsInstance:
         for name, data in (("A", self.A), ("b", self.b)):
             if not np.isfinite(data).all():
                 raise ValueError(f"{name} holds NaN or infinite entries")
+        if not isinstance(self.constraint, (SparseBoxSet, BoxSet)):
+            raise ValueError(f"constraint must be a SparseBoxSet or a BoxSet, got {self.constraint!r}")
 
 
 def check_shape(m: int, n: int) -> None:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -54,8 +55,12 @@ def test_bench_takes_no_solver_settings(flag, monkeypatch, capsys):
 
 
 def test_bench_rejects_unknown_method(capsys):
-    code = main(["bench", "--pairs", "10x40", "--methods", "newton", "--quiet"])
-    assert code == 2
+    # Every name outside METHOD_STEPS, the empty one too, fails with the one message.
+    for methods, parsed in (("newton", "('newton',)"), (",", "('', '')"), ("pr,", "('pr', '')")):
+        assert main(["bench", "--pairs", "10x40", "--methods", methods, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: methods must be a nonempty subset of ('pr', 'dr'), got {parsed}\n"
 
 
 def test_bench_rejects_a_repeated_method(capsys):
@@ -204,13 +209,91 @@ def test_step_defaults_come_from_method_steps(capsys):
     assert bench.methods == cfg.methods == tuple(METHOD_STEPS)
     assert bench.seed == cfg.base_seed
     for method, (gamma0, gamma1) in METHOD_STEPS.items():
-        assert (getattr(bench, f"{method}_gamma0"), getattr(bench, f"{method}_gamma1")) == cfg.steps[method]
-        assert cfg.steps[method] == (gamma0, gamma1)
+        # The step flags default to None, and cli._steps fills them from METHOD_STEPS.
+        assert (getattr(bench, f"{method}_gamma0"), getattr(bench, f"{method}_gamma1")) == (None, None)
+        assert cli._steps(method, None, None) == cfg.steps[method] == (gamma0, gamma1)
+        assert cli._steps(method, None, gamma1 / 2) == (gamma0, gamma1 / 2)
+        assert cli._steps(method, gamma0 / 2, None) == (gamma0 / 2, gamma1)
+        # An omitted floor is never above the start: below the floor, the start step is fixed.
+        assert cli._steps(method, gamma1 / 2, None) == (gamma1 / 2, gamma1 / 2)
+        assert cli._steps(method, gamma1 / 2, gamma1) == (gamma1 / 2, gamma1)  # given, SolverConfig rejects it
         assert solver_config(cfg, method) == SolverConfig(gamma0=gamma0, gamma1=gamma1, method=method)
         # One iteration runs at the heuristic's start step.
         code = main(["solve", "--m", "10", "--n", "40", "--method", method, "--max-iter", "1"])
         assert code == 0
         assert f"final gamma : {gamma0:.6g}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, lines",
+    [
+        (
+            "bench",
+            [
+                "--pr-gamma0 PR_GAMMA0 start step (default pr 0.19)",
+                "--pr-gamma1 PR_GAMMA1 floor the step may shrink to (default pr 0.0833333, or the start if lower)",
+                "--dr-gamma0 DR_GAMMA0 start step (default dr 50)",
+                "--dr-gamma1 DR_GAMMA1 floor the step may shrink to (default dr 0.333333, or the start if lower)",
+            ],
+        ),
+        (
+            "solve",
+            [
+                "--gamma0 GAMMA0 start step (default pr 0.19, dr 50)",
+                "--gamma1 GAMMA1 floor the step may shrink to (default pr 0.0833333, dr 0.333333, or the start if",
+            ],
+        ),
+    ],
+    ids=["bench", "solve"],
+)
+def test_step_flag_help_names_the_defaults_and_the_floor_rule(command, lines, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps at the terminal width
+    for line in lines:
+        assert line in text
+
+
+@pytest.mark.parametrize("method, start", [("pr", "0.05"), ("dr", "0.2")])
+def test_solve_start_below_the_method_floor_runs_that_fixed_step(method, start, capsys):
+    # The omitted floor drops to the start, so the run is the one with the floor given as the start.
+    args = ["solve", "--m", "10", "--n", "40", "--method", method, "--gamma0", start]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert main([*args, "--gamma1", start]) == 0
+    assert capsys.readouterr().out == out
+    assert f"final gamma : {start}\n" in out
+    if method == "pr":
+        assert "iterations  : 499 (converged)\n" in out
+
+
+def test_bench_start_below_the_method_floor_runs_that_fixed_step(capsys):
+    args = ["bench", "--pairs", "10x40", "--trials", "2", "--pr-gamma0", "0.05", "--quiet"]
+    assert main(args) == 0
+    rows = parse_csv(capsys.readouterr().out)
+    assert main([*args, "--pr-gamma1", "0.05"]) == 0
+    fixed = parse_csv(capsys.readouterr().out)
+    assert [row.method for row in rows] == ["pr", "dr"]
+    assert [dataclasses.replace(row, mean_seconds=0.0) for row in rows] == [
+        dataclasses.replace(row, mean_seconds=0.0) for row in fixed
+    ]
+
+
+@pytest.mark.parametrize(
+    "args, floor, start",
+    [
+        (["bench", "--pairs", "10x40", "--pr-gamma1", "0.3"], 0.3, 0.19),
+        (["solve", "--m", "10", "--n", "40", "--gamma0", "0.05", "--gamma1", "0.08"], 0.08, 0.05),
+    ],
+    ids=["bench", "solve"],
+)
+def test_a_given_floor_above_the_start_is_rejected(args, floor, start, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_bench", lambda *args, **kwargs: pytest.fail("run_bench was called"))
+    monkeypatch.setattr(cli, "solve_trial", lambda *args: pytest.fail("solve_trial was called"))
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the floor gamma1 = {floor} must not exceed the start step gamma0 = {start}\n"
 
 
 @pytest.mark.parametrize("preset", ["desk", "full"])
@@ -229,78 +312,33 @@ def test_bench_without_trials_runs_the_preset_table_count(preset, monkeypatch, c
         assert configs[-1] == BenchConfig()
 
 
-def _old_text_layout(arrays):
-    """The plain-text instance file of earlier releases: a header line, A's rows, b and x_true."""
-    m, n = arrays["A"].shape
-    header = f"{m} {n} {arrays['r']} {arrays['seed']} {float(arrays['bound'])!r}"
-    rows = (*arrays["A"], arrays["b"], arrays["x_true"])
-    return "\n".join([header] + [" ".join(repr(float(v)) for v in row) for row in rows]) + "\n"
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-100])
 
 
-def _write(path, save, *args, **kwargs):
-    """Write through `save` (np.save or np.savez) to exactly `path`."""
-    with open(path, "wb") as handle:
-        save(handle, *args, **kwargs)
-
-
-def _with(array, index, value):
-    """A copy of `array` with `value` at `index`."""
-    out = array.copy()
-    out[index] = value
-    return out
-
-
-# Files that do not open as an .npz archive, each written over a saved instance
-# from the path and the instance's arrays.
-NOT_AN_NPZ = {
-    "empty": lambda path, a: path.write_bytes(b""),
-    "truncated": lambda path, a: path.write_bytes(path.read_bytes()[:-100]),
-    "old text layout": lambda path, a: path.write_text(_old_text_layout(a)),
-    "npy": lambda path, a: _write(path, np.save, a["A"]),
-}
-# Archives with bad contents, each from the arrays of a saved 10 x 40 instance,
-# with the start of its error message (PATH stands for the file's path).
-BAD_ARRAYS = {
-    "missing key": (
-        lambda a: {k: v for k, v in a.items() if k != "seed"},
-        "PATH must hold exactly the arrays A, b, x_true, r, seed, bound, got A, b, x_true, r, bound",
-    ),
-    "extra key": (lambda a: dict(a, m=np.array(10)), "PATH must hold exactly the arrays"),
-    "string A": (lambda a: dict(a, A=a["A"].astype(str)), "A must be a 2-d float64 array, got 2-d <U"),
-    "integer A": (lambda a: dict(a, A=a["A"].astype(np.int64)), "A must be a 2-d float64 array, got 2-d int64"),
-    "short row": (lambda a: dict(a, A=a["A"][:, :-1]), "A is 10 x 39, so b needs 10 entries and x_true 39; got 10"),
-    "long b": (lambda a: dict(a, b=np.append(a["b"], 0.0)), "A is 10 x 40, so b needs 10 entries and x_true 40"),
-    "2-d x_true": (lambda a: dict(a, x_true=a["x_true"][None]), "x_true must be a 1-d float64 array, got 2-d float64"),
-    "non-integer r": (lambda a: dict(a, r=np.array(2.0)), "r must be a 0-d integer array, got 0-d float64"),
-    "nan bound": (lambda a: dict(a, bound=np.array(np.nan)), "bound must be positive"),
-    "non-number bound": (lambda a: dict(a, bound=np.array("1e6x")), "bound must be a 0-d float64 array, got 0-d <U4"),
-    "bad x_true": (lambda a: dict(a, x_true=2 * a["x_true"]), "x_true does not solve A x = b"),
-    "nan in A": (lambda a: dict(a, A=_with(a["A"], (4, 0), np.nan)), "A holds NaN or infinite entries, first in row 4"),
-    "rank deficient": (  # A row 1 := row 0 and b[1] := b[0], so A x_true = b still holds
-        lambda a: dict(a, A=_with(a["A"], 1, a["A"][0]), b=_with(a["b"], 1, a["b"][0])),
-        "A (10 x 40) does not have full row rank: its rows are linearly dependent",
-    ),
-}
-
-
-@pytest.mark.parametrize("damage", [*NOT_AN_NPZ, *BAD_ARRAYS])
-def test_solve_rejects_a_malformed_instance_file(damage, tmp_path, capsys):
-    path = tmp_path / "inst.npz"
-    assert main(["solve", "--m", "10", "--n", "40", "--max-iter", "1", "--save-instance", str(path)]) == 0
+def _repeat_row_0(path):
+    # Row 1 := row 0 and b[1] := b[0], so A x_true = b still holds.
     with np.load(path) as data:
         arrays = dict(data)
-    if damage in NOT_AN_NPZ:
-        NOT_AN_NPZ[damage](path, arrays)
-        message = "PATH is not an instance file: expected an .npz archive of arrays"
-    else:
-        change, message = BAD_ARRAYS[damage]
-        _write(path, np.savez, **change(arrays))
+    arrays["A"][1], arrays["b"][1] = arrays["A"][0], arrays["b"][0]
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+
+
+@pytest.mark.parametrize("damage", [_truncate, _repeat_row_0], ids=["truncated", "rank deficient"])
+def test_solve_rejects_a_malformed_instance_file(damage, tmp_path, capsys):
+    # The CLI's contract only: exit 2 and one error line, load_instance's message.
+    # tests/test_problems.py checks each of load_instance's rejections.
+    path = tmp_path / "inst.npz"
+    assert main(["solve", "--m", "10", "--n", "40", "--max-iter", "1", "--save-instance", str(path)]) == 0
+    damage(path)
     with pytest.raises(ValueError) as raised:
         load_instance(path)
-    assert str(raised.value).startswith(message.replace("PATH", str(path)))
     capsys.readouterr()
     assert main(["solve", "--instance", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {raised.value}\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {raised.value}\n"
 
 
 def test_solve_rejects_missing_instance(capsys):

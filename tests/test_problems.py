@@ -266,6 +266,14 @@ def test_ls_instance_rejects_mismatched_shapes():
         LsInstance(A=np.eye(4, 3), b=np.ones(3), constraint=BoxSet(1.0))
 
 
+@pytest.mark.parametrize("constraint", ["box", None, 0.5])
+def test_ls_instance_rejects_a_constraint_that_is_not_a_box_set(constraint):
+    # It fails at construction, not as an AttributeError inside build_constrained_ls.
+    message = f"constraint must be a SparseBoxSet or a BoxSet, got {constraint!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LsInstance(A=np.eye(2), b=np.ones(2), constraint=constraint)
+
+
 def test_ls_instance_equals_only_itself():
     A, b = np.eye(2), np.ones(2)
     inst = LsInstance(A=A, b=b, constraint=BoxSet(1.0))
@@ -565,21 +573,15 @@ def old_text_lines(arrays):
     return [header] + [" ".join(repr(float(v)) for v in row) for row in (*arrays["A"], arrays["b"], arrays["x_true"])]
 
 
-def test_load_instance_rejects_a_file_in_the_support_layout(tmp_path):
-    # The oldest text layout: x_true as a line of support positions and a line of values.
-    path, arrays = saved_arrays(tmp_path)
-    lines = old_text_lines(arrays)
-    support = np.flatnonzero(arrays["x_true"])
-    lines[-1:] = [" ".join(map(str, support)), " ".join(repr(float(v)) for v in arrays["x_true"][support])]
-    path.write_text("\n".join(lines) + "\n")
-    not_an_instance_file(path)
-
-
-@pytest.mark.parametrize("kind", ["text", "npy", "object array", "bad crc", "bad deflate stream"])
+@pytest.mark.parametrize("kind", ["text", "support layout", "npy", "object array", "bad crc", "bad deflate stream"])
 def test_load_instance_rejects_a_file_that_is_not_an_npz_of_plain_arrays(kind, tmp_path):
     path, arrays = saved_arrays(tmp_path)
-    if kind == "text":  # the dense text layout
-        path.write_text("\n".join(old_text_lines(arrays)) + "\n")
+    if kind in ("text", "support layout"):
+        lines = old_text_lines(arrays)
+        if kind == "support layout":  # the oldest: x_true as a line of support positions and a line of values
+            support = np.flatnonzero(arrays["x_true"])
+            lines[-1:] = [" ".join(map(str, support)), " ".join(repr(float(v)) for v in arrays["x_true"][support])]
+        path.write_text("\n".join(lines) + "\n")
     elif kind == "npy":
         with open(path, "wb") as handle:
             np.save(handle, arrays["A"])
@@ -598,14 +600,23 @@ def test_load_instance_rejects_a_file_that_is_not_an_npz_of_plain_arrays(kind, t
     not_an_instance_file(path)
 
 
-@pytest.mark.parametrize("change", ["missing", "extra"])
-def test_load_instance_requires_exactly_the_instance_arrays(change, tmp_path):
+@pytest.mark.parametrize(
+    "change, got",
+    [
+        ("missing", "A, b, x_true, r, seed"),
+        ("missing seed", "A, b, x_true, r, bound"),
+        ("extra", "A, b, x_true, r, seed, bound, m"),
+    ],
+    ids=["missing", "missing seed", "extra"],
+)
+def test_load_instance_requires_exactly_the_instance_arrays(change, got, tmp_path):
     path, arrays = saved_arrays(tmp_path)
-    if change == "missing":
-        del arrays["bound"]
-    else:
+    if change == "extra":
         arrays["m"] = np.array(12)
-    rejects(path, arrays, rf"^{re.escape(str(path))} must hold exactly the arrays A, b, x_true, r, seed, bound, got ")
+    else:
+        del arrays["seed" if change == "missing seed" else "bound"]
+    message = f"{path} must hold exactly the arrays A, b, x_true, r, seed, bound, got {got}"
+    rejects(path, arrays, f"^{re.escape(message)}$")
 
 
 @pytest.mark.parametrize(
@@ -615,12 +626,16 @@ def test_load_instance_requires_exactly_the_instance_arrays(change, tmp_path):
         ("A", lambda A: np.rint(A).astype(np.int64), r"^A must be a 2-d float64 array, got 2-d int64$"),
         ("A", np.ravel, r"^A must be a 2-d float64 array, got 1-d float64$"),
         ("b", lambda b: b.astype(np.float32), r"^b must be a 1-d float64 array, got 1-d float32$"),
+        ("x_true", lambda x: x[None], r"^x_true must be a 1-d float64 array, got 2-d float64$"),
         ("r", lambda r: r.astype(float), r"^r must be a 0-d integer array, got 0-d float64$"),
         ("r", np.atleast_1d, r"^r must be a 0-d integer array, got 1-d int64$"),
         ("bound", lambda bound: bound.astype(np.int64), r"^bound must be a 0-d float64 array, got 0-d int64$"),
         ("seed", lambda seed: seed.astype(np.int64), r"^seed must be a 0-d str_ array, got 0-d int64$"),
     ],
-    ids=["string A", "integer A", "flat A", "float32 b", "float r", "array r", "integer bound", "integer seed"],
+    ids=[
+        "string A", "integer A", "flat A", "float32 b", "2-d x_true",
+        "float r", "array r", "integer bound", "integer seed",
+    ],
 )
 def test_load_instance_names_an_array_of_the_wrong_dtype_or_dimension(name, convert, match, tmp_path):
     path, arrays = saved_arrays(tmp_path)
@@ -635,9 +650,10 @@ def test_load_instance_rejects_an_a_block_of_the_wrong_width(tmp_path):
 
 
 def test_load_instance_rejects_short_b_line(tmp_path):
+    # One entry short, or one too long.
     path, arrays = saved_arrays(tmp_path)
-    arrays["b"] = arrays["b"][:-1]
-    rejects(path, arrays, r"^A is 12 x 40, so b needs 12 entries and x_true 40; got 11 and 40$")
+    for b, size in ((arrays["b"][:-1], 11), (np.append(arrays["b"], 0.0), 13)):
+        rejects(path, dict(arrays, b=b), rf"^A is 12 x 40, so b needs 12 entries and x_true 40; got {size} and 40$")
 
 
 def test_load_instance_rejects_more_than_r_support_positions(tmp_path):
