@@ -35,6 +35,29 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_step(value, name: str = "gamma") -> None:
+    """The one step contract: a step lies in (0, inf), so NaN fails too."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _as_vector(value, name: str, n: int | None = None, finite: bool = False) -> np.ndarray:
+    """The one point contract: `value` as a float64 array of shape (n,).
+
+    With n None (a set projection, which has no fixed length) any 1-D array
+    passes. `finite` also rejects NaN and inf entries.
+    """
+    w = np.asarray(value, dtype=float)
+    if n is None:
+        if w.ndim != 1:
+            raise ValueError(f"{name} must be a 1-D array, got shape {w.shape}")
+    elif w.shape != (n,):
+        raise ValueError(f"{name} has shape {w.shape}, expected ({n},)")
+    if finite and not np.isfinite(w).all():
+        raise ValueError(f"{name} holds NaN or infinite entries")
+    return w
+
+
 def _is_symmetric(M: np.ndarray) -> bool:
     """True when the finite square M equals M^T to within 1e-10 * (1 + max |M_ij|)."""
     D = M - M.T  # the one m x m temporary; max |X| is max(X.max(), -X.min())
@@ -83,11 +106,8 @@ class SpdFactorization:
         self.dim = inv_lower.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self.dim:
-            raise ValueError(f"rhs has length {rhs.shape[0]}, factor has dimension {self.dim}")
-        if not np.isfinite(rhs).all():
-            raise ValueError("rhs contains NaN or infinite entries")
+        """M^{-1} rhs for a finite rhs of shape (dim,); anything else raises ValueError."""
+        rhs = _as_vector(rhs, "rhs", self.dim, finite=True)
         return self.inv_lower.T @ (self.inv_lower @ rhs)
 
 

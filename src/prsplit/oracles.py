@@ -25,7 +25,15 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import NotPositiveDefiniteError, SpdFactorization, _is_integer, _is_symmetric, spd_factor
+from .linalg import (
+    NotPositiveDefiniteError,
+    SpdFactorization,
+    _as_vector,
+    _check_step,
+    _is_integer,
+    _is_symmetric,
+    spd_factor,
+)
 
 # Safety margin on top of the computed largest eigenvalue of A^T A before it
 # is used as a curvature bound. The eigensolver is exact up to a relative
@@ -137,9 +145,8 @@ class AffineSet:
         return self.A.shape[1]
 
     def project(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        if w.shape[0] != self.dim:
-            raise ValueError(f"point has length {w.shape[0]}, set lives in R^{self.dim}")
+        """Nearest point of C to a w of shape (dim,); another shape raises ValueError."""
+        w = _as_vector(w, "w", self.dim)
         multiplier = self.gram_factor.solve(self.A @ w - self.b)
         return w - self.A.T @ multiplier
 
@@ -166,8 +173,9 @@ class SparseBoxSet:
         partition, not a full sort. The clip never moves a kept entry for the
         huge default bound, in which case this is an exact nearest point; with
         an active bound it is the documented keep-then-clip selection.
+        w must be 1-D and hold at least r entries, or ValueError says which.
         """
-        w = np.asarray(w, dtype=float)
+        w = _as_vector(w, "w")
         r = self.r
         if w.shape[0] < r:
             raise ValueError(f"point has length {w.shape[0]} but the cap keeps {r} entries")
@@ -200,8 +208,8 @@ class BoxSet:
             raise ValueError("bound must be positive")
 
     def project(self, w: np.ndarray) -> np.ndarray:
-        """Componentwise clip of w to [-bound, bound]."""
-        return np.clip(np.asarray(w, dtype=float), -self.bound, self.bound)
+        """Componentwise clip of a 1-D w to [-bound, bound]."""
+        return np.clip(_as_vector(w, "w"), -self.bound, self.bound)
 
     def indicator(self, z: np.ndarray) -> float:
         # Tolerant membership so that convex averages of projected points,
@@ -248,13 +256,9 @@ class ShiftedQuadraticProx:
         self.lam_max = float(eigenvalues[-1]) * _CURVATURE_MARGIN
 
     def __call__(self, gamma: float, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        if not 0 < gamma < np.inf:
-            raise ValueError("gamma must be positive and finite")
-        if w.shape[0] != self.dim:
-            raise ValueError(f"point has length {w.shape[0]}, expected {self.dim}")
-        if not np.isfinite(w).all():
-            raise ValueError("w contains NaN or infinite entries")
+        """The prox at a step in (0, inf) and a finite w of shape (dim,); else ValueError."""
+        _check_step(gamma)
+        w = _as_vector(w, "w", self.dim, finite=True)
         c = 1.0 + _SHIFT_WEIGHT * gamma * self.lam_max
         v = w + gamma * self.Atb
         V = self._V
@@ -322,7 +326,7 @@ def quadratic_oracle(Q: np.ndarray, c: np.ndarray | None = None) -> SmoothOracle
     """Smooth oracle for f(y) = y^T Q y / 2 + c^T y with Q symmetric PSD.
 
     Q must be finite and symmetric to :func:`spd_factor`'s tolerance, and c
-    of length n, or ValueError names the argument.
+    finite of shape (n,), or ValueError names the argument.
 
     Q is diagonalized once, Q = V diag(d) V^T. The moduli are the extreme
     eigenvalues, and the prox solves (I + gamma Q) y = w - gamma c as
@@ -335,9 +339,7 @@ def quadratic_oracle(Q: np.ndarray, c: np.ndarray | None = None) -> SmoothOracle
     if not (np.isfinite(Q).all() and _is_symmetric(Q)):
         raise ValueError("Q must be finite and symmetric")
     n = Q.shape[0]
-    c = np.zeros(n) if c is None else np.asarray(c, dtype=float)
-    if c.shape != (n,):
-        raise ValueError(f"c must have length {n}, got shape {c.shape}")
+    c = np.zeros(n) if c is None else _as_vector(c, "c", n, finite=True)
     eigenvalues, V = np.linalg.eigh(Q)
     if eigenvalues[0] < -1e-10 * max(1.0, abs(eigenvalues[-1])):
         raise ValueError("quadratic_oracle needs a positive semidefinite Q")

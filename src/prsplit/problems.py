@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _is_integer, rng_from_seed
+from .linalg import _as_vector, _is_integer, rng_from_seed
 from .oracles import (
     AffineSet,
     BoxSet,
@@ -76,9 +76,10 @@ class FeasibilityInstance:
 
     :class:`SparseBoxSet` checks r and bound; :class:`AffineSet` checks A and
     b, factors A A^T and raises :class:`RankDeficientError` without full row
-    rank; x_true must hold n finite entries, at most r nonzero. A x_true = b
-    is the maker's part (:func:`save_instance` and :func:`load_instance` test
-    it). Modify no array in place. An instance equals only itself, and hashes by identity.
+    rank; r must not exceed n; x_true must hold n finite entries, at most r
+    nonzero. A x_true = b is the maker's part (:func:`save_instance` and
+    :func:`load_instance` test it). Modify no array in place. An instance
+    equals only itself, and hashes by identity.
     """
 
     A: np.ndarray
@@ -92,6 +93,7 @@ class FeasibilityInstance:
 
     def __post_init__(self):
         dset, cset = SparseBoxSet(self.r, self.bound), AffineSet(self.A, self.b)
+        _check_cap(dset, cset.dim)
         x_true = np.asarray(self.x_true, dtype=float)
         if x_true.shape != (cset.dim,) or not np.isfinite(x_true).all() or np.count_nonzero(x_true) > self.r:
             raise ValueError(f"x_true must hold n = {cset.dim} finite entries, at most r = {self.r} of them nonzero")
@@ -119,7 +121,8 @@ class LsInstance:
 
     Construction is the one check of the data: A must be a nonempty m x n
     array and b of length m, both finite, and constraint a
-    :class:`SparseBoxSet` or a :class:`BoxSet`, or ValueError names the field.
+    :class:`SparseBoxSet` with r at most n or a :class:`BoxSet`, or
+    ValueError names the field.
     Array-likes are converted to float arrays; a float64 array is kept as
     the same object.
     Do not modify A or b in place once a problem is built from them: the
@@ -145,6 +148,14 @@ class LsInstance:
                 raise ValueError(f"{name} holds NaN or infinite entries")
         if not isinstance(self.constraint, (SparseBoxSet, BoxSet)):
             raise ValueError(f"constraint must be a SparseBoxSet or a BoxSet, got {self.constraint!r}")
+        if isinstance(self.constraint, SparseBoxSet):
+            _check_cap(self.constraint, self.A.shape[1])
+
+
+def _check_cap(dset: SparseBoxSet, n: int) -> None:
+    """Raise ValueError unless the cardinality cap of `dset` fits in R^n."""
+    if dset.r > n:
+        raise ValueError(f"cardinality cap r = {dset.r} exceeds the dimension n = {n}")
 
 
 def check_shape(m: int, n: int) -> None:
@@ -269,8 +280,8 @@ def build_constrained_ls(inst: LsInstance) -> SplitProblem:
 
 
 def evaluate_fval(z: np.ndarray, inst: FeasibilityInstance) -> float:
-    """Solution quality dist(z, C)^2 / 2 of a candidate point."""
-    return _halfsqdist(inst.affine_set(), np.asarray(z, dtype=float))
+    """Solution quality dist(z, C)^2 / 2 of a candidate z of shape (n,), or ValueError naming z."""
+    return _halfsqdist(inst.affine_set(), _as_vector(z, "z", inst.n))
 
 
 def classify(fval: float) -> str:

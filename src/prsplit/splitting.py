@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import _is_integer
+from .linalg import _as_vector, _check_step, _is_integer
 from .oracles import _SHIFT_WEIGHT, ProxOracle, SmoothOracle
 
 __all__ = [
@@ -122,9 +122,8 @@ class SolverConfig:
         if self.method not in _METHODS:
             raise ValueError(f"method must be 'pr' or 'dr', got {self.method!r}")
         for name in ("gamma0", "gamma1"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            if getattr(self, name) is not None:
+                _check_step(getattr(self, name), name)
         if not 0 <= self.tol < np.inf:
             raise ValueError(f"tol must be nonnegative and finite, got {self.tol}")
         if not _is_integer(self.max_iter) or self.max_iter < 0:
@@ -193,8 +192,7 @@ def gamma_threshold(sigma: float, lipschitz: float) -> float:
 
 
 def _step(state: IterateState, problem: SplitProblem, gamma: float, factor: float) -> IterateState:
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_step(gamma)
     x = state.x
     y = problem.f.prox(gamma, x)
     z = problem.g.prox(gamma, 2.0 * y - x)
@@ -202,17 +200,18 @@ def _step(state: IterateState, problem: SplitProblem, gamma: float, factor: floa
 
 
 def pr_step(state: IterateState, problem: SplitProblem, gamma: float) -> IterateState:
-    """One Peaceman-Rachford step: x' = x + 2 (z' - y')."""
+    """One Peaceman-Rachford step: x' = x + 2 (z' - y'); gamma must be positive and finite."""
     return _step(state, problem, gamma, _METHODS["pr"][0])
 
 
 def dr_step(state: IterateState, problem: SplitProblem, gamma: float) -> IterateState:
-    """One Douglas-Rachford step: x' = x + (z' - y')."""
+    """One Douglas-Rachford step: x' = x + (z' - y'); gamma must be positive and finite."""
     return _step(state, problem, gamma, _METHODS["dr"][0])
 
 
 def _merit(problem: SplitProblem, y, z, x, gap: float, gamma: float, method: str) -> float:
     """The merit of `method` at (y, z, x) given gap = |z-y|; +inf where f or g is."""
+    _check_step(gamma)
     inner = float((x - y) @ (z - y))
     return problem.f.value(y) + problem.g.value(z) - _METHODS[method][1] * gap**2 / gamma + inner / gamma
 
@@ -224,6 +223,7 @@ def merit_pr(
 
     Acceptance criterion 3 checks it against its two expanded forms, with the
     inner product rewritten through 2y - z - x or through |x-y|^2 - |x-z|^2.
+    gamma must be positive and finite.
     """
     return _merit(problem, y, z, x, float(np.linalg.norm(z - y)), gamma, "pr")
 
@@ -231,7 +231,7 @@ def merit_pr(
 def merit_dr(
     y: np.ndarray, z: np.ndarray, x: np.ndarray, problem: SplitProblem, gamma: float
 ) -> float:
-    """DR merit f(y) + g(z) - |y-z|^2/(2 gamma) + <x-y, z-y>/gamma."""
+    """DR merit f(y) + g(z) - |y-z|^2/(2 gamma) + <x-y, z-y>/gamma; gamma must be positive and finite."""
     return _merit(problem, y, z, x, float(np.linalg.norm(z - y)), gamma, "dr")
 
 
@@ -246,7 +246,9 @@ def stationarity_residual(
     condition of y = prox of gamma f at x_prev and vanishes up to rounding
     after any step; the practical residual evaluates the gradient at the
     merged point z instead and measures how close z is to a stationary point.
+    gamma must be positive and finite.
     """
+    _check_step(gamma)
     if state.x_prev is None or state.y is None or state.z is None:
         raise ValueError("stationarity_residual needs a state produced by a step")
     drift = (state.y - state.x_prev) / gamma
@@ -259,14 +261,15 @@ def heuristic_update(gamma: float, t: int, drift: float, y_norm: float, gamma1: 
     """Shrink gamma toward 0.9999 * gamma1 when the iterates look unstable.
 
     No-op unless gamma > gamma1 and drift = |y_t - y_{t-1}| (0 at t = 1)
-    exceeds 1000 / t or y_norm = |y_t| exceeds 1e10; t must be at least 1.
+    exceeds 1000 / t or y_norm = |y_t| exceeds 1e10; t must be at least 1,
+    and gamma and gamma1 must be positive and finite.
     Then the new value is max(gamma / 2, 0.9999 * gamma1), so gamma lands
     just below gamma1 after finitely many shrinks and never moves again.
     Those four numbers are the paper's and are fixed: only the floor gamma1
     varies by method.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_step(gamma)
+    _check_step(gamma1, "gamma1")
     if not t >= 1:
         raise ValueError(f"t must be at least 1, got {t}")
     if gamma > gamma1 and (drift > _DRIFT_LIMIT / t or y_norm > _NORM_LIMIT):
@@ -275,11 +278,8 @@ def heuristic_update(gamma: float, t: int, drift: float, y_norm: float, gamma1: 
 
 
 def initial_state(x0: np.ndarray) -> IterateState:
-    """The t = 0 state: only x is defined."""
-    x0 = np.asarray(x0, dtype=float)
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be finite")
-    return IterateState(x=x0)
+    """The t = 0 state: only x is defined, from a finite 1-D x0, or ValueError."""
+    return IterateState(x=_as_vector(x0, "x0", finite=True))
 
 
 def _norms(state: IterateState) -> tuple[float, float, float] | None:
@@ -306,11 +306,9 @@ def run(
     non-finite or too large step is discarded, so the report always ends at
     a finite state. The observer, if given, is called after every kept step
     with the new state and the gamma that produced it.
-    An x0 not of shape ``(problem.dim,)`` raises ValueError naming both shapes.
+    An x0 not finite or not of shape ``(problem.dim,)`` raises ValueError.
     """
-    state = initial_state(x0)
-    if state.x.shape != (problem.dim,):
-        raise ValueError(f"x0 has shape {state.x.shape}, expected ({problem.dim},)")
+    state = IterateState(x=_as_vector(x0, "x0", problem.dim, finite=True))
     factor, _ = _METHODS[config.method]
     if config.gamma0 is not None:
         gamma = config.gamma0
@@ -390,9 +388,10 @@ def ergodic_gap_bound(
 
     where L is the gradient Lipschitz modulus of the smooth part before the
     shift and (z_ref, x_ref) is the limit the run converges to (in practice
-    the terminal point of a high-precision reference run). Returns
-    (lhs, rhs); the caller asserts lhs <= rhs.
+    the terminal point of a high-precision reference run); gamma must be
+    positive and finite. Returns (lhs, rhs); the caller asserts lhs <= rhs.
     """
+    _check_step(gamma)
     if n < 1:
         raise ValueError("n must be at least 1")
     if len(z_iters) < n:
@@ -410,10 +409,12 @@ def fit_contraction(
     """Tightest per-step contraction factor of |x_t - x_ref|^2 over a tail.
 
     Returns the largest ratio |x_{t+1} - x_ref|^2 / |x_t - x_ref|^2 across
-    the final `tail` steps, i.e. the smallest r for which the one-step
-    contraction inequality holds on that window. Steps from an exactly
-    converged point to a non-converged one yield inf.
+    the final `tail` steps (an integer of at least 1), i.e. the smallest r
+    for which the one-step contraction inequality holds on that window.
+    Steps from an exactly converged point to a non-converged one yield inf.
     """
+    if not _is_integer(tail) or tail < 1:
+        raise ValueError(f"tail must be an integer of at least 1, got {tail!r}")
     if len(x_iters) < tail + 1:
         raise ValueError(f"need at least {tail + 1} x-iterates, got {len(x_iters)}")
     window = x_iters[-(tail + 1) :]

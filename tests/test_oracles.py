@@ -348,9 +348,9 @@ def test_shifted_quadratic_prox_rejects_bad_step_or_point():
     for gamma in (0.0, -1e-3, np.nan, np.inf):
         with pytest.raises(ValueError, match="gamma"):
             prox(gamma, np.zeros(6))
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(ValueError, match=r"^w has shape \(5,\), expected \(6,\)$"):
         prox(0.01, np.zeros(5))
-    with pytest.raises(ValueError, match="NaN or infinite"):
+    with pytest.raises(ValueError, match="^w holds NaN or infinite entries$"):
         prox(0.01, np.array([0.0, np.nan, 0.0, 0.0, 0.0, 0.0]))
 
 
@@ -571,15 +571,19 @@ def test_smooth_oracle_validates_moduli():
             "gradient Lipschitz modulus must be positive",
         ),
         (lambda: AffineSet(np.eye(2, 3), np.ones(3)), "A must be m x n and b of length m"),
-        (lambda: AffineSet(np.eye(2, 3), np.ones(2)).project(np.zeros(4)), "point has length 4, set lives in R^3"),
+        (lambda: AffineSet(np.eye(2, 3), np.ones(2)).project(np.zeros(4)), "w has shape (4,), expected (3,)"),
         (lambda: SparseBoxSet(3).project(np.zeros(2)), "point has length 2 but the cap keeps 3 entries"),
         (lambda: quadratic_oracle(np.diag([1.0, -1.0])), "quadratic_oracle needs a positive semidefinite Q"),
         # eigh reads only the lower triangle, which is PSD here; Q's symmetric part is not.
         (lambda: quadratic_oracle(np.array([[1.0, 5.0], [0.0, 1.0]])), "Q must be finite and symmetric"),
         (lambda: quadratic_oracle(np.ones(3)), "Q must be a nonempty square matrix, got shape (3,)"),
-        (lambda: quadratic_oracle(np.eye(3), np.ones(2)), "c must have length 3, got shape (2,)"),
+        (lambda: quadratic_oracle(np.eye(3), np.ones(2)), "c has shape (2,), expected (3,)"),
+        (lambda: quadratic_oracle(np.eye(2), np.array([np.nan, 0.0])), "c holds NaN or infinite entries"),
     ],
-    ids=["lipschitz", "affine shape", "affine point", "sparse box point", "indefinite Q", "asymmetric Q", "1-D Q", "short c"],
+    ids=[
+        "lipschitz", "affine shape", "affine point", "sparse box point", "indefinite Q", "asymmetric Q", "1-D Q",
+        "short c", "non-finite c",
+    ],
 )
 def test_boundary_errors_name_their_cause(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -274,6 +274,11 @@ def test_ls_instance_rejects_a_constraint_that_is_not_a_box_set(constraint):
         LsInstance(A=np.eye(2), b=np.ones(2), constraint=constraint)
 
 
+def test_ls_instance_rejects_a_cap_above_n():
+    with pytest.raises(ValueError, match=r"^cardinality cap r = 3 exceeds the dimension n = 2$"):
+        LsInstance(A=np.eye(2), b=np.ones(2), constraint=SparseBoxSet(3))
+
+
 def test_ls_instance_equals_only_itself():
     A, b = np.eye(2), np.ones(2)
     inst = LsInstance(A=A, b=b, constraint=BoxSet(1.0))
@@ -524,8 +529,10 @@ def _with_x_true_off(inst):
         (lambda: dataclasses.replace(gen_feasibility(10, 40, 1), seed=2.5), r"got '2\.5'$"),
         (lambda: dataclasses.replace(gen_feasibility(10, 40, 1), seed="abc"), r"got 'abc'$"),
         (lambda: _with_x_true_off(gen_feasibility(12, 40, 78)), r"^x_true does not solve A x = b: "),
+        # The instance itself refuses the cap, so no such instance reaches the writer.
+        (lambda: dataclasses.replace(gen_feasibility(10, 40, 1), r=41), r"^cardinality cap r = 41 exceeds the dimension n = 40$"),
     ],
-    ids=["tiny", "2x4", "seed -1", "seed 2.5", "seed abc", "x_true off"],
+    ids=["tiny", "2x4", "seed -1", "seed 2.5", "seed abc", "x_true off", "r above n"],
 )
 def test_save_instance_writes_nothing_load_instance_would_reject(make, match, tmp_path):
     path = tmp_path / "instance.npz"
@@ -669,11 +676,12 @@ def test_load_instance_rejects_more_than_r_support_positions(tmp_path):
         ("bound", -1.0, "bound must be positive"),
         ("bound", 0.0, "bound must be positive"),
         ("r", 0, "cardinality cap r must be an integer of at least 1, got 0"),
+        ("r", 41, r"^cardinality cap r = 41 exceeds the dimension n = 40$"),
         ("seed", "1.5", r"^seed must be a nonnegative decimal integer, got '1\.5'$"),
         ("seed", "-1", r"^seed must be a nonnegative decimal integer, got '-1'$"),
         ("bound", "1e6x", r"^bound must be a 0-d float64 array, got 0-d <U4$"),
     ],
-    ids=["nan bound", "negative bound", "zero bound", "zero r", "float seed", "negative seed", "non-number bound"],
+    ids=["nan bound", "negative bound", "zero bound", "zero r", "r above n", "float seed", "negative seed", "non-number bound"],
 )
 def test_load_instance_rejects_a_bad_header_r_or_bound(tmp_path, field, value, match):
     # r, seed and bound: the scalars that the text layout kept in its header line.

@@ -653,14 +653,15 @@ def test_fit_contraction_needs_enough_points():
         (lambda: SplitProblem(halved_norm_problem().f, zero_prox_oracle(), dim=0), "dimension must be positive"),
         (lambda: SolverConfig(method="newton"), "method must be 'pr' or 'dr', got 'newton'"),
         (lambda: gamma_threshold(1.0, 0.0), "lipschitz modulus must be positive"),
-        (lambda: heuristic_update(0.0, 1, 0.0, 0.0, 0.1), "gamma must be positive"),
-        (lambda: initial_state(np.array([0.0, np.nan])), "x0 must be finite"),
+        (lambda: heuristic_update(0.0, 1, 0.0, 0.0, 0.1), "gamma must be positive and finite, got 0.0"),
+        (lambda: initial_state(np.array([0.0, np.nan])), "x0 holds NaN or infinite entries"),
         (
             lambda: ergodic_gap_bound([np.zeros(2)], lambda z: 0.0, *[np.zeros(2)] * 3, 0.05, 1.0, 2),
             "need at least 2 z-iterates, got 1",
         ),
+        (lambda: fit_contraction([np.zeros(2)] * 3, np.zeros(2), tail=0), "tail must be an integer of at least 1, got 0"),
     ],
-    ids=["dimension", "method", "lipschitz", "heuristic gamma", "x0", "z-iterates"],
+    ids=["dimension", "method", "lipschitz", "heuristic gamma", "x0", "z-iterates", "tail 0"],
 )
 def test_boundary_errors_name_their_cause(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -677,8 +678,9 @@ def test_boundary_errors_name_their_cause(call, message):
         (lambda: gamma_threshold(np.inf, 1.0), "sigma"),
         (lambda: gamma_threshold(5.0, np.nan), "lipschitz"),
         (lambda: gamma_threshold(5.0, np.inf), "lipschitz"),
+        (lambda: fit_contraction([np.zeros(2)] * 3, np.zeros(2), tail=-3), "tail"),
     ],
-    ids=["t 0", "dim 2.5", "dim True", "sigma nan", "sigma inf", "lipschitz nan", "lipschitz inf"],
+    ids=["t 0", "dim 2.5", "dim True", "sigma nan", "sigma inf", "lipschitz nan", "lipschitz inf", "tail -3"],
 )
 def test_engine_arguments_are_checked_by_name(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be "):
