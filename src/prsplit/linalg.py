@@ -77,12 +77,11 @@ def spectral_norm_sq(A: np.ndarray, tol: float = 1e-10) -> float:
     rounding: its relative error is a small multiple of machine epsilon,
     far inside the 1e-6 margin that turns it into a curvature bound.
 
-    `tol` must be positive and has no effect, because the result is exact;
-    it is accepted so existing positional callers keep working.
+    `tol` must be positive and finite and has no effect, because the result
+    is exact; it is accepted so existing positional callers keep working.
     """
     A = np.asarray(A, dtype=float)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_step(tol, "tol")
     if not np.any(A):
         raise ValueError("spectral_norm_sq needs a nonzero matrix")
     return float(np.linalg.eigvalsh(A @ A.T if A.shape[0] < A.shape[1] else A.T @ A)[-1])
@@ -111,22 +110,26 @@ class SpdFactorization:
         return self.inv_lower.T @ (self.inv_lower @ rhs)
 
 
-def _invert_lower(L: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the inverse of a nonsingular lower-triangular L into the zero `out`.
+def _invert_lower(L: np.ndarray) -> np.ndarray:
+    """Overwrite the nonsingular lower-triangular L with L^{-1} and return it.
 
-    With L = [[A, 0], [B, C]], L^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]];
-    the halves recurse into views of `out` down to leaves of order at most
-    `_INVERSE_LEAF`, so nothing above the diagonal is written and it stays zero.
+    With L = [[A, 0], [B, C]], L^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]].
+    The diagonal blocks recurse in place down to leaves of order at most
+    `_INVERSE_LEAF`; then B is overwritten with -C^{-1} (B A^{-1}). The
+    product B A^{-1}, about (n/2) x (n/2), is the one temporary of a level,
+    and the zero block above the diagonal is never written.
     """
     n = L.shape[0]
     if n <= _INVERSE_LEAF:
-        out[...] = np.tril(np.linalg.inv(L))
+        L[...] = np.tril(np.linalg.inv(L))
     else:
         h = n // 2
-        _invert_lower(L[:h, :h], out[:h, :h])
-        _invert_lower(L[h:, h:], out[h:, h:])
-        out[h:, :h] = -(out[h:, h:] @ (L[h:, :h] @ out[:h, :h]))
-    return out
+        A_inv = _invert_lower(L[:h, :h])
+        C_inv = _invert_lower(L[h:, h:])
+        B = L[h:, :h]
+        np.matmul(C_inv, B @ A_inv, out=B)  # B A^{-1} is formed before B is written
+        np.negative(B, out=B)
+    return L
 
 
 def spd_factor(M: np.ndarray) -> SpdFactorization:
@@ -138,8 +141,10 @@ def spd_factor(M: np.ndarray) -> SpdFactorization:
     pivot L[j, j]^2 at or below 1e-12 * trace(M) / dim, or a breakdown
     inside LAPACK, is treated as loss of positive definiteness and raises
     :class:`NotPositiveDefiniteError` instead of producing a garbage factor.
-    The checked factor is then inverted once, into one m x m array and at
-    about the cost of a second Cholesky, and only L^{-1} is kept.
+    The checked factor is then inverted in place, at about the cost of a
+    second Cholesky, so LAPACK's output array becomes the L^{-1} that is
+    kept; beyond M the peak is that one m x m array plus an (m/2) x (m/2)
+    block product.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
@@ -161,4 +166,4 @@ def spd_factor(M: np.ndarray) -> SpdFactorization:
         raise NotPositiveDefiniteError(
             f"pivot {pivots[j]:.3e} at column {j} is at or below the floor {pivot_floor:.3e}"
         )
-    return SpdFactorization(_invert_lower(lower, np.zeros_like(lower)))
+    return SpdFactorization(_invert_lower(lower))

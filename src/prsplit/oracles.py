@@ -73,7 +73,9 @@ class SmoothOracle:
 
     ``prox(gamma, w)`` must return the exact minimizer of
     ``f(y) + ||y - w||^2 / (2 gamma)``; with ``strong_convexity >= 0`` that
-    minimizer exists and is unique for every ``gamma > 0``.
+    minimizer exists and is unique for every ``gamma > 0``. ``grad_lipschitz``
+    must be positive and finite, and ``strong_convexity`` lie in
+    ``[0, grad_lipschitz]``; anything else raises ValueError.
     """
 
     value: Callable[[np.ndarray], float]
@@ -83,8 +85,7 @@ class SmoothOracle:
     prox: Callable[[float, np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if self.grad_lipschitz <= 0:
-            raise ValueError("gradient Lipschitz modulus must be positive")
+        _check_step(self.grad_lipschitz, "grad_lipschitz")
         if not 0 <= self.strong_convexity <= self.grad_lipschitz:
             raise ValueError("need 0 <= strong_convexity <= grad_lipschitz")
 

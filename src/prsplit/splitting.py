@@ -388,12 +388,14 @@ def ergodic_gap_bound(
 
     where L is the gradient Lipschitz modulus of the smooth part before the
     shift and (z_ref, x_ref) is the limit the run converges to (in practice
-    the terminal point of a high-precision reference run); gamma must be
-    positive and finite. Returns (lhs, rhs); the caller asserts lhs <= rhs.
+    the terminal point of a high-precision reference run); gamma and L must
+    be positive and finite, and n an integer of at least 1. Returns
+    (lhs, rhs); the caller asserts lhs <= rhs.
     """
     _check_step(gamma)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_step(grad_lipschitz, "grad_lipschitz")
+    if not _is_integer(n) or n < 1:
+        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
     if len(z_iters) < n:
         raise ValueError(f"need at least {n} z-iterates, got {len(z_iters)}")
     z_bar = np.mean(np.asarray(z_iters[:n], dtype=float), axis=0)
@@ -412,12 +414,15 @@ def fit_contraction(
     the final `tail` steps (an integer of at least 1), i.e. the smallest r
     for which the one-step contraction inequality holds on that window.
     Steps from an exactly converged point to a non-converged one yield inf.
+    x_ref and the iterates in the window must be finite 1-D arrays of one
+    length; anything else raises ValueError naming the argument.
     """
     if not _is_integer(tail) or tail < 1:
         raise ValueError(f"tail must be an integer of at least 1, got {tail!r}")
     if len(x_iters) < tail + 1:
         raise ValueError(f"need at least {tail + 1} x-iterates, got {len(x_iters)}")
-    window = x_iters[-(tail + 1) :]
+    x_ref = _as_vector(x_ref, "x_ref", finite=True)
+    window = [_as_vector(x, "x_iters", x_ref.size, finite=True) for x in x_iters[-(tail + 1) :]]
     dist_sq = [float(np.linalg.norm(x - x_ref)) ** 2 for x in window]
     ratio = 0.0
     for before, after in zip(dist_sq, dist_sq[1:]):

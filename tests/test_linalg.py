@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -56,8 +58,10 @@ def test_spectral_norm_sq_matches_singular_values():
 
 
 def test_spectral_norm_sq_rejects_nonpositive_tol():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tol must be positive and finite, got 0\.0$"):
         spectral_norm_sq(np.eye(2), 0.0)
+    with pytest.raises(ValueError, match="^tol must be positive and finite, got nan$"):
+        spectral_norm_sq(np.eye(2), tol=float("nan"))
 
 
 def test_spectral_norm_sq_rejects_zero_matrix():
@@ -96,6 +100,27 @@ def test_spd_factor_reconstructs_matrix():
         whitened = factor.inv_lower @ M @ factor.inv_lower.T
         assert np.linalg.norm(whitened - np.eye(dim)) <= 1e-8 * np.sqrt(dim)
         assert not np.any(np.triu(factor.inv_lower, 1))
+
+
+def test_spd_factor_builds_one_m_by_m_array():
+    # Inverting LAPACK's factor in place peaks at about 1.25 m^2 doubles
+    # beyond M: the factor plus one (m/2) x (m/2) block product. Writing
+    # L^{-1} into a second m x m array peaks at about 2.5 m^2.
+    # An untraced first call keeps one-off allocations out of the number.
+    m = 400
+    B = rng_from_seed(7).standard_normal((m, m))
+    M = B @ B.T + 0.5 * m * np.eye(m)
+    before = M.copy()
+    spd_factor(M)
+    tracemalloc.start()
+    try:
+        factor = spd_factor(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * m * m * 8
+    assert np.array_equal(M, before)  # the input is read, never overwritten
+    assert not np.any(np.triu(factor.inv_lower, 1))
 
 
 def test_spd_factor_solve_round_trip_random():

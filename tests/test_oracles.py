@@ -568,7 +568,15 @@ def test_smooth_oracle_validates_moduli():
     [
         (
             lambda: SmoothOracle(lambda y: 0.0, lambda y: y, 0.0, 0.0, lambda gamma, w: w),
-            "gradient Lipschitz modulus must be positive",
+            "grad_lipschitz must be positive and finite, got 0.0",
+        ),
+        (
+            lambda: SmoothOracle(lambda y: 0.0, lambda y: y, 0.0, np.inf, lambda gamma, w: w),
+            "grad_lipschitz must be positive and finite, got inf",
+        ),
+        (
+            lambda: SmoothOracle(lambda y: 0.0, lambda y: y, 0.0, np.nan, lambda gamma, w: w),
+            "grad_lipschitz must be positive and finite, got nan",
         ),
         (lambda: AffineSet(np.eye(2, 3), np.ones(3)), "A must be m x n and b of length m"),
         (lambda: AffineSet(np.eye(2, 3), np.ones(2)).project(np.zeros(4)), "w has shape (4,), expected (3,)"),
@@ -581,7 +589,7 @@ def test_smooth_oracle_validates_moduli():
         (lambda: quadratic_oracle(np.eye(2), np.array([np.nan, 0.0])), "c holds NaN or infinite entries"),
     ],
     ids=[
-        "lipschitz", "affine shape", "affine point", "sparse box point", "indefinite Q", "asymmetric Q", "1-D Q",
+        "lipschitz", "lipschitz inf", "lipschitz nan", "affine shape", "affine point", "sparse box point", "indefinite Q", "asymmetric Q", "1-D Q",
         "short c", "non-finite c",
     ],
 )

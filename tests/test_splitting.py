@@ -660,8 +660,29 @@ def test_fit_contraction_needs_enough_points():
             "need at least 2 z-iterates, got 1",
         ),
         (lambda: fit_contraction([np.zeros(2)] * 3, np.zeros(2), tail=0), "tail must be an integer of at least 1, got 0"),
+        # max(0.0, nan) is 0.0, so a NaN iterate would read as perfect contraction.
+        (
+            lambda: fit_contraction([np.array([1.0]), np.array([np.nan]), np.array([0.5])], np.zeros(1), tail=2),
+            "x_iters holds NaN or infinite entries",
+        ),
+        (lambda: fit_contraction([np.zeros(2)] * 3, np.array([np.inf, 0.0]), tail=2), "x_ref holds NaN or infinite entries"),
+        (
+            lambda: ergodic_gap_bound([np.zeros(2)], lambda z: 0.0, *[np.zeros(2)] * 3, 0.05, 0.0, 1),
+            "grad_lipschitz must be positive and finite, got 0.0",
+        ),
+        (
+            lambda: ergodic_gap_bound([np.zeros(2)], lambda z: 0.0, *[np.zeros(2)] * 3, 0.05, np.nan, 1),
+            "grad_lipschitz must be positive and finite, got nan",
+        ),
+        (
+            lambda: ergodic_gap_bound([np.zeros(2)] * 2, lambda z: 0.0, *[np.zeros(2)] * 3, 0.05, 1.0, 1.5),
+            "n must be an integer of at least 1, got 1.5",
+        ),
     ],
-    ids=["dimension", "method", "lipschitz", "heuristic gamma", "x0", "z-iterates", "tail 0"],
+    ids=[
+        "dimension", "method", "lipschitz", "heuristic gamma", "x0", "z-iterates", "tail 0", "nan iterate",
+        "inf x_ref", "gap lipschitz 0", "gap lipschitz nan", "gap n 1.5",
+    ],
 )
 def test_boundary_errors_name_their_cause(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
