@@ -589,8 +589,8 @@ def test_smooth_oracle_validates_moduli():
         (lambda: quadratic_oracle(np.eye(2), np.array([np.nan, 0.0])), "c holds NaN or infinite entries"),
     ],
     ids=[
-        "lipschitz", "lipschitz inf", "lipschitz nan", "affine shape", "affine point", "sparse box point", "indefinite Q", "asymmetric Q", "1-D Q",
-        "short c", "non-finite c",
+        "lipschitz", "lipschitz inf", "lipschitz nan", "affine shape", "affine point", "sparse box point",
+        "indefinite Q", "asymmetric Q", "1-D Q", "short c", "non-finite c",
     ],
 )
 def test_boundary_errors_name_their_cause(call, message):

@@ -665,7 +665,10 @@ def test_fit_contraction_needs_enough_points():
             lambda: fit_contraction([np.array([1.0]), np.array([np.nan]), np.array([0.5])], np.zeros(1), tail=2),
             "x_iters holds NaN or infinite entries",
         ),
-        (lambda: fit_contraction([np.zeros(2)] * 3, np.array([np.inf, 0.0]), tail=2), "x_ref holds NaN or infinite entries"),
+        (
+            lambda: fit_contraction([np.zeros(2)] * 3, np.array([np.inf, 0.0]), tail=2),
+            "x_ref holds NaN or infinite entries",
+        ),
         (
             lambda: ergodic_gap_bound([np.zeros(2)], lambda z: 0.0, *[np.zeros(2)] * 3, 0.05, 0.0, 1),
             "grad_lipschitz must be positive and finite, got 0.0",
