@@ -8,10 +8,10 @@ for a fixed numpy version. Matrices are plain row-major float64 ndarrays,
 vectors are 1-d float64 ndarrays; nothing here is sparse.
 
 The runtime needs numpy only. The one-off dense kernels here (the largest
-eigenvalue, Cholesky, the inverse of the Cholesky factor) call numpy's
-LAPACK, and an SPD solve is two numpy matrix-vector products with the
-inverse factor, so one BLAS library is loaded and no second thread pool
-contends with numpy's.
+eigenvalue, a blocked Cholesky fused with the inversion of its factor) call
+numpy's LAPACK and BLAS, and an SPD solve is two numpy matrix-vector
+products with the inverse factor, so one BLAS library is loaded and no
+second thread pool contends with numpy's.
 """
 
 from __future__ import annotations
@@ -59,9 +59,20 @@ def _as_vector(value, name: str, n: int | None = None, finite: bool = False) -> 
 
 
 def _is_symmetric(M: np.ndarray) -> bool:
-    """True when the finite square M equals M^T to within 1e-10 * (1 + max |M_ij|)."""
-    D = M - M.T  # the one m x m temporary; max |X| is max(X.max(), -X.min())
-    return bool(max(D.max(), -D.min()) <= 1e-10 * (1.0 + max(M.max(), -M.min())))
+    """True when the finite square M equals M^T to within 1e-10 * (1 + max |M_ij|).
+
+    Compared 32 rows at a time, so no m x m temporary is formed. A difference
+    that overflows is inf, beyond any tolerance, so it is not warned about.
+    """
+    panel = 32
+    tol = 1e-10 * (1.0 + max(M.max(), -M.min()))  # max |X| is max(X.max(), -X.min())
+    with np.errstate(over="ignore"):
+        for i in range(0, M.shape[0], panel):
+            j = i + panel
+            D = M[i:j, :j] - M[:j, i:j].T
+            if max(D.max(), -D.min()) > tol:
+                return False
+    return True
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -77,27 +88,33 @@ def spectral_norm_sq(A: np.ndarray, tol: float = 1e-10) -> float:
     rounding: its relative error is a small multiple of machine epsilon,
     far inside the 1e-6 margin that turns it into a curvature bound.
 
-    `tol` must be positive and finite and has no effect, because the result
-    is exact; it is accepted so existing positional callers keep working.
+    A must be a finite 2-D array, or ValueError names it. `tol` must be
+    positive and finite and has no effect, because the result is exact; it
+    is accepted so existing positional callers keep working.
     """
     A = np.asarray(A, dtype=float)
     _check_step(tol, "tol")
+    if A.ndim != 2:
+        raise ValueError(f"A must be a 2-D array, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("A holds NaN or infinite entries")
     if not np.any(A):
         raise ValueError("spectral_norm_sq needs a nonzero matrix")
     return float(np.linalg.eigvalsh(A @ A.T if A.shape[0] < A.shape[1] else A.T @ A)[-1])
 
 
-# Triangular blocks at or below this order are inverted by LAPACK directly;
-# larger ones are split in two (see `_invert_lower`).
+# Diagonal blocks at or below this order are factored and inverted by
+# LAPACK directly; larger ones are split in two (see `_factor_in_place`).
 _INVERSE_LEAF = 32
 
 
 class SpdFactorization:
     """Inverse L^{-1} of the lower Cholesky factor L of an SPD matrix M.
 
-    Built through :func:`spd_factor`; immutable afterwards. ``solve`` applies
-    M^{-1} = L^{-T} L^{-1} as two matrix-vector products, one with L^{-1} and
-    one with its transpose, with no triangular solve at call time.
+    Built by :func:`spd_factor` or, from the Gram matrix it owns, by
+    :class:`~prsplit.oracles.AffineSet`; immutable afterwards. ``solve``
+    applies M^{-1} = L^{-T} L^{-1} as two matrix-vector products, one with
+    L^{-1} and one with its transpose, with no triangular solve at call time.
     """
 
     def __init__(self, inv_lower: np.ndarray):
@@ -110,60 +127,63 @@ class SpdFactorization:
         return self.inv_lower.T @ (self.inv_lower @ rhs)
 
 
-def _invert_lower(L: np.ndarray) -> np.ndarray:
-    """Overwrite the nonsingular lower-triangular L with L^{-1} and return it.
+def _factor_in_place(M: np.ndarray) -> np.ndarray:
+    """Run :func:`spd_factor`'s checks on M, overwrite M with L^{-1} and return it.
 
-    With L = [[A, 0], [B, C]], L^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]].
-    The diagonal blocks recurse in place down to leaves of order at most
-    `_INVERSE_LEAF`; then B is overwritten with -C^{-1} (B A^{-1}). The
-    product B A^{-1}, about (n/2) x (n/2), is the one temporary of a level,
-    and the zero block above the diagonal is never written.
+    A 2 x 2 block recursion on the lower triangle fuses a blocked Cholesky
+    with the inversion. Once M11 holds L11^{-1}, M21 becomes
+    L21 = M21 L11^{-T}, M22 loses L21 L21^T and recurses to L22^{-1}, and
+    M21 becomes -L22^{-1} L21 L11^{-1}. Leaves of order at most
+    `_INVERSE_LEAF` go to LAPACK. A level's one temporary is an
+    (m/2) x (m/2) block product.
     """
-    n = L.shape[0]
-    if n <= _INVERSE_LEAF:
-        L[...] = np.tril(np.linalg.inv(L))
-    else:
-        h = n // 2
-        A_inv = _invert_lower(L[:h, :h])
-        C_inv = _invert_lower(L[h:, h:])
-        B = L[h:, :h]
-        np.matmul(C_inv, B @ A_inv, out=B)  # B A^{-1} is formed before B is written
-        np.negative(B, out=B)
-    return L
-
-
-def spd_factor(M: np.ndarray) -> SpdFactorization:
-    """Cholesky factorization M = L L^T with an explicit breakdown threshold.
-
-    M must be nonempty, finite and symmetric to within 1e-10 * (1 + max
-    |M_ij|) in every entry; each failure raises ValueError. The factor comes
-    from LAPACK (through numpy), which reads only the lower triangle of M. A
-    pivot L[j, j]^2 at or below 1e-12 * trace(M) / dim, or a breakdown
-    inside LAPACK, is treated as loss of positive definiteness and raises
-    :class:`NotPositiveDefiniteError` instead of producing a garbage factor.
-    The checked factor is then inverted in place, at about the cost of a
-    second Cholesky, so LAPACK's output array becomes the L^{-1} that is
-    kept; beyond M the peak is that one m x m array plus an (m/2) x (m/2)
-    block product.
-    """
-    M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError("matrix contains NaN or infinite entries")
     if not _is_symmetric(M):
         raise ValueError("matrix is not symmetric")
-
     pivot_floor = 1e-12 * float(np.trace(M)) / M.shape[0]
+
+    def factor(B: np.ndarray) -> None:
+        n = B.shape[0]
+        if n <= _INVERSE_LEAF:
+            B[...] = np.tril(np.linalg.inv(np.linalg.cholesky(B)))
+            return
+        h = n // 2
+        B11, B21, B22 = B[:h, :h], B[h:, :h], B[h:, h:]
+        factor(B11)
+        np.matmul(B21, B11.T, out=B21)
+        B22 -= B21 @ B21.T
+        factor(B22)
+        np.matmul(B22, B21 @ B11, out=B21)  # B21 B11 is formed before B21 is written
+        np.negative(B21, out=B21)
+        B[:h, h:] = 0.0
+
     try:
-        lower = np.linalg.cholesky(M)
+        factor(M)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"Cholesky breakdown: {exc}") from exc
-    pivots = np.diagonal(lower) ** 2
-    low = np.flatnonzero(pivots <= pivot_floor)
+    pivots = (1.0 / np.diagonal(M)) ** 2  # L[j, j] = 1 / L^{-1}[j, j]
+    low = np.flatnonzero(~(pivots > pivot_floor))  # a NaN pivot fails too
     if low.size:
         j = int(low[0])
         raise NotPositiveDefiniteError(
             f"pivot {pivots[j]:.3e} at column {j} is at or below the floor {pivot_floor:.3e}"
         )
-    return SpdFactorization(_invert_lower(lower))
+    return M
+
+
+def spd_factor(M: np.ndarray) -> SpdFactorization:
+    """Cholesky factorization M = L L^T with an explicit breakdown threshold.
+
+    M must be nonempty, finite and symmetric to within 1e-10 * (1 + max
+    |M_ij|) in every entry; each failure raises ValueError. A pivot
+    L[j, j]^2 at or below 1e-12 * trace(M) / dim, or a breakdown inside
+    LAPACK, is treated as loss of positive definiteness and raises
+    :class:`NotPositiveDefiniteError` instead of producing a garbage factor.
+    The factor comes from the lower triangle of M. A copy of M is
+    overwritten with the kept L^{-1} (see `_factor_in_place`), so beyond M
+    the peak is that copy plus an (m/2) x (m/2) block product.
+    """
+    return SpdFactorization(_factor_in_place(np.array(M, dtype=float, order="C")))

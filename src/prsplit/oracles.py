@@ -30,9 +30,9 @@ from .linalg import (
     SpdFactorization,
     _as_vector,
     _check_step,
+    _factor_in_place,
     _is_integer,
     _is_symmetric,
-    spd_factor,
 )
 
 # Safety margin on top of the computed largest eigenvalue of A^T A before it
@@ -108,6 +108,9 @@ class AffineSet:
     The Gram matrix A A^T is factored once at construction so that each
     projection costs two matrix-vector products with A and two with the
     m x m inverse Cholesky factor of A A^T (see :class:`SpdFactorization`).
+    The set owns its Gram matrix, so the factorization overwrites it with
+    that inverse factor: construction holds one m x m array, plus an
+    (m/2) x (m/2) block product while it factors, beyond A.
     Rank deficiency surfaces as :class:`RankDeficientError`, raised from the
     factorization breakdown. An A with no rows raises ValueError, as does a
     row of A holding NaN or inf, or too large for its squared norm to be
@@ -134,7 +137,7 @@ class AffineSet:
                 raise ValueError(f"A row {i} is too large: its squared norm overflows")
             raise ValueError(f"A holds NaN or infinite entries, first in row {i}")
         try:
-            self.gram_factor: SpdFactorization = spd_factor(gram)
+            self.gram_factor = SpdFactorization(_factor_in_place(gram))
         except NotPositiveDefiniteError as exc:
             m, n = self.A.shape
             raise RankDeficientError(
@@ -146,8 +149,8 @@ class AffineSet:
         return self.A.shape[1]
 
     def project(self, w: np.ndarray) -> np.ndarray:
-        """Nearest point of C to a w of shape (dim,); another shape raises ValueError."""
-        w = _as_vector(w, "w", self.dim)
+        """Nearest point of C to a finite w of shape (dim,); anything else raises ValueError."""
+        w = _as_vector(w, "w", self.dim, finite=True)
         multiplier = self.gram_factor.solve(self.A @ w - self.b)
         return w - self.A.T @ multiplier
 

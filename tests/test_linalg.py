@@ -90,9 +90,12 @@ def test_spd_factor_gram_matrix_residual():
 
 
 def test_spd_factor_reconstructs_matrix():
-    # 65, 131 and 500 split oddly at several levels of the blocked inverse,
-    # whose blocks are written into views of one array.
-    for seed, dim in [(0, 5), (1, 40), (2, 200), (3, 2 * LEAF + 1), (4, 4 * LEAF + 3), (5, 500)]:
+    # LEAF is the largest leaf and LEAF + 1 the smallest split; 2 * LEAF
+    # splits once into two leaves, while 65, 131 and 500 split oddly at
+    # several levels of the blocked factor, whose blocks are written into
+    # views of one array.
+    sizes = [5, 40, 200, 2 * LEAF + 1, 4 * LEAF + 3, 500, LEAF, LEAF + 1, 2 * LEAF]
+    for seed, dim in enumerate(sizes):
         B = rng_from_seed(seed).standard_normal((dim, dim))
         M = B @ B.T + 0.5 * dim * np.eye(dim)
         factor = spd_factor(M)
@@ -103,10 +106,11 @@ def test_spd_factor_reconstructs_matrix():
 
 
 def test_spd_factor_builds_one_m_by_m_array():
-    # Inverting LAPACK's factor in place peaks at about 1.25 m^2 doubles
-    # beyond M: the factor plus one (m/2) x (m/2) block product. A second
-    # m x m array for L^{-1} would peak at about 2.5 m^2.
-    # An untraced first call keeps one-off allocations out of the number.
+    # Factoring a copy of M in place peaks at about 1.35 m^2 doubles beyond
+    # M: the copy plus one (m/2) x (m/2) block product (and numpy's fixed
+    # ufunc buffers). A second m x m array, for L or L^{-1}, would peak at
+    # about 2.5 m^2. An untraced first call keeps one-off allocations out of
+    # the number.
     m = 400
     B = rng_from_seed(7).standard_normal((m, m))
     M = B @ B.T + 0.5 * m * np.eye(m)
@@ -150,6 +154,9 @@ def test_spd_factor_rejects_pivot_below_floor():
 def test_spd_factor_rejects_asymmetric():
     with pytest.raises(ValueError):
         spd_factor(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # M - M^T overflows here; the check says so without a RuntimeWarning.
+    with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+        spd_factor(np.array([[1e308, -1e308], [1e308, 1e308]]))
 
 
 def test_spd_factor_rejects_an_empty_matrix():

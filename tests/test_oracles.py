@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from prsplit import oracles
-from prsplit.linalg import rng_from_seed, spd_factor
+from prsplit.linalg import rng_from_seed, spectral_norm_sq
 from prsplit.oracles import (
     AffineSet,
     BoxSet,
@@ -151,6 +152,24 @@ def test_affine_set_rejects_non_finite_b_at_construction(bad):
 def test_affine_set_rejects_an_a_with_no_rows():
     with pytest.raises(ValueError, match="^A has no rows"):
         AffineSet(np.ones((0, 3)), np.ones(0))
+
+
+def test_affine_set_factors_its_gram_in_place():
+    # The Gram matrix A A^T becomes the kept L^{-1}, so construction peaks at
+    # about 1.35 m^2 doubles beyond A: that one m x m array plus an
+    # (m/2) x (m/2) block product. Factoring a copy of the Gram would peak
+    # at about 2.25 m^2. An untraced first call keeps one-off allocations out.
+    m = 400
+    A = rng_from_seed(17).standard_normal((m, 2 * m))
+    b = np.zeros(m)
+    AffineSet(A, b)
+    tracemalloc.start()
+    try:
+        AffineSet(A, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * m * m * 8
 
 
 @pytest.mark.parametrize(
@@ -307,11 +326,12 @@ def test_shifted_quadratic_prox_woodbury_matches_dense_solve():
 
 
 def count_solver_calls(monkeypatch):
-    """Record each np.linalg.eigh and oracles.spd_factor call from here on."""
+    """Record each np.linalg.eigh and Cholesky factorization (AffineSet's) from here on."""
     calls = []
     eigh = np.linalg.eigh
+    factor = oracles._factor_in_place
     monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append("eigh") or eigh(M))
-    monkeypatch.setattr(oracles, "spd_factor", lambda M: calls.append("spd_factor") or spd_factor(M))
+    monkeypatch.setattr(oracles, "_factor_in_place", lambda M: calls.append("spd_factor") or factor(M))
     return calls
 
 
@@ -580,17 +600,27 @@ def test_smooth_oracle_validates_moduli():
         ),
         (lambda: AffineSet(np.eye(2, 3), np.ones(3)), "A must be m x n and b of length m"),
         (lambda: AffineSet(np.eye(2, 3), np.ones(2)).project(np.zeros(4)), "w has shape (4,), expected (3,)"),
+        (
+            lambda: AffineSet(np.eye(2, 3), np.ones(2)).project(np.array([0.0, np.nan, 0.0])),
+            "w holds NaN or infinite entries",
+        ),
         (lambda: SparseBoxSet(3).project(np.zeros(2)), "point has length 2 but the cap keeps 3 entries"),
         (lambda: quadratic_oracle(np.diag([1.0, -1.0])), "quadratic_oracle needs a positive semidefinite Q"),
         # eigh reads only the lower triangle, which is PSD here; Q's symmetric part is not.
         (lambda: quadratic_oracle(np.array([[1.0, 5.0], [0.0, 1.0]])), "Q must be finite and symmetric"),
+        # Q - Q^T overflows here; the check says so without a RuntimeWarning.
+        (lambda: quadratic_oracle(np.array([[1e308, -1e308], [1e308, 1e308]])), "Q must be finite and symmetric"),
         (lambda: quadratic_oracle(np.ones(3)), "Q must be a nonempty square matrix, got shape (3,)"),
         (lambda: quadratic_oracle(np.eye(3), np.ones(2)), "c has shape (2,), expected (3,)"),
         (lambda: quadratic_oracle(np.eye(2), np.array([np.nan, 0.0])), "c holds NaN or infinite entries"),
+        (lambda: spectral_norm_sq(np.ones(3)), "A must be a 2-D array, got shape (3,)"),
+        (lambda: spectral_norm_sq(np.array([[np.nan, 1.0], [0.0, 1.0]])), "A holds NaN or infinite entries"),
+        (lambda: spectral_norm_sq(np.array([[np.inf, 1.0]])), "A holds NaN or infinite entries"),
     ],
     ids=[
-        "lipschitz", "lipschitz inf", "lipschitz nan", "affine shape", "affine point", "sparse box point",
-        "indefinite Q", "asymmetric Q", "1-D Q", "short c", "non-finite c",
+        "lipschitz", "lipschitz inf", "lipschitz nan", "affine shape", "affine point", "affine non-finite point",
+        "sparse box point", "indefinite Q", "asymmetric Q", "overflowing asymmetric Q", "1-D Q", "short c",
+        "non-finite c", "1-D A", "NaN A", "inf A",
     ],
 )
 def test_boundary_errors_name_their_cause(call, message):

@@ -82,8 +82,8 @@ def test_feasibility_instance_names_a_bad_x_true(x_true):
 
 def test_spd_factor_runs_once_per_instance(monkeypatch):
     shapes = []
-    factor = oracles.spd_factor
-    monkeypatch.setattr(oracles, "spd_factor", lambda M: shapes.append(M.shape) or factor(M))
+    factor = oracles._factor_in_place  # AffineSet's factorization of its Gram
+    monkeypatch.setattr(oracles, "_factor_in_place", lambda M: shapes.append(M.shape) or factor(M))
     inst = gen_feasibility(10, 40, 3)
     assert shapes == [(10, 10)]  # paid when the instance is drawn
     for build in (build_feasibility_pr, build_feasibility_dr):
