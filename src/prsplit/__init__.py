@@ -6,7 +6,7 @@ feasibility and constrained least squares, random instance generation, and
 a CLI that reproduces the head-to-head iteration/quality comparison.
 """
 
-from .bench import BenchConfig, BenchRow, parse_csv, run_bench, solve_trial, trial_seed
+from .bench import BenchConfig, BenchRow, run_bench, solve_trial, trial_seed
 from .linalg import (
     NotPositiveDefiniteError,
     spd_factor,

@@ -25,7 +25,7 @@ speed; the DR constants are a calibrated working choice, not an output of
 the step-size analysis, and both can be overridden.
 
 The table's columns are defined once, in ``_COLUMNS``; :data:`CSV_HEADER`,
-:func:`render_csv`, :func:`parse_csv` and :func:`render_markdown` read it.
+:func:`render_csv` and :func:`render_markdown` read it.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ __all__ = [
     "METHOD_STEPS",
     "PRESETS",
     "format_fval",
-    "parse_csv",
     "render_csv",
     "render_markdown",
     "run_bench",
@@ -245,43 +244,29 @@ def format_fval(value: float) -> str:
 
 
 # The bench table, one entry per column: (CSV heading, BenchRow field,
-# formatter, parser). Its headings are also markdown's, but `und` for `undecided`.
+# formatter). Its headings are also markdown's, but `und` for `undecided`.
 _COLUMNS = (
-    ("m", "m", str, int),
-    ("n", "n", str, int),
-    ("method", "method", str, str),
-    ("iter", "mean_iterations", "{:.1f}".format, float),
-    ("fval_max", "fval_max", format_fval, float),
-    ("fval_min", "fval_min", format_fval, float),
-    ("succ", "successes", str, int),
-    ("fail", "failures", str, int),
-    ("undecided", "undecided", str, int),
-    ("seconds", "mean_seconds", "{:.4f}".format, float),
+    ("m", "m", str),
+    ("n", "n", str),
+    ("method", "method", str),
+    ("iter", "mean_iterations", "{:.1f}".format),
+    ("fval_max", "fval_max", format_fval),
+    ("fval_min", "fval_min", format_fval),
+    ("succ", "successes", str),
+    ("fail", "failures", str),
+    ("undecided", "undecided", str),
+    ("seconds", "mean_seconds", "{:.4f}".format),
 )
 CSV_HEADER = ",".join(heading for heading, *_ in _COLUMNS)
 
 
 def _cells(row: BenchRow, columns=_COLUMNS) -> list[str]:
-    return [fmt(getattr(row, field)) for _, field, fmt, _ in columns]
+    return [fmt(getattr(row, field)) for _, field, fmt in columns]
 
 
 def render_csv(rows: list[BenchRow]) -> str:
     """Fixed-column CSV; identical configs give identical bytes except `seconds`."""
     return "\n".join([CSV_HEADER] + [",".join(_cells(row)) for row in rows]) + "\n"
-
-
-def parse_csv(text: str) -> list[BenchRow]:
-    """Inverse of :func:`render_csv` up to the formatting precision."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("unrecognized CSV header")
-    rows = []
-    for line in lines[1:]:
-        values = line.split(",")
-        if len(values) != len(_COLUMNS):
-            raise ValueError(f"CSV line {line!r} has {len(values)} fields, expected {len(_COLUMNS)}")
-        rows.append(BenchRow(**{field: parse(v) for (_, field, _, parse), v in zip(_COLUMNS, values)}))
-    return rows
 
 
 def render_markdown(rows: list[BenchRow]) -> str:

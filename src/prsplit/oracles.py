@@ -15,7 +15,8 @@ cardinality-capped infinity-norm ball (hard thresholding then clipping) and
 the plain box. Besides those come the closed-form prox of the shifted
 least-squares block and :func:`shift_split`, which moves a quadratic
 across the split. Its f and g halves are the one place a shifted value,
-gradient, modulus or g-prox is written; least squares takes both halves.
+gradient or modulus is written, and one checked rescaling is the prox of
+both; least squares takes both halves.
 """
 
 from __future__ import annotations
@@ -278,7 +279,8 @@ def shift_split(F: SmoothOracle, G: ProxOracle) -> tuple[SmoothOracle, ProxOracl
     L is ``F.grad_lipschitz``. Returns oracles for f = F + (a/2)||.||^2 and
     g = G - (a/2)||.||^2, which leave the sum F + G untouched while making f
     strongly convex with modulus a more than F's and L-smooth with modulus
-    6 L. Both proxes are composed analytically:
+    6 L. One checked rescaling, :func:`_rescaled_prox` at weight a and -a,
+    composes both proxes analytically:
 
         prox of gamma f at w  =  F.prox(gamma / (1 + a gamma), w / (1 + a gamma))
         prox of gamma g at w  =  G.prox(gamma / (1 - a gamma), w / (1 - a gamma))
@@ -286,14 +288,22 @@ def shift_split(F: SmoothOracle, G: ProxOracle) -> tuple[SmoothOracle, ProxOracl
     The g side needs a * gamma < 1; violating steps raise
     :class:`ProxShiftError` at call time.
     """
-    alpha = _SHIFT_WEIGHT * F.grad_lipschitz
+    lipschitz = F.grad_lipschitz
+    f_prox = _rescaled_prox(F.prox, _SHIFT_WEIGHT * lipschitz)
+    return _shifted_f(F.value, F.gradient, F.strong_convexity, lipschitz, f_prox), _shifted_g(G, lipschitz)
 
-    def f_prox(gamma: float, w: np.ndarray) -> np.ndarray:
+
+def _rescaled_prox(prox, alpha: float):
+    """The prox of H + (alpha/2)||.||^2 from H's: ``prox(gamma / s, w / s)``, s = 1 + alpha gamma > 0."""
+
+    def rescaled(gamma: float, w: np.ndarray) -> np.ndarray:
+        _check_step(gamma)
         scale = 1.0 + alpha * gamma
-        return F.prox(gamma / scale, w / scale)
+        if scale <= 0.0:
+            raise ProxShiftError(f"shift destroys prox well-posedness: alpha*gamma = {-alpha * gamma} >= 1")
+        return prox(gamma / scale, w / scale)
 
-    f = _shifted_f(F.value, F.gradient, F.strong_convexity, F.grad_lipschitz, f_prox)
-    return f, _shifted_g(G, F.grad_lipschitz)
+    return rescaled
 
 
 def _shifted_f(value, gradient, strong_convexity: float, lipschitz: float, prox) -> SmoothOracle:
@@ -311,26 +321,15 @@ def _shifted_f(value, gradient, strong_convexity: float, lipschitz: float, prox)
 def _shifted_g(G: ProxOracle, lipschitz: float) -> ProxOracle:
     """The g half of :func:`shift_split`: G - (a/2)||.||^2, a = 5 lipschitz, with its prox."""
     alpha = _SHIFT_WEIGHT * lipschitz
-
-    def value(z: np.ndarray) -> float:
-        return G.value(z) - 0.5 * alpha * float(z @ z)
-
-    def prox(gamma: float, w: np.ndarray) -> np.ndarray:
-        scale = 1.0 - alpha * gamma
-        if scale <= 0.0:
-            raise ProxShiftError(
-                f"shift destroys prox well-posedness: alpha*gamma = {alpha * gamma} >= 1"
-            )
-        return G.prox(gamma / scale, w / scale)
-
-    return ProxOracle(prox=prox, value=value)
+    return ProxOracle(prox=_rescaled_prox(G.prox, -alpha), value=lambda z: G.value(z) - 0.5 * alpha * float(z @ z))
 
 
 def quadratic_oracle(Q: np.ndarray, c: np.ndarray | None = None) -> SmoothOracle:
     """Smooth oracle for f(y) = y^T Q y / 2 + c^T y with Q symmetric PSD.
 
     Q must be finite and symmetric to :func:`spd_factor`'s tolerance, and c
-    finite of shape (n,), or ValueError names the argument.
+    finite of shape (n,), or ValueError names the argument. So does the
+    prox, given a step outside (0, inf) or a w that is not finite of shape (n,).
 
     Q is diagonalized once, Q = V diag(d) V^T. The moduli are the extreme
     eigenvalues, and the prox solves (I + gamma Q) y = w - gamma c as
@@ -349,6 +348,8 @@ def quadratic_oracle(Q: np.ndarray, c: np.ndarray | None = None) -> SmoothOracle
         raise ValueError("quadratic_oracle needs a positive semidefinite Q")
 
     def prox(gamma: float, w: np.ndarray) -> np.ndarray:
+        _check_step(gamma)
+        w = _as_vector(w, "w", n, finite=True)
         return V @ ((V.T @ (w - gamma * c)) / (1.0 + gamma * eigenvalues))
 
     return SmoothOracle(

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _as_vector, _is_integer, rng_from_seed
+from .linalg import _as_vector, _check_step, _is_integer, rng_from_seed
 from .oracles import (
     AffineSet,
     BoxSet,
@@ -197,13 +197,19 @@ def distance_feasibility_problem(cset: AffineSet, dset) -> SplitProblem:
     the sparse-box D gives the benchmark problem, a plain box its convex
     counterpart. The closures read ``cset.project`` at call time, so a
     projection swapped onto the instance afterwards is the one they use.
+    Both proxes raise ValueError for a step outside (0, inf).
     """
+
+    def prox(gamma: float, w: np.ndarray) -> np.ndarray:
+        _check_step(gamma)
+        return (w + gamma * cset.project(w)) / (1.0 + gamma)
+
     f = SmoothOracle(
         value=lambda y: _halfsqdist(cset, y),
         gradient=lambda y: y - cset.project(y),
         strong_convexity=0.0,
         grad_lipschitz=1.0,
-        prox=lambda gamma, w: (w + gamma * cset.project(w)) / (1.0 + gamma),
+        prox=prox,
     )
     return SplitProblem(f=f, g=_indicator(dset), dim=cset.dim)
 
@@ -215,8 +221,13 @@ def _halfsqdist(cset: AffineSet, y: np.ndarray) -> float:
 
 
 def _indicator(dset) -> ProxOracle:
-    """indicator_D, whose prox at any step is the projection onto D."""
-    return ProxOracle(prox=lambda gamma, w: dset.project(w), value=dset.indicator)
+    """indicator_D, whose prox at any step in (0, inf) is the projection onto D."""
+
+    def prox(gamma: float, w: np.ndarray) -> np.ndarray:
+        _check_step(gamma)
+        return dset.project(w)
+
+    return ProxOracle(prox=prox, value=dset.indicator)
 
 
 def build_feasibility_pr(inst: FeasibilityInstance) -> SplitProblem:
@@ -280,8 +291,8 @@ def build_constrained_ls(inst: LsInstance) -> SplitProblem:
 
 
 def evaluate_fval(z: np.ndarray, inst: FeasibilityInstance) -> float:
-    """Solution quality dist(z, C)^2 / 2 of a candidate z of shape (n,), or ValueError naming z."""
-    return _halfsqdist(inst.affine_set(), _as_vector(z, "z", inst.n))
+    """Solution quality dist(z, C)^2 / 2 of a finite candidate z of shape (n,), or ValueError naming z."""
+    return _halfsqdist(inst.affine_set(), _as_vector(z, "z", inst.n, finite=True))
 
 
 def classify(fval: float) -> str:

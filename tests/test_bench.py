@@ -14,7 +14,6 @@ from prsplit.bench import (
     BenchConfig,
     BenchRow,
     format_fval,
-    parse_csv,
     render_csv,
     render_markdown,
     run_bench,
@@ -164,32 +163,9 @@ SAMPLE_CSV = (
 )
 
 
-def test_csv_round_trip():
-    rows = sample_rows()
-    parsed = parse_csv(render_csv(rows))
-    exact = lambda r: (r.m, r.n, r.method, r.successes, r.failures, r.undecided)
-    assert [exact(back) for back in parsed] == [exact(row) for row in rows]
-    assert [tuple(map(type, exact(back))) for back in parsed] == [(int, int, str, int, int, int)] * 2
-    for row, back in zip(rows, parsed):
-        assert back.mean_iterations == pytest.approx(row.mean_iterations, abs=0.05)
-        assert back.fval_max == pytest.approx(row.fval_max, rel=0.5)
-
-
 def test_csv_layout():
     assert render_csv(sample_rows()) == SAMPLE_CSV
     assert SAMPLE_CSV.splitlines()[0] == CSV_HEADER
-
-
-def test_parse_csv_rejects_foreign_header():
-    with pytest.raises(ValueError):
-        parse_csv("a,b,c\n1,2,3\n")
-
-
-@pytest.mark.parametrize("extra, count", [("", 9), (",0.3,7", 11)])
-def test_parse_csv_names_a_line_with_the_wrong_field_count(extra, count):
-    line = "100,4000,pr,465.0,6e-02,4e-05,0,50,0" + extra
-    with pytest.raises(ValueError, match=f"CSV line '{line}' has {count} fields, expected 10"):
-        parse_csv(SAMPLE_CSV + line + "\n")
 
 
 def test_markdown_groups_methods_side_by_side():

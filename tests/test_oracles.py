@@ -23,7 +23,7 @@ from prsplit.oracles import (
     quadratic_oracle,
     shift_split,
 )
-from prsplit.problems import FeasibilityInstance, build_feasibility_pr, distance_feasibility_problem
+from prsplit.problems import FeasibilityInstance, build_feasibility_pr, distance_feasibility_problem, evaluate_fval
 from prsplit.splitting import gamma_threshold
 
 
@@ -364,12 +364,8 @@ def test_shifted_quadratic_prox_rejects_zero_matrix():
 
 
 def test_shifted_quadratic_prox_rejects_bad_step_or_point():
+    # The step and the point's shape are test_api's step and point contract tables.
     prox = ShiftedQuadraticProx(rng_from_seed(52).standard_normal((4, 6)), np.ones(4))
-    for gamma in (0.0, -1e-3, np.nan, np.inf):
-        with pytest.raises(ValueError, match="gamma"):
-            prox(gamma, np.zeros(6))
-    with pytest.raises(ValueError, match=r"^w has shape \(5,\), expected \(6,\)$"):
-        prox(0.01, np.zeros(5))
     with pytest.raises(ValueError, match="^w holds NaN or infinite entries$"):
         prox(0.01, np.array([0.0, np.nan, 0.0, 0.0, 0.0, 0.0]))
 
@@ -489,7 +485,7 @@ def test_shift_split_ill_posed_prox_raises():
     F = _halfsqdist_oracle(cset)
     G = ProxOracle(prox=lambda gamma, w: w, value=lambda z: 0.0)
     _, g = shift_split(F, G)
-    with pytest.raises(ProxShiftError):
+    with pytest.raises(ProxShiftError, match=r"^shift destroys prox well-posedness: alpha\*gamma = 1.0 >= 1$"):
         g.prox(0.2, np.zeros(2))
 
 
@@ -604,6 +600,12 @@ def test_smooth_oracle_validates_moduli():
             lambda: AffineSet(np.eye(2, 3), np.ones(2)).project(np.array([0.0, np.nan, 0.0])),
             "w holds NaN or infinite entries",
         ),
+        (
+            lambda: evaluate_fval(
+                np.array([0.0, np.nan, 0.0]), FeasibilityInstance(np.eye(2, 3), np.zeros(2), 1, 1.0, 0, np.zeros(3))
+            ),
+            "z holds NaN or infinite entries",
+        ),
         (lambda: SparseBoxSet(3).project(np.zeros(2)), "point has length 2 but the cap keeps 3 entries"),
         (lambda: quadratic_oracle(np.diag([1.0, -1.0])), "quadratic_oracle needs a positive semidefinite Q"),
         # eigh reads only the lower triangle, which is PSD here; Q's symmetric part is not.
@@ -619,8 +621,8 @@ def test_smooth_oracle_validates_moduli():
     ],
     ids=[
         "lipschitz", "lipschitz inf", "lipschitz nan", "affine shape", "affine point", "affine non-finite point",
-        "sparse box point", "indefinite Q", "asymmetric Q", "overflowing asymmetric Q", "1-D Q", "short c",
-        "non-finite c", "1-D A", "NaN A", "inf A",
+        "non-finite fval point", "sparse box point", "indefinite Q", "asymmetric Q", "overflowing asymmetric Q",
+        "1-D Q", "short c", "non-finite c", "1-D A", "NaN A", "inf A",
     ],
 )
 def test_boundary_errors_name_their_cause(call, message):

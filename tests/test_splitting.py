@@ -119,11 +119,6 @@ def test_step_update_identities():
         )
 
 
-def test_step_rejects_nonpositive_gamma():
-    with pytest.raises(ValueError):
-        pr_step(initial_state(np.zeros(2)), halved_norm_problem(), gamma=0.0)
-
-
 # ----------------------------------------------------------------------- merit
 
 
