@@ -47,7 +47,7 @@ from .problems import (
     evaluate_fval,
     gen_feasibility,
 )
-from .linalg import _is_integer
+from .linalg import _check_count
 from .oracles import _SHIFT_WEIGHT
 from .splitting import SolverConfig, SolverReport, gamma_threshold, run
 
@@ -104,10 +104,8 @@ class BenchConfig:
             check_shape(m, n)  # every shape fails here, before the first solve
         if len(set(map(tuple, self.pairs))) != len(self.pairs):
             raise ValueError(f"pairs must not repeat, got {self.pairs}")
-        if not _is_integer(self.trials) or self.trials < 1:
-            raise ValueError(f"trials must be an integer of at least 1, got {self.trials!r}")
-        if not _is_integer(self.base_seed):
-            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
+        _check_count(self.trials, "trials", 1)
+        _check_count(self.base_seed, "base_seed")
         if not self.methods or not set(self.methods) <= METHOD_STEPS.keys():
             raise ValueError(f"methods must be a nonempty subset of {tuple(METHOD_STEPS)}, got {self.methods}")
         if len(set(self.methods)) != len(self.methods):
@@ -143,7 +141,15 @@ def _splitmix64(state: int) -> int:
 
 
 def trial_seed(base_seed: int, m: int, n: int, trial: int) -> int:
-    """Stable per-trial seed mixed from (base_seed, m, n, trial)."""
+    """Stable per-trial seed mixed from (base_seed, m, n, trial).
+
+    Each input is a Python or numpy integer, not a bool: base_seed, m and n
+    any integer, as they are only hashed, and trial at least 0. Anything
+    else raises ValueError naming it.
+    """
+    for name, word in (("base_seed", base_seed), ("m", m), ("n", n)):
+        _check_count(word, name)
+    _check_count(trial, "trial", 0)
     mixed = _splitmix64(operator.index(base_seed) & _MASK64)  # index(): a numpy integer & _MASK64 overflows
     for word in (m, n, trial):
         mixed = _splitmix64(mixed ^ (operator.index(word) & _MASK64))

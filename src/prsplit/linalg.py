@@ -12,6 +12,12 @@ eigenvalue, a blocked Cholesky fused with the inversion of its factor) call
 numpy's LAPACK and BLAS, and an SPD solve is two numpy matrix-vector
 products with the inverse factor, so one BLAS library is loaded and no
 second thread pool contends with numpy's.
+
+The package checks its public arguments through three private helpers here,
+one per contract: a step through :func:`_check_step`, a point through
+:func:`_as_vector` and a count (a dimension, a cap, a budget, an iteration
+index or a seed) through :func:`_check_count`. Each raises ValueError with a
+message naming the argument.
 """
 
 from __future__ import annotations
@@ -39,6 +45,13 @@ def _check_step(value, name: str = "gamma") -> None:
     """The one step contract: a step lies in (0, inf), so NaN fails too."""
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_count(value, name: str, least: int | None = None) -> None:
+    """The one count contract: a Python or numpy integer, not a bool, of at least `least` when given."""
+    if not _is_integer(value) or (least is not None and value < least):
+        floor = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
 
 
 def _as_vector(value, name: str, n: int | None = None, finite: bool = False) -> np.ndarray:

@@ -30,9 +30,9 @@ from .linalg import (
     NotPositiveDefiniteError,
     SpdFactorization,
     _as_vector,
+    _check_count,
     _check_step,
     _factor_in_place,
-    _is_integer,
     _is_symmetric,
 )
 
@@ -164,8 +164,7 @@ class SparseBoxSet:
     bound: float = 1e6
 
     def __post_init__(self):
-        if not _is_integer(self.r) or self.r < 1:
-            raise ValueError(f"cardinality cap r must be an integer of at least 1, got {self.r!r}")
+        _check_count(self.r, "cardinality cap r", 1)
         if not self.bound > 0:  # also rejects NaN
             raise ValueError("bound must be positive")
 

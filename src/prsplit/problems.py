@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _as_vector, _check_step, _is_integer, rng_from_seed
+from .linalg import _as_vector, _check_count, _check_step, _is_integer, rng_from_seed
 from .oracles import (
     AffineSet,
     BoxSet,
@@ -178,8 +178,7 @@ def gen_feasibility(m: int, n: int, seed: int) -> FeasibilityInstance:
     default.
     """
     check_shape(m, n)
-    if not _is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    _check_count(seed, "seed", 0)
     r = math.ceil(m / 5)
     rng = rng_from_seed(seed)
     A = rng.standard_normal((m, n))

@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import _as_vector, _check_step, _is_integer
+from .linalg import _as_vector, _check_count, _check_step
 from .oracles import _SHIFT_WEIGHT, ProxOracle, SmoothOracle
 
 __all__ = [
@@ -93,10 +93,7 @@ class SplitProblem:
     dim: int
 
     def __post_init__(self):
-        if not _is_integer(self.dim):
-            raise ValueError(f"dim must be an integer, got {self.dim!r}")
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
+        _check_count(self.dim, "dim", 1)
 
 
 @dataclass(frozen=True)
@@ -110,6 +107,10 @@ class SolverConfig:
     exceed it and defaults to it, so an unset or equal floor keeps the step
     fixed.
     ``tol`` and ``max_iter`` live here alone; only ``prsplit solve --tol/--max-iter`` override them.
+    Each field is checked at construction: a step positive and finite,
+    ``tol`` nonnegative and finite, ``max_iter`` a Python or numpy integer
+    (not a bool) of at least 0, ``method`` "pr" or "dr"; anything else
+    raises ValueError naming the field.
     """
 
     gamma0: float | None = None
@@ -126,8 +127,7 @@ class SolverConfig:
                 _check_step(getattr(self, name), name)
         if not 0 <= self.tol < np.inf:
             raise ValueError(f"tol must be nonnegative and finite, got {self.tol}")
-        if not _is_integer(self.max_iter) or self.max_iter < 0:
-            raise ValueError(f"max_iter must be a nonnegative integer, got {self.max_iter!r}")
+        _check_count(self.max_iter, "max_iter", 0)
         if self.gamma1 is not None and self.gamma0 is None:
             raise ValueError("the step-size heuristic (gamma1) needs an explicit gamma0")
         if self.gamma1 is not None and self.gamma1 > self.gamma0:
@@ -216,6 +216,12 @@ def _merit(problem: SplitProblem, y, z, x, gap: float, gamma: float, method: str
     return problem.f.value(y) + problem.g.value(z) - _METHODS[method][1] * gap**2 / gamma + inner / gamma
 
 
+def _checked_merit(problem: SplitProblem, y, z, x, gamma: float, method: str) -> float:
+    """:func:`_merit` at a caller's (y, z, x), each checked as a finite point of R^dim."""
+    y, z, x = (_as_vector(v, name, problem.dim, finite=True) for name, v in zip("yzx", (y, z, x)))
+    return _merit(problem, y, z, x, float(np.linalg.norm(z - y)), gamma, method)
+
+
 def merit_pr(
     y: np.ndarray, z: np.ndarray, x: np.ndarray, problem: SplitProblem, gamma: float
 ) -> float:
@@ -223,16 +229,19 @@ def merit_pr(
 
     Acceptance criterion 3 checks it against its two expanded forms, with the
     inner product rewritten through 2y - z - x or through |x-y|^2 - |x-z|^2.
-    gamma must be positive and finite.
+    gamma must be positive and finite, and y, z and x finite points of R^dim.
     """
-    return _merit(problem, y, z, x, float(np.linalg.norm(z - y)), gamma, "pr")
+    return _checked_merit(problem, y, z, x, gamma, "pr")
 
 
 def merit_dr(
     y: np.ndarray, z: np.ndarray, x: np.ndarray, problem: SplitProblem, gamma: float
 ) -> float:
-    """DR merit f(y) + g(z) - |y-z|^2/(2 gamma) + <x-y, z-y>/gamma; gamma must be positive and finite."""
-    return _merit(problem, y, z, x, float(np.linalg.norm(z - y)), gamma, "dr")
+    """DR merit f(y) + g(z) - |y-z|^2/(2 gamma) + <x-y, z-y>/gamma.
+
+    gamma must be positive and finite, and y, z and x finite points of R^dim.
+    """
+    return _checked_merit(problem, y, z, x, gamma, "dr")
 
 
 def stationarity_residual(
@@ -261,8 +270,9 @@ def heuristic_update(gamma: float, t: int, drift: float, y_norm: float, gamma1: 
     """Shrink gamma toward 0.9999 * gamma1 when the iterates look unstable.
 
     No-op unless gamma > gamma1 and drift = |y_t - y_{t-1}| (0 at t = 1)
-    exceeds 1000 / t or y_norm = |y_t| exceeds 1e10; t must be at least 1,
-    and gamma and gamma1 must be positive and finite.
+    exceeds 1000 / t or y_norm = |y_t| exceeds 1e10; t must be a Python or
+    numpy integer (not a bool) of at least 1, and gamma and gamma1 must be
+    positive and finite, or ValueError names the argument.
     Then the new value is max(gamma / 2, 0.9999 * gamma1), so gamma lands
     just below gamma1 after finitely many shrinks and never moves again.
     Those four numbers are the paper's and are fixed: only the floor gamma1
@@ -270,8 +280,7 @@ def heuristic_update(gamma: float, t: int, drift: float, y_norm: float, gamma1: 
     """
     _check_step(gamma)
     _check_step(gamma1, "gamma1")
-    if not t >= 1:
-        raise ValueError(f"t must be at least 1, got {t}")
+    _check_count(t, "t", 1)
     if gamma > gamma1 and (drift > _DRIFT_LIMIT / t or y_norm > _NORM_LIMIT):
         return max(_SHRINK * gamma, _SETTLE * gamma1)
     return gamma
@@ -389,18 +398,20 @@ def ergodic_gap_bound(
     where L is the gradient Lipschitz modulus of the smooth part before the
     shift and (z_ref, x_ref) is the limit the run converges to (in practice
     the terminal point of a high-precision reference run); gamma and L must
-    be positive and finite, and n an integer of at least 1. Returns
+    be positive and finite, n an integer of at least 1, and x0, x_ref and
+    z_ref finite 1-D arrays of one length. Returns
     (lhs, rhs); the caller asserts lhs <= rhs.
     """
     _check_step(gamma)
     _check_step(grad_lipschitz, "grad_lipschitz")
-    if not _is_integer(n) or n < 1:
-        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
+    _check_count(n, "n", 1)
     if len(z_iters) < n:
         raise ValueError(f"need at least {n} z-iterates, got {len(z_iters)}")
+    z_ref = _as_vector(z_ref, "z_ref", finite=True)
+    x0, x_ref = (_as_vector(v, name, z_ref.size, finite=True) for name, v in (("x0", x0), ("x_ref", x_ref)))
     z_bar = np.mean(np.asarray(z_iters[:n], dtype=float), axis=0)
     lhs = objective(z_bar) - objective(z_ref)
-    dist_sq = float(np.linalg.norm(np.asarray(x0, dtype=float) - x_ref)) ** 2
+    dist_sq = float(np.linalg.norm(x0 - x_ref)) ** 2
     rhs = (1.0 / gamma - _SHIFT_WEIGHT * grad_lipschitz) * dist_sq / (40.0 * gamma * n * grad_lipschitz)
     return lhs, rhs
 
@@ -417,8 +428,7 @@ def fit_contraction(
     x_ref and the iterates in the window must be finite 1-D arrays of one
     length; anything else raises ValueError naming the argument.
     """
-    if not _is_integer(tail) or tail < 1:
-        raise ValueError(f"tail must be an integer of at least 1, got {tail!r}")
+    _check_count(tail, "tail", 1)
     if len(x_iters) < tail + 1:
         raise ValueError(f"need at least {tail + 1} x-iterates, got {len(x_iters)}")
     x_ref = _as_vector(x_ref, "x_ref", finite=True)

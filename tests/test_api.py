@@ -1,4 +1,4 @@
-"""The public API has no stale exports, and every public map checks its step and point one way."""
+"""The public API has no stale exports, and every public map checks its steps, points and counts one way each."""
 
 import ast
 import importlib
@@ -13,11 +13,15 @@ import pytest
 import prsplit
 from prsplit import (
     AffineSet,
+    BenchConfig,
+    BenchRow,
     BoxSet,
     FeasibilityInstance,
+    IterateState,
     LsInstance,
     ProxOracle,
     SolverConfig,
+    SolverReport,
     SparseBoxSet,
     SplitProblem,
     build_constrained_ls,
@@ -27,6 +31,8 @@ from prsplit import (
     dr_step,
     ergodic_gap_bound,
     evaluate_fval,
+    fit_contraction,
+    gen_feasibility,
     heuristic_update,
     initial_state,
     merit_dr,
@@ -37,6 +43,7 @@ from prsplit import (
     shift_split,
     spd_factor,
     stationarity_residual,
+    trial_seed,
 )
 from prsplit.oracles import ShiftedQuadraticProx
 
@@ -62,7 +69,7 @@ def test_package_reexports_only_public_names_of_its_modules():
             assert alias.name in module.__all__, f"{node.module}.{alias.name} is not in __all__"
 
 
-# ------------------------------------------------ the step and point contracts
+# ------------------------------------------ the step, point and count contracts
 
 
 def _problem():
@@ -127,6 +134,43 @@ STEP_TAKERS.update(
 )
 
 
+# (callable, parameter) -> (least count or None, a call that passes `count` as that parameter).
+COUNT_TAKERS = {
+    (SparseBoxSet, "r"): (1, SparseBoxSet),
+    (SplitProblem, "dim"): (1, lambda count: SplitProblem(_problem().f, _problem().g, count)),
+    (SolverConfig, "max_iter"): (0, lambda count: SolverConfig(max_iter=count)),
+    (heuristic_update, "t"): (1, lambda count: heuristic_update(0.19, count, 0.0, 0.0, 0.1)),
+    (ergodic_gap_bound, "n"): (
+        1,
+        lambda count: ergodic_gap_bound([np.ones(3)] * 2, lambda z: 0.0, *[np.zeros(3)] * 3, 0.05, 1.0, count),
+    ),
+    (fit_contraction, "tail"): (1, lambda count: fit_contraction([np.ones(3)] * 3, np.zeros(3), count)),
+    (BenchConfig, "trials"): (1, lambda count: BenchConfig(pairs=((10, 40),), trials=count)),
+    (BenchConfig, "base_seed"): (None, lambda count: BenchConfig(pairs=((10, 40),), base_seed=count)),
+    # base_seed, m and n are only hashed, so any integer is a seed.
+    (trial_seed, "base_seed"): (None, lambda count: trial_seed(count, 50, 500, 0)),
+    (trial_seed, "m"): (None, lambda count: trial_seed(0, count, 500, 0)),
+    (trial_seed, "n"): (None, lambda count: trial_seed(0, 50, count, 0)),
+    (trial_seed, "trial"): (0, lambda count: trial_seed(0, 50, 500, count)),
+    (gen_feasibility, "seed"): (0, lambda count: gen_feasibility(10, 40, count)),
+}
+# A count whose message gives more than its parameter name.
+COUNT_NAMES = {(SparseBoxSet, "r"): "cardinality cap r"}
+# Public int parameters outside the count contract: fields of the result records, the shape pair
+# that check_shape checks (with its own "m must be at least 5" message), and the instance record,
+# whose seed save_instance and load_instance check (a test fixture builds one with seed -1).
+COUNT_EXEMPT = {
+    *[(BenchRow, p) for p in ("m", "n", "successes", "failures", "undecided")],
+    (SolverReport, "iterations"),
+    (IterateState, "t"),
+    (gen_feasibility, "m"),
+    (gen_feasibility, "n"),
+    (BenchConfig, "pairs"),
+    (FeasibilityInstance, "r"),
+    (FeasibilityInstance, "seed"),
+}
+
+
 # name -> (argument name, call on a point, fixed length or None)
 POINT_MAPS = {
     "AffineSet.project": ("w", lambda w: AffineSet(np.eye(2, 3), np.ones(2)).project(w), 3),
@@ -140,6 +184,31 @@ POINT_MAPS = {
     "run": ("x0", lambda w: run(_problem(), SolverConfig(gamma0=0.1), w), 3),
     "evaluate_fval": ("z", lambda w: evaluate_fval(w, _feasibility()), 3),
 }
+
+
+def _merit_at(merit, arg):
+    """A call of `merit` with the point w as its argument `arg` and ones(3) as the other two."""
+    return lambda w: merit(
+        **{"y": np.ones(3), "z": np.ones(3), "x": np.ones(3), arg: w}, problem=_problem(), gamma=0.1
+    )
+
+
+def _gap_bound_at(arg):
+    """A call of ergodic_gap_bound with the point w as its argument `arg` and zeros(3) as the other two."""
+    return lambda w: ergodic_gap_bound(
+        [np.zeros(3)], lambda z: 0.0, **{"x0": np.zeros(3), "x_ref": np.zeros(3), "z_ref": np.zeros(3), arg: w},
+        gamma=0.05, grad_lipschitz=1.0, n=1,
+    )
+
+
+POINT_MAPS.update(
+    {f"{merit.__name__}({arg})": (arg, _merit_at(merit, arg), 3) for merit in (merit_pr, merit_dr) for arg in "yzx"}
+)
+# z_ref sets the length that x0 and x_ref must share.
+POINT_MAPS.update({f"ergodic_gap_bound({arg})": (arg, _gap_bound_at(arg), 3) for arg in ("x0", "x_ref")})
+POINT_MAPS["ergodic_gap_bound(z_ref)"] = ("z_ref", _gap_bound_at("z_ref"), None)
+# The set projections pass NaN on, so a user's f-prox that returns NaN ends a run "diverged".
+NAN_PASSING = {"SparseBoxSet.project", "BoxSet.project"}
 
 
 def _taker_id(key):
@@ -168,6 +237,13 @@ def test_every_point_map_rejects_a_point_of_the_wrong_shape(name, kind):
         call(point)
 
 
+@pytest.mark.parametrize("name", [name for name in POINT_MAPS if name not in NAN_PASSING])
+def test_every_other_point_map_rejects_a_nan(name):
+    arg, call, n = POINT_MAPS[name]
+    with pytest.raises(ValueError, match=f"^{arg} holds NaN or infinite entries$"):
+        call(np.full(n or 3, np.nan))
+
+
 def test_every_public_step_taker_is_in_the_step_contract_test():
     # A new public callable with a gamma, gamma0 or gamma1 parameter must join STEP_TAKERS,
     # and a new public builder of oracles or problems BUILDERS, which puts its proxes there.
@@ -187,3 +263,39 @@ def test_every_public_step_taker_is_in_the_step_contract_test():
             if not inspect.isfunction(prox):  # a prox object: its class's __call__ takes the step
                 found.add((type(prox).__call__, "gamma"))
     assert found == set(STEP_TAKERS)
+
+
+def _bad_counts():
+    """(taker, count) for every COUNT_TAKERS entry: non-integers, a bool, and one below its floor."""
+    for taker, (least, _) in COUNT_TAKERS.items():
+        for count in (1.5, 2.0, True, None, "1") + (() if least is None else (least - 1,)):
+            yield taker, count
+
+
+@pytest.mark.parametrize(
+    "taker, count", list(_bad_counts()), ids=lambda v: _taker_id(v) if isinstance(v, tuple) else repr(v)
+)
+def test_every_count_taker_rejects_a_non_integer_or_a_count_below_its_floor(taker, count):
+    least, call = COUNT_TAKERS[taker]
+    floor = "" if least is None else f" of at least {least}"
+    message = f"{COUNT_NAMES.get(taker, taker[1])} must be an integer{floor}, got {count!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(count)
+
+
+@pytest.mark.parametrize("taker", list(COUNT_TAKERS), ids=_taker_id)
+def test_every_count_taker_accepts_a_numpy_integer_at_its_floor(taker):
+    least, call = COUNT_TAKERS[taker]
+    call(np.int32(-7 if least is None else least))
+
+
+def test_every_public_int_parameter_is_in_the_count_contract_test():
+    # A new public callable with a parameter annotated int must join COUNT_TAKERS or, with a reason, COUNT_EXEMPT.
+    found = set()
+    for name in dir(prsplit):
+        obj = getattr(prsplit, name)
+        if name.startswith("_") or not callable(obj) or (isinstance(obj, type) and issubclass(obj, BaseException)):
+            continue
+        parameters = inspect.signature(obj).parameters.values()
+        found |= {(obj, p.name) for p in parameters if re.search(r"\bint\b", str(p.annotation))}
+    assert found == set(COUNT_TAKERS) | COUNT_EXEMPT

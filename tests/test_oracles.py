@@ -183,12 +183,6 @@ def test_box_sets_reject_a_nan_bound_and_accept_inf(make, projected):
     assert make(float("inf")).project(np.array([3.0, -1.0, 2.0])).tolist() == projected
 
 
-@pytest.mark.parametrize("r", [2.5, 2.0, True])
-def test_sparse_box_set_rejects_a_non_integer_cap(r):
-    with pytest.raises(ValueError, match="r must be an integer of at least 1"):
-        SparseBoxSet(r)
-
-
 def test_sparse_box_set_accepts_a_numpy_integer_cap():
     assert SparseBoxSet(np.int64(2)).project(np.array([3.0, -1.0, 2.0])).tolist() == [3.0, 0.0, 2.0]
 

@@ -133,14 +133,6 @@ def test_gen_feasibility_rejects_a_non_integer_shape():
     assert gen_feasibility(np.int64(10), np.int32(40), 1).A.shape == (10, 40)
 
 
-@pytest.mark.parametrize("seed", [None, 1.0, "1", True, -1])
-def test_gen_feasibility_rejects_a_seed_that_is_not_an_integer(seed):
-    # An instance file stores the seed as its decimal string, so only an integer reproduces;
-    # PCG64 draws from nonnegative seeds alone.
-    with pytest.raises(ValueError, match=rf"^seed must be a nonnegative integer, got {re.escape(repr(seed))}$"):
-        gen_feasibility(10, 40, seed)
-
-
 # ----------------------------------------------------------- feasibility split
 
 
