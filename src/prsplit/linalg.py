@@ -9,9 +9,9 @@ vectors are 1-d float64 ndarrays; nothing here is sparse.
 
 The runtime needs numpy only. The one-off dense kernels here (the largest
 eigenvalue, a blocked Cholesky fused with the inversion of its factor) call
-numpy's LAPACK and BLAS, and an SPD solve is two numpy matrix-vector
-products with the inverse factor, so one BLAS library is loaded and no
-second thread pool contends with numpy's.
+numpy's LAPACK and BLAS, so no second BLAS thread pool contends with numpy's.
+The affine projection applies the inverse factor itself by two matrix-vector
+products; :func:`spd_factor`'s ``solve`` is the checked entry for others.
 
 The package checks its public arguments through three private helpers here,
 one per contract: a step through :func:`_check_step`, a point through

@@ -106,9 +106,8 @@ class ProxOracle:
 class AffineSet:
     """The set C = {x in R^n : A x = b} for full-row-rank A.
 
-    The Gram matrix A A^T is factored once at construction so that each
-    projection costs two matrix-vector products with A and two with the
-    m x m inverse Cholesky factor of A A^T (see :class:`SpdFactorization`).
+    A A^T is factored once, so each projection is two matrix-vector products
+    with A and two with the m x m inverse Cholesky factor of A A^T.
     The set owns its Gram matrix, so the factorization overwrites it with
     that inverse factor: construction holds one m x m array, plus an
     (m/2) x (m/2) block product while it factors, beyond A.
@@ -150,10 +149,11 @@ class AffineSet:
         return self.A.shape[1]
 
     def project(self, w: np.ndarray) -> np.ndarray:
-        """Nearest point of C to a finite w of shape (dim,); anything else raises ValueError."""
+        """Nearest point of C to a finite w of shape (dim,), or ValueError naming w. A w so large
+        that A w overflows gives NaN entries, and a run from such an x0 ends "diverged" at t = 0."""
         w = _as_vector(w, "w", self.dim, finite=True)
-        multiplier = self.gram_factor.solve(self.A @ w - self.b)
-        return w - self.A.T @ multiplier
+        L = self.gram_factor.inv_lower
+        return w - self.A.T @ (L.T @ (L @ (self.A @ w - self.b)))
 
 
 @dataclass(frozen=True)

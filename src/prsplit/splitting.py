@@ -191,6 +191,11 @@ def gamma_threshold(sigma: float, lipschitz: float) -> float:
     return (3.0 * sigma - 2.0 * lipschitz) / lipschitz**2
 
 
+def _norm(v: np.ndarray) -> float:
+    """|v| of a 1-D float array: np.linalg.norm's own sqrt(v . v), bit for bit, without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def _step(state: IterateState, problem: SplitProblem, gamma: float, factor: float) -> IterateState:
     _check_step(gamma)
     x = state.x
@@ -219,7 +224,7 @@ def _merit(problem: SplitProblem, y, z, x, gap: float, gamma: float, method: str
 def _checked_merit(problem: SplitProblem, y, z, x, gamma: float, method: str) -> float:
     """:func:`_merit` at a caller's (y, z, x), each checked as a finite point of R^dim."""
     y, z, x = (_as_vector(v, name, problem.dim, finite=True) for name, v in zip("yzx", (y, z, x)))
-    return _merit(problem, y, z, x, float(np.linalg.norm(z - y)), gamma, method)
+    return _merit(problem, y, z, x, _norm(z - y), gamma, method)
 
 
 def merit_pr(
@@ -261,8 +266,8 @@ def stationarity_residual(
     if state.x_prev is None or state.y is None or state.z is None:
         raise ValueError("stationarity_residual needs a state produced by a step")
     drift = (state.y - state.x_prev) / gamma
-    identity = float(np.linalg.norm(problem.f.gradient(state.y) + drift))
-    practical = float(np.linalg.norm(problem.f.gradient(state.z) + drift))
+    identity = _norm(problem.f.gradient(state.y) + drift)
+    practical = _norm(problem.f.gradient(state.z) + drift)
     return StationarityResidual(identity, practical)
 
 
@@ -294,7 +299,7 @@ def initial_state(x0: np.ndarray) -> IterateState:
 def _norms(state: IterateState) -> tuple[float, float, float] | None:
     """(|x|, |y|, |z|) of a post-step state, or None past the divergence guard
     (a NaN or inf entry makes the norm NaN or inf, which fails the test too)."""
-    norms = tuple(float(np.linalg.norm(vec)) for vec in (state.x, state.y, state.z))
+    norms = tuple(_norm(vec) for vec in (state.x, state.y, state.z))
     return norms if all(norm <= _DIVERGENCE_NORM for norm in norms) else None
 
 
@@ -341,7 +346,7 @@ def run(
         state = new
         x, y, z = state.x, state.y, state.z
 
-        gap = float(np.linalg.norm(z - y))
+        gap = _norm(z - y)
         merits.append(_merit(problem, y, z, x, gap, gamma, config.method))
         gammas.append(gamma)
         gaps.append(gap)
@@ -350,8 +355,8 @@ def run(
 
         drift = 0.0
         if prev_norms is not None:
-            drift = float(np.linalg.norm(y - prev.y))
-            change = max(factor * gap, drift, float(np.linalg.norm(z - prev.z)))
+            drift = _norm(y - prev.y)
+            change = max(factor * gap, drift, _norm(z - prev.z))
             scale = max(*prev_norms, 1.0)
             if change < config.tol * scale:
                 reason = "converged"

@@ -1,4 +1,5 @@
-"""The public API has no stale exports, and every public map checks its steps, points and counts one way each."""
+"""The public API has no stale exports, every public map checks its steps, points and counts one way each,
+and no solve path calls the checked helpers kept for callers outside the package."""
 
 import ast
 import importlib
@@ -40,11 +41,16 @@ from prsplit import (
     pr_step,
     quadratic_oracle,
     run,
+    run_bench,
     shift_split,
+    solve_trial,
     spd_factor,
     stationarity_residual,
     trial_seed,
 )
+from prsplit.bench import solver_config
+from prsplit.cli import main
+from prsplit.linalg import SpdFactorization
 from prsplit.oracles import ShiftedQuadraticProx
 
 MODULES = [info.name for info in pkgutil.iter_modules(prsplit.__path__)]
@@ -299,3 +305,42 @@ def test_every_public_int_parameter_is_in_the_count_contract_test():
         parameters = inspect.signature(obj).parameters.values()
         found |= {(obj, p.name) for p in parameters if re.search(r"\bint\b", str(p.annotation))}
     assert found == set(COUNT_TAKERS) | COUNT_EXEMPT
+
+
+# ------------------------------------------ the checked helpers for outside callers
+
+# Public helpers that check what an outside caller hands them; the package's own solves skip them.
+OUTSIDE_ONLY = ("spd_factor", "spectral_norm_sq", "initial_state")
+
+
+class _CalledFromInside(AssertionError):
+    """Raised by a stubbed helper; neither run_bench nor the CLI catches it, as they do ValueError."""
+
+
+def test_no_solve_path_calls_the_checked_helpers_for_outside_callers(monkeypatch, capsys):
+    calls = []
+
+    def refuse(name):
+        def stub(*args, **kwargs):
+            calls.append(name)
+            raise _CalledFromInside(f"a solve path called {name}")
+
+        return stub
+
+    for module in [prsplit, *(importlib.import_module(f"prsplit.{name}") for name in MODULES)]:
+        for name in set(OUTSIDE_ONLY) & set(vars(module)):
+            monkeypatch.setattr(module, name, refuse(name))
+    monkeypatch.setattr(SpdFactorization, "solve", refuse("SpdFactorization.solve"))
+
+    inst = gen_feasibility(10, 40, 0)
+    for method in ("pr", "dr"):
+        assert solve_trial(inst, solver_config(BenchConfig(), method))[0].iterations > 0
+    A = np.random.default_rng(3).standard_normal((8, 20))
+    for constraint in (BoxSet(1.0), SparseBoxSet(3)):
+        problem = build_constrained_ls(LsInstance(A, A @ np.ones(20), constraint))
+        assert run(problem, SolverConfig(max_iter=50), np.zeros(20)).iterations == 50
+    # A trial that raised ValueError would count 0 iterations.
+    assert all(row.mean_iterations > 0 for row in run_bench(BenchConfig(pairs=((5, 20),), trials=1)))
+    assert main(["solve", "--m", "10", "--n", "40"]) == 0
+    assert "iterations" in capsys.readouterr().out
+    assert calls == []

@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from prsplit import oracles
-from prsplit.linalg import rng_from_seed, spectral_norm_sq
+from prsplit.linalg import rng_from_seed
 from prsplit.oracles import (
     AffineSet,
     BoxSet,
@@ -289,7 +289,7 @@ def test_build_constrained_ls_threshold():
     A = rng_from_seed(7).standard_normal((5, 12))
     inst = LsInstance(A=A, b=rng_from_seed(8).standard_normal(5), constraint=SparseBoxSet(r=2))
     problem = build_constrained_ls(inst)
-    lam = spectral_norm_sq(A) * (1 + 1e-6)
+    lam = np.linalg.eigvalsh(A.T @ A)[-1] * (1 + 1e-6)
     assert problem.f.strong_convexity == pytest.approx(5 * lam, rel=1e-12)
     assert problem.f.grad_lipschitz == pytest.approx(6 * lam, rel=1e-12)
     assert gamma_threshold(problem.f.strong_convexity, problem.f.grad_lipschitz) == pytest.approx(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from prsplit.bench import BenchConfig, solver_config, trial_seed
+from prsplit.bench import METHOD_STEPS, BenchConfig, solver_config, trial_seed
 from prsplit.oracles import BoxSet, ProxOracle, SmoothOracle, SparseBoxSet, quadratic_oracle
 from prsplit.problems import (
     LsInstance,
@@ -19,6 +19,7 @@ from prsplit.problems import (
 from prsplit.splitting import (
     SolverConfig,
     SplitProblem,
+    _norm,
     dr_step,
     ergodic_gap_bound,
     fit_contraction,
@@ -199,6 +200,23 @@ def test_merit_rejects_point_outside_domain():
 # ---------------------------------------------------------------- stationarity
 
 
+def _norm_cases():
+    rng = np.random.default_rng(5)
+    yield from (("random", rng.standard_normal(n) * scale) for n in (1, 7, 500, 4000) for scale in (1e-3, 1.0, 1e3))
+    yield from (("zero", np.zeros(n)) for n in (1, 500))
+    yield from (("tiny", rng.standard_normal(50) * scale) for scale in (1e-160, 5e-324))
+    yield from (("huge", rng.standard_normal(50) * scale) for scale in (1e150, 1e200))
+    yield from (("nan", np.array(v)) for v in ([np.nan], [1.0, np.nan, 2.0], [np.inf, 1.0], [np.inf, np.nan]))
+
+
+@pytest.mark.parametrize("kind, v", list(_norm_cases()), ids=lambda v: v if isinstance(v, str) else "")
+def test_norm_is_np_linalg_norm_bit_for_bit(kind, v):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got, want = _norm(v), float(np.linalg.norm(v))
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_stationarity_identity_residual_vanishes_after_step():
     problem = random_quadratic_sparse_problem(8)
     gamma = 0.9 * gamma_threshold(problem.f.strong_convexity, problem.f.grad_lipschitz)
@@ -312,6 +330,20 @@ def test_run_ends_diverged_on_a_nan_iterate():
     assert np.all(np.isfinite(report.state.x))
     assert np.all(np.isfinite(report.state.z))
     assert len(report.merit_trace) == 2
+
+
+@pytest.mark.parametrize("method", ["pr", "dr"])
+def test_run_from_a_point_whose_affine_image_overflows_ends_diverged_at_t_0(method):
+    # x0 = 1.7e308 * 1 is finite, so the projection's one check passes it,
+    # and A x0 overflows into NaN entries.
+    inst = gen_feasibility(10, 40, 0)
+    x0 = np.full(40, 1.7e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(inst.affine_set().project(x0)).all()
+        problem = (build_feasibility_pr if method == "pr" else build_feasibility_dr)(inst)
+        report = run(problem, SolverConfig(*METHOD_STEPS[method], method=method), x0)
+    assert (report.reason, report.iterations, report.residual) == ("diverged", 0, None)
+    assert np.array_equal(report.state.x, x0)
 
 
 @pytest.mark.parametrize("method", ["pr", "dr"])
