@@ -12,11 +12,12 @@ Two oracle shapes drive everything:
 The concrete maps implemented here are the ones the solvers need. The sets
 carry their projections as methods: the affine set {x : Ax = b}, the
 cardinality-capped infinity-norm ball (hard thresholding then clipping) and
-the plain box. Besides those come the closed-form prox of the shifted
-least-squares block and :func:`shift_split`, which moves a quadratic
-across the split. Its f and g halves are the one place a shifted value,
-gradient or modulus is written, and one checked rescaling is the prox of
-both; least squares takes both halves.
+the plain box. Besides those come :func:`shift_split`, which moves a
+quadratic across the split, and the closed-form prox of the unshifted
+least-squares block. The f and g halves of :func:`shift_split` are the one
+place a shifted value, gradient or modulus is written, and one checked
+rescaling is the prox of both. Least squares takes both halves, and its
+f-prox is that one rescaling of the closed-form unshifted prox.
 """
 
 from __future__ import annotations
@@ -228,17 +229,18 @@ class ShiftedQuadraticProx:
     ``lam_max`` is the largest eigenvalue of A^T A times
     ``_CURVATURE_MARGIN``, so it bounds the curvature of the least-squares
     term from above, and a = 5 lam_max is :func:`shift_split`'s weight for
-    it. Evaluating ``prox(gamma, w)`` solves
+    it. The shift is :func:`_rescaled_prox`'s, at weight a, around the
+    unshifted least-squares prox, which solves
 
-        [c I + gamma A^T A] y = v,  c = 1 + a gamma,  v = w + gamma A^T b.
+        [I + gamma A^T A] y = v,  v = w + gamma A^T b.
 
     At construction the Gram matrix G (A A^T when m < n/2, A^T A otherwise)
     is diagonalized once, G = V diag(d) V^T, and only V and d are kept. At
-    any gamma the inverse is V diag(1 / (c + gamma d)) V^T, applied with two
+    any gamma the inverse is V diag(1 / (1 + gamma d)) V^T, applied with two
     matrix-vector products by V, so a new step factors nothing. For wide A
     the solve is routed through the m x m system
 
-        y = (v - gamma A^T (c I + gamma A A^T)^{-1} A v) / c,
+        y = v - gamma A^T (I + gamma A A^T)^{-1} A v,
 
     which is the same inverse pushed through the Woodbury identity.
 
@@ -261,15 +263,18 @@ class ShiftedQuadraticProx:
 
     def __call__(self, gamma: float, w: np.ndarray) -> np.ndarray:
         """The prox at a step in (0, inf) and a finite w of shape (dim,); else ValueError."""
-        _check_step(gamma)
+        # Built per call: kept on self, the closure would tie self into a reference cycle.
+        return _rescaled_prox(self._solve, _SHIFT_WEIGHT * self.lam_max)(gamma, w)
+
+    def _solve(self, gamma: float, w: np.ndarray) -> np.ndarray:
+        """The unshifted prox: argmin_y ||Ay - b||^2 / 2 + ||y - w||^2 / (2 gamma)."""
         w = _as_vector(w, "w", self.dim, finite=True)
-        c = 1.0 + _SHIFT_WEIGHT * gamma * self.lam_max
         v = w + gamma * self.Atb
         V = self._V
         if self._wide:
-            mu = V @ ((V.T @ (self.A @ v)) / (c + gamma * self._d))
-            return (v - gamma * (self.A.T @ mu)) / c
-        return V @ ((V.T @ v) / (c + gamma * self._d))
+            mu = V @ ((V.T @ (self.A @ v)) / (1.0 + gamma * self._d))
+            return v - gamma * (self.A.T @ mu)
+        return V @ ((V.T @ v) / (1.0 + gamma * self._d))
 
 
 def shift_split(F: SmoothOracle, G: ProxOracle) -> tuple[SmoothOracle, ProxOracle]:
@@ -300,7 +305,7 @@ def _rescaled_prox(prox, alpha: float):
         scale = 1.0 + alpha * gamma
         if scale <= 0.0:
             raise ProxShiftError(f"shift destroys prox well-posedness: alpha*gamma = {-alpha * gamma} >= 1")
-        return prox(gamma / scale, w / scale)
+        return prox(gamma / scale, np.asarray(w, dtype=float) / scale)
 
     return rescaled
 

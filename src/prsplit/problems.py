@@ -16,9 +16,10 @@ well-posed.
 
 Constrained least squares: minimize |Au - b|^2 / 2 over u in D, through the
 same shift, with the same f and g halves, at weight 5 lam, lam an upper
-bound on the largest eigenvalue of A^T A. Only the smooth prox differs: it
-is closed form, from an eigendecomposition of the Gram matrix of A computed
-once per pair of A and b arrays. Valid steps are gamma < 1 / (12 lam).
+bound on the largest eigenvalue of A^T A. Its smooth prox is the shift's one
+rescaling of the closed-form unshifted least-squares prox, which applies an
+eigendecomposition of the Gram matrix of A computed once per pair of A and
+b arrays. Valid steps are gamma < 1 / (12 lam).
 
 Random instances follow one recipe: Gaussian A, a planted r-sparse Gaussian
 solution with r = ceil(m / 5), and b defined so the planted point is
@@ -265,12 +266,13 @@ def build_constrained_ls(inst: LsInstance) -> SplitProblem:
     """Shifted PR splitting of min |Au - b|^2 / 2 over u in the constraint set.
 
     f and g are :func:`shift_split`'s two halves for |Au - b|^2 / 2 (L = lam)
-    and the constraint's indicator; only the f-prox, the closed-form
-    :class:`ShiftedQuadraticProx`, is this problem's own. lam is its
-    ``lam_max``: the largest eigenvalue of A^T A from a dense symmetric
-    eigensolver, inflated by a 1e-6 relative margin, so never below the
-    true value even when the top eigenvalues nearly coincide. Valid steps
-    are gamma < 1 / (12 lam); the g-prox needs gamma < 1 / (5 lam).
+    and the constraint's indicator. The f-prox, :class:`ShiftedQuadraticProx`,
+    is their one rescaling of the closed-form unshifted least-squares prox,
+    which alone is this problem's own. lam is its ``lam_max``: the largest
+    eigenvalue of A^T A from a dense symmetric eigensolver, inflated by a
+    1e-6 relative margin, so never below the true value even when the top
+    eigenvalues nearly coincide. Valid steps are gamma < 1 / (12 lam); the
+    g-prox needs gamma < 1 / (5 lam).
 
     Only g depends on the constraint set, so problems built from the same A
     and b arrays (the same objects, not equal copies) share one smooth prox

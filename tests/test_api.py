@@ -130,13 +130,11 @@ STEP_TAKERS = {
     ),
     (ShiftedQuadraticProx.__call__, "gamma"): lambda gamma: _ls_prox()(gamma, np.zeros(3)),
 }
-# Every prox of every builder's sample, at the point 0 of R^3.
+# Every prox of every builder's sample, by its label.
+BUILT_PROXES = {label: prox for builder in BUILDERS for label, prox in _built_proxes(builder).items()}
+# Each of them at the point 0 of R^3.
 STEP_TAKERS.update(
-    {
-        (label, "gamma"): lambda gamma, prox=prox: prox(gamma, np.zeros(3))
-        for builder in BUILDERS
-        for label, prox in _built_proxes(builder).items()
-    }
+    {(label, "gamma"): lambda gamma, prox=prox: prox(gamma, np.zeros(3)) for label, prox in BUILT_PROXES.items()}
 )
 
 
@@ -248,6 +246,15 @@ def test_every_other_point_map_rejects_a_nan(name):
     arg, call, n = POINT_MAPS[name]
     with pytest.raises(ValueError, match=f"^{arg} holds NaN or infinite entries$"):
         call(np.full(n or 3, np.nan))
+
+
+@pytest.mark.parametrize("label", list(BUILT_PROXES))
+def test_every_built_prox_takes_a_list_point_as_that_array_and_rejects_a_string(label):
+    prox = BUILT_PROXES[label]
+    w = np.array([0.3, -0.2, 0.1])
+    np.testing.assert_array_equal(prox(0.01, w.tolist()), prox(0.01, w))
+    with pytest.raises(ValueError, match="^could not convert string to float: 'abc'$"):
+        prox(0.01, "abc")
 
 
 def test_every_public_step_taker_is_in_the_step_contract_test():

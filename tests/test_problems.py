@@ -369,13 +369,18 @@ def test_build_constrained_ls_does_not_share_prox_across_arrays(other, monkeypat
 
 
 def test_build_constrained_ls_shared_prox_dies_with_its_problems():
+    # With the cycle collector off: the prox is in no reference cycle, so its
+    # eigenvectors go as soon as its last problem does.
     A, b = ls_data()
     box = build_constrained_ls(LsInstance(A=A, b=b, constraint=BoxSet(0.5)))
     cap = build_constrained_ls(LsInstance(A=A, b=b, constraint=SparseBoxSet(r=3)))
     prox = weakref.ref(box.f.prox)
-    del box, cap
-    gc.collect()
-    assert prox() is None
+    gc.disable()
+    try:
+        del box, cap
+        assert prox() is None
+    finally:
+        gc.enable()
 
 
 def test_build_constrained_ls_shared_prox_runs_bit_identical():
@@ -445,6 +450,39 @@ def test_constrained_ls_matches_generic_shift_split():
         np.testing.assert_array_equal(problem.f.gradient(w), f_ref.gradient(w))
         assert_allclose(problem.f.prox(gamma, w), f_ref.prox(gamma, w), atol=1e-10)
         assert_allclose(problem.g.prox(gamma, w), g_ref.prox(gamma, w), atol=1e-10)
+
+
+def planted_ls_data(m, n, seed):
+    """Gaussian A and b = A x + 0.01 noise for a planted 5-sparse x, all from one seeded stream."""
+    rng = rng_from_seed(seed)
+    A = rng.standard_normal((m, n))
+    x = np.zeros(n)
+    x[rng.permutation(n)[:5]] = rng.standard_normal(5)
+    return A, A @ x + 0.01 * rng.standard_normal(m)
+
+
+LS_SETS = {"box": lambda: BoxSet(0.5), "cap": lambda: SparseBoxSet(r=5)}
+# (m, n, seed, constraint, iterations, reason) of a default-config run from zero: tall data takes the
+# smooth prox's direct route, wide data its Woodbury route.
+LS_TABLE = (
+    (60, 30, 2, "box", 982, "converged"),
+    (60, 30, 2, "cap", 468, "converged"),
+    (60, 30, 3, "box", 1220, "converged"),
+    (60, 30, 3, "cap", 373, "converged"),
+    (20, 100, 2, "box", 353, "converged"),
+    (20, 100, 2, "cap", 1526, "converged"),
+    (20, 100, 3, "box", 318, "converged"),
+    (20, 100, 3, "cap", 1497, "converged"),
+)
+
+
+def test_ls_table_iterations_and_reasons_are_pinned():
+    got = []
+    for m, n, seed, name, _, _ in LS_TABLE:
+        A, b = planted_ls_data(m, n, seed)
+        report = run(build_constrained_ls(LsInstance(A, b, LS_SETS[name]())), SolverConfig(), np.zeros(n))
+        got.append((m, n, seed, name, report.iterations, report.reason))
+    assert tuple(got) == LS_TABLE
 
 
 # -------------------------------------------------------------- fval, classify
