@@ -10,8 +10,8 @@ vectors are 1-d float64 ndarrays; nothing here is sparse.
 The runtime needs numpy only. The one-off dense kernels here (the largest
 eigenvalue, a blocked Cholesky fused with the inversion of its factor) call
 numpy's LAPACK and BLAS, so no second BLAS thread pool contends with numpy's.
-The affine projection applies the inverse factor itself by two matrix-vector
-products; :func:`spd_factor`'s ``solve`` is the checked entry for others.
+:func:`spd_factor` alone checks an outside matrix, and its ``solve`` an outside
+right-hand side; an affine set factors its own Gram without a second scan.
 
 The package checks its public arguments through three private helpers here,
 one per contract: a step through :func:`_check_step`, a point through
@@ -141,21 +141,16 @@ class SpdFactorization:
 
 
 def _factor_in_place(M: np.ndarray) -> np.ndarray:
-    """Run :func:`spd_factor`'s checks on M, overwrite M with L^{-1} and return it.
+    """Overwrite the square M with L^{-1}, from its lower triangle only, and return it.
 
-    A 2 x 2 block recursion on the lower triangle fuses a blocked Cholesky
-    with the inversion. Once M11 holds L11^{-1}, M21 becomes
-    L21 = M21 L11^{-T}, M22 loses L21 L21^T and recurses to L22^{-1}, and
-    M21 becomes -L22^{-1} L21 L11^{-1}. Leaves of order at most
-    `_INVERSE_LEAF` go to LAPACK. A level's one temporary is an
-    (m/2) x (m/2) block product.
+    M is not checked: :func:`spd_factor` checks an outside matrix, and an
+    :class:`~prsplit.oracles.AffineSet` its own Gram through the diagonal.
+    A 2 x 2 block recursion fuses a blocked Cholesky with the inversion:
+    once M11 holds L11^{-1}, M21 becomes L21 = M21 L11^{-T}, M22 loses
+    L21 L21^T and recurses to L22^{-1}, and M21 becomes -L22^{-1} L21 L11^{-1}.
+    Leaves of order at most `_INVERSE_LEAF` go to LAPACK. A level's one
+    temporary is an (m/2) x (m/2) block product.
     """
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
-        raise ValueError(f"expected a nonempty square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix contains NaN or infinite entries")
-    if not _is_symmetric(M):
-        raise ValueError("matrix is not symmetric")
     pivot_floor = 1e-12 * float(np.trace(M)) / M.shape[0]
 
     def factor(B: np.ndarray) -> None:
@@ -188,15 +183,21 @@ def _factor_in_place(M: np.ndarray) -> np.ndarray:
 
 
 def spd_factor(M: np.ndarray) -> SpdFactorization:
-    """Cholesky factorization M = L L^T with an explicit breakdown threshold.
+    """Cholesky factorization M = L L^T of an outside matrix, checked first.
 
     M must be nonempty, finite and symmetric to within 1e-10 * (1 + max
-    |M_ij|) in every entry; each failure raises ValueError. A pivot
-    L[j, j]^2 at or below 1e-12 * trace(M) / dim, or a breakdown inside
-    LAPACK, is treated as loss of positive definiteness and raises
-    :class:`NotPositiveDefiniteError` instead of producing a garbage factor.
-    The factor comes from the lower triangle of M. A copy of M is
-    overwritten with the kept L^{-1} (see `_factor_in_place`), so beyond M
-    the peak is that copy plus an (m/2) x (m/2) block product.
+    |M_ij|) in every entry, or ValueError says which before M is copied.
+    A pivot L[j, j]^2 at or below 1e-12 * trace(M) / dim, or a breakdown
+    inside LAPACK, raises :class:`NotPositiveDefiniteError` instead of a
+    garbage factor. The factor comes from the lower triangle of M. A copy of
+    M is overwritten with the kept L^{-1} (see `_factor_in_place`), so beyond
+    M the peak is that copy plus an (m/2) x (m/2) block product.
     """
-    return SpdFactorization(_factor_in_place(np.array(M, dtype=float, order="C")))
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix contains NaN or infinite entries")
+    if not _is_symmetric(M):
+        raise ValueError("matrix is not symmetric")
+    return SpdFactorization(_factor_in_place(np.array(M, order="C")))

@@ -107,15 +107,15 @@ class ProxOracle:
 class AffineSet:
     """The set C = {x in R^n : A x = b} for full-row-rank A.
 
-    A A^T is factored once, so each projection is two matrix-vector products
-    with A and two with the m x m inverse Cholesky factor of A A^T.
-    The set owns its Gram matrix, so the factorization overwrites it with
-    that inverse factor: construction holds one m x m array, plus an
-    (m/2) x (m/2) block product while it factors, beyond A.
-    Rank deficiency surfaces as :class:`RankDeficientError`, raised from the
-    factorization breakdown. An A with no rows raises ValueError, as does a
-    row of A holding NaN or inf, or too large for its squared norm to be
-    finite (naming that row); a NaN or inf in b raises ValueError naming b.
+    A A^T is factored once, in place, into the m x m inverse Cholesky factor
+    L^{-1}, so each projection is two matrix-vector products with A and two
+    with L^{-1}, and construction holds one m x m array beyond A, plus an
+    (m/2) x (m/2) block product while it factors. That Gram gets none of
+    :func:`spd_factor`'s scans of an outside matrix: its diagonal checks
+    every row of A, and the factor reads only its lower triangle.
+    Rank deficiency raises :class:`RankDeficientError` from the factorization
+    breakdown. ValueError names an A with no rows, a row of A holding NaN or
+    inf or too large for its squared norm to be finite, and a b holding NaN or inf.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -127,8 +127,7 @@ class AffineSet:
             raise ValueError("A has no rows: an affine set needs at least one equation")
         if not np.isfinite(self.b).all():
             raise ValueError("b holds NaN or infinite entries")
-        # The diagonal of the Gram matrix holds the squared row norms, so a
-        # bad row shows there without an m x n isfinite temporary.
+        # The Gram's diagonal holds the squared row norms: no m x n isfinite temporary.
         with np.errstate(invalid="ignore", over="ignore"):
             gram = self.A @ self.A.T
         bad_rows = np.flatnonzero(~np.isfinite(np.diagonal(gram)))

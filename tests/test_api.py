@@ -1,5 +1,6 @@
 """The public API has no stale exports, every public map checks its steps, points and counts one way each,
-and no solve path calls the checked helpers kept for callers outside the package."""
+no solve path calls the checked helpers kept for callers outside the package, and only the two callers that check
+their matrix reach the unchecked factorization."""
 
 import ast
 import importlib
@@ -316,8 +317,9 @@ def test_every_public_int_parameter_is_in_the_count_contract_test():
 
 # ------------------------------------------ the checked helpers for outside callers
 
-# Public helpers that check what an outside caller hands them; the package's own solves skip them.
-OUTSIDE_ONLY = ("spd_factor", "spectral_norm_sq", "initial_state")
+# Public helpers that check what an outside caller hands them, and spd_factor's symmetry scan of an
+# outside matrix; the package's own solves skip them.
+OUTSIDE_ONLY = ("spd_factor", "spectral_norm_sq", "initial_state", "_is_symmetric")
 
 
 class _CalledFromInside(AssertionError):
@@ -351,3 +353,24 @@ def test_no_solve_path_calls_the_checked_helpers_for_outside_callers(monkeypatch
     assert main(["solve", "--m", "10", "--n", "40"]) == 0
     assert "iterations" in capsys.readouterr().out
     assert calls == []
+
+
+def test_only_spd_factor_and_affine_set_hand_a_matrix_to_the_unchecked_factor():
+    # _factor_in_place checks nothing: spd_factor checks an outside matrix first, and AffineSet
+    # checks the rows behind its own Gram. Any other caller could hand it an unchecked matrix.
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "_factor_in_place":
+                    callers.add(scope)
+            visit(child, scope)
+
+    for path in sorted(Path(prsplit.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    assert callers == {"spd_factor", "AffineSet.__init__"}

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from prsplit import oracles
-from prsplit.linalg import rng_from_seed, spectral_norm_sq
+from prsplit.linalg import _INVERSE_LEAF, rng_from_seed, spd_factor, spectral_norm_sq
 from prsplit.oracles import (
     AffineSet,
     BoxSet,
@@ -170,6 +170,15 @@ def test_affine_set_factors_its_gram_in_place():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * m * m * 8
+    # The set factors its Gram unscanned, bit for bit as the checked spd_factor does, across the
+    # leaf edges of the blocked inverse; the factor never reads the Gram's upper triangle.
+    for m in (5, _INVERSE_LEAF, _INVERSE_LEAF + 1, 131):
+        A = rng_from_seed(m).standard_normal((m, 3 * m))
+        expected = spd_factor(A @ A.T).inv_lower
+        assert AffineSet(A, np.zeros(m)).gram_factor.inv_lower.tobytes() == expected.tobytes()
+        gram = A @ A.T
+        gram[np.triu_indices(m, 1)] = np.nan
+        assert oracles._factor_in_place(gram).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
