@@ -10,13 +10,15 @@ vectors are 1-d float64 ndarrays; nothing here is sparse.
 The runtime needs numpy only. The one-off dense kernels here (the largest
 eigenvalue, a blocked Cholesky fused with the inversion of its factor) call
 numpy's LAPACK and BLAS, so no second BLAS thread pool contends with numpy's.
-:func:`spd_factor` alone checks an outside matrix, and its ``solve`` an outside
-right-hand side; an affine set factors its own Gram without a second scan.
+Of the two factorizations, :func:`spd_factor` checks its outside matrix, and
+its ``solve`` an outside right-hand side; an affine set factors its own Gram
+without a second scan.
 
-The package checks its public arguments through three private helpers here,
-one per contract: a step through :func:`_check_step`, a point through
-:func:`_as_vector` and a count (a dimension, a cap, a budget, an iteration
-index or a seed) through :func:`_check_count`. Each raises ValueError with a
+The package checks its public arguments through five private helpers here,
+one per contract: a step through :func:`_check_step`, a count (a dimension, a
+cap, a budget, an iteration index or a seed) through :func:`_check_count`, a
+point through :func:`_as_vector`, a matrix through :func:`_as_matrix` and a
+symmetric matrix through :func:`_as_symmetric`. Each raises ValueError with a
 message naming the argument.
 """
 
@@ -71,21 +73,31 @@ def _as_vector(value, name: str, n: int | None = None, finite: bool = False) -> 
     return w
 
 
-def _is_symmetric(M: np.ndarray) -> bool:
-    """True when the finite square M equals M^T to within 1e-10 * (1 + max |M_ij|).
+def _as_matrix(value, name: str) -> np.ndarray:
+    """The one matrix contract: `value` as a nonempty, finite float64 2-D array."""
+    M = np.asarray(value, dtype=float)
+    if M.ndim != 2 or M.size == 0:
+        raise ValueError(f"{name} must be a nonempty 2-D array, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} holds NaN or infinite entries")
+    return M
 
-    Compared 32 rows at a time, so no m x m temporary is formed. A difference
-    that overflows is inf, beyond any tolerance, so it is not warned about.
+
+def _as_symmetric(value, name: str) -> np.ndarray:
+    """The one symmetric-matrix contract: a square :func:`_as_matrix` within 1e-10 * (1 + max |M_ij|) of M^T.
+
+    M - M^T is antisymmetric to the bit, so its largest entry is its largest
+    magnitude. A difference that overflows is inf, beyond any tolerance, so
+    it is not warned about.
     """
-    panel = 32
-    tol = 1e-10 * (1.0 + max(M.max(), -M.min()))  # max |X| is max(X.max(), -X.min())
+    M = _as_matrix(value, name)
+    if M.shape[0] != M.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {M.shape}")
     with np.errstate(over="ignore"):
-        for i in range(0, M.shape[0], panel):
-            j = i + panel
-            D = M[i:j, :j] - M[:j, i:j].T
-            if max(D.max(), -D.min()) > tol:
-                return False
-    return True
+        D = M - M.T
+    if D.max() > 1e-10 * (1.0 + max(M.max(), -M.min())):  # max |X| is max(X.max(), -X.min())
+        raise ValueError(f"{name} is not symmetric")
+    return M
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -101,16 +113,12 @@ def spectral_norm_sq(A: np.ndarray, tol: float = 1e-10) -> float:
     rounding: its relative error is a small multiple of machine epsilon,
     far inside the 1e-6 margin that turns it into a curvature bound.
 
-    A must be a finite 2-D array, or ValueError names it. `tol` must be
+    A must be a nonempty, finite 2-D array, or ValueError names it. `tol` must be
     positive and finite and has no effect, because the result is exact; it
     is accepted so existing positional callers keep working.
     """
-    A = np.asarray(A, dtype=float)
     _check_step(tol, "tol")
-    if A.ndim != 2:
-        raise ValueError(f"A must be a 2-D array, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError("A holds NaN or infinite entries")
+    A = _as_matrix(A, "A")
     if not np.any(A):
         raise ValueError("spectral_norm_sq needs a nonzero matrix")
     return float(np.linalg.eigvalsh(A @ A.T if A.shape[0] < A.shape[1] else A.T @ A)[-1])
@@ -151,7 +159,8 @@ def _factor_in_place(M: np.ndarray) -> np.ndarray:
     Leaves of order at most `_INVERSE_LEAF` go to LAPACK. A level's one
     temporary is an (m/2) x (m/2) block product.
     """
-    pivot_floor = 1e-12 * float(np.trace(M)) / M.shape[0]
+    # 1e-12 times the mean diagonal entry, scaled before the sum so it cannot overflow.
+    pivot_floor = float(np.sum(np.diagonal(M) * (1e-12 / M.shape[0])))
 
     def factor(B: np.ndarray) -> None:
         n = B.shape[0]
@@ -185,19 +194,13 @@ def _factor_in_place(M: np.ndarray) -> np.ndarray:
 def spd_factor(M: np.ndarray) -> SpdFactorization:
     """Cholesky factorization M = L L^T of an outside matrix, checked first.
 
-    M must be nonempty, finite and symmetric to within 1e-10 * (1 + max
-    |M_ij|) in every entry, or ValueError says which before M is copied.
-    A pivot L[j, j]^2 at or below 1e-12 * trace(M) / dim, or a breakdown
-    inside LAPACK, raises :class:`NotPositiveDefiniteError` instead of a
+    M must be nonempty, square, finite and symmetric to within 1e-10 * (1 +
+    max |M_ij|) in every entry (see `_as_symmetric`), or ValueError says
+    which before M is copied. A pivot L[j, j]^2 at or below the floor, the
+    sum of 1e-12 * M[i, i] / dim over i, or a breakdown inside LAPACK, raises :class:`NotPositiveDefiniteError` instead of a
     garbage factor. The factor comes from the lower triangle of M. A copy of
     M is overwritten with the kept L^{-1} (see `_factor_in_place`), so beyond
     M the peak is that copy plus an (m/2) x (m/2) block product.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
-        raise ValueError(f"expected a nonempty square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix contains NaN or infinite entries")
-    if not _is_symmetric(M):
-        raise ValueError("matrix is not symmetric")
+    M = _as_symmetric(M, "M")
     return SpdFactorization(_factor_in_place(np.array(M, order="C")))

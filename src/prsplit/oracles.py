@@ -30,11 +30,11 @@ import numpy as np
 from .linalg import (
     NotPositiveDefiniteError,
     SpdFactorization,
+    _as_symmetric,
     _as_vector,
     _check_count,
     _check_step,
     _factor_in_place,
-    _is_symmetric,
 )
 
 # Safety margin on top of the computed largest eigenvalue of A^T A before it
@@ -330,8 +330,8 @@ def _shifted_g(G: ProxOracle, lipschitz: float) -> ProxOracle:
 def quadratic_oracle(Q: np.ndarray, c: np.ndarray | None = None) -> SmoothOracle:
     """Smooth oracle for f(y) = y^T Q y / 2 + c^T y with Q symmetric PSD.
 
-    Q must be finite and symmetric to :func:`spd_factor`'s tolerance, and c
-    finite of shape (n,), or ValueError names the argument. So does the
+    Q must be a nonempty, finite square matrix within 1e-10 * (1 + max |Q_ij|)
+    of Q^T, and c finite of shape (n,), or ValueError names the argument. So does the
     prox, given a step outside (0, inf) or a w that is not finite of shape (n,).
 
     Q is diagonalized once, Q = V diag(d) V^T. The moduli are the extreme
@@ -339,11 +339,7 @@ def quadratic_oracle(Q: np.ndarray, c: np.ndarray | None = None) -> SmoothOracle
     V diag(1 / (1 + gamma d)) V^T (w - gamma c), so any step costs two
     matrix-vector products with V.
     """
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.size == 0:
-        raise ValueError(f"Q must be a nonempty square matrix, got shape {Q.shape}")
-    if not (np.isfinite(Q).all() and _is_symmetric(Q)):
-        raise ValueError("Q must be finite and symmetric")
+    Q = _as_symmetric(Q, "Q")
     n = Q.shape[0]
     c = np.zeros(n) if c is None else _as_vector(c, "c", n, finite=True)
     eigenvalues, V = np.linalg.eigh(Q)

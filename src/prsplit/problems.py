@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _as_vector, _check_count, _check_step, _is_integer, rng_from_seed
+from .linalg import _as_matrix, _as_vector, _check_count, _check_step, _is_integer, rng_from_seed
 from .oracles import (
     AffineSet,
     BoxSet,
@@ -138,15 +138,8 @@ class LsInstance:
     constraint: SparseBoxSet | BoxSet
 
     def __post_init__(self):
-        for name in ("A", "b"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.A.ndim != 2 or self.b.shape != (self.A.shape[0],):
-            raise ValueError("A must be m x n with b of length m")
-        if self.A.size == 0:
-            raise ValueError(f"A has shape {self.A.shape}: least squares needs a row and a column")
-        for name, data in (("A", self.A), ("b", self.b)):
-            if not np.isfinite(data).all():
-                raise ValueError(f"{name} holds NaN or infinite entries")
+        object.__setattr__(self, "A", _as_matrix(self.A, "A"))
+        object.__setattr__(self, "b", _as_vector(self.b, "b", self.A.shape[0], finite=True))
         if not isinstance(self.constraint, (SparseBoxSet, BoxSet)):
             raise ValueError(f"constraint must be a SparseBoxSet or a BoxSet, got {self.constraint!r}")
         if isinstance(self.constraint, SparseBoxSet):

@@ -317,9 +317,9 @@ def test_every_public_int_parameter_is_in_the_count_contract_test():
 
 # ------------------------------------------ the checked helpers for outside callers
 
-# Public helpers that check what an outside caller hands them, and spd_factor's symmetry scan of an
-# outside matrix; the package's own solves skip them.
-OUTSIDE_ONLY = ("spd_factor", "spectral_norm_sq", "initial_state", "_is_symmetric")
+# Public helpers that check what an outside caller hands them, and the symmetry scan of an outside
+# matrix; the package's own solves skip them. _as_matrix is not here: building an LsInstance runs it.
+OUTSIDE_ONLY = ("spd_factor", "spectral_norm_sq", "initial_state", "_as_symmetric")
 
 
 class _CalledFromInside(AssertionError):

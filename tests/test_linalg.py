@@ -155,12 +155,18 @@ def test_spd_factor_rejects_asymmetric():
     with pytest.raises(ValueError):
         spd_factor(np.array([[1.0, 2.0], [0.0, 1.0]]))
     # M - M^T overflows here; the check says so without a RuntimeWarning.
-    with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+    with pytest.raises(ValueError, match="^M is not symmetric$"):
         spd_factor(np.array([[1e308, -1e308], [1e308, 1e308]]))
+    # One asymmetric entry, the farthest from the diagonal, at orders either side of 32 and past 64.
+    for m in (31, 32, 33, 65):
+        M = 2.0 * np.eye(m)
+        M[-1, 0] = 1.0
+        with pytest.raises(ValueError, match="^M is not symmetric$"):
+            spd_factor(M)
 
 
 def test_spd_factor_rejects_an_empty_matrix():
-    with pytest.raises(ValueError, match=r"^expected a nonempty square matrix, got shape \(0, 0\)$"):
+    with pytest.raises(ValueError, match=r"^M must be a nonempty 2-D array, got shape \(0, 0\)$"):
         spd_factor(np.zeros((0, 0)))
 
 

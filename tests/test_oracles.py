@@ -66,6 +66,9 @@ def sparse_box_best_distance(w, r, bound):
 def test_project_affine_line():
     cset = AffineSet(np.array([[1.0, 0.0]]), np.array([1.0]))
     assert_allclose(cset.project(np.zeros(2)), [1.0, 0.0], atol=1e-14)
+    # Rows of squared norm 1.44e308: the Gram's trace overflows, but the pivot floor stays finite.
+    cset = AffineSet(1.2e154 * np.eye(2), np.array([1.2e154, 0.0]))
+    assert_allclose(cset.project(np.zeros(2)), [1.0, 0.0], atol=1e-14)
 
 
 def test_project_affine_fixes_feasible_points():
@@ -612,13 +615,13 @@ def test_smooth_oracle_validates_moduli():
         (lambda: SparseBoxSet(3).project(np.zeros(2)), "point has length 2 but the cap keeps 3 entries"),
         (lambda: quadratic_oracle(np.diag([1.0, -1.0])), "quadratic_oracle needs a positive semidefinite Q"),
         # eigh reads only the lower triangle, which is PSD here; Q's symmetric part is not.
-        (lambda: quadratic_oracle(np.array([[1.0, 5.0], [0.0, 1.0]])), "Q must be finite and symmetric"),
+        (lambda: quadratic_oracle(np.array([[1.0, 5.0], [0.0, 1.0]])), "Q is not symmetric"),
         # Q - Q^T overflows here; the check says so without a RuntimeWarning.
-        (lambda: quadratic_oracle(np.array([[1e308, -1e308], [1e308, 1e308]])), "Q must be finite and symmetric"),
-        (lambda: quadratic_oracle(np.ones(3)), "Q must be a nonempty square matrix, got shape (3,)"),
+        (lambda: quadratic_oracle(np.array([[1e308, -1e308], [1e308, 1e308]])), "Q is not symmetric"),
+        (lambda: quadratic_oracle(np.ones(3)), "Q must be a nonempty 2-D array, got shape (3,)"),
         (lambda: quadratic_oracle(np.eye(3), np.ones(2)), "c has shape (2,), expected (3,)"),
         (lambda: quadratic_oracle(np.eye(2), np.array([np.nan, 0.0])), "c holds NaN or infinite entries"),
-        (lambda: spectral_norm_sq(np.ones(3)), "A must be a 2-D array, got shape (3,)"),
+        (lambda: spectral_norm_sq(np.ones(3)), "A must be a nonempty 2-D array, got shape (3,)"),
         (lambda: spectral_norm_sq(np.array([[np.nan, 1.0], [0.0, 1.0]])), "A holds NaN or infinite entries"),
         (lambda: spectral_norm_sq(np.array([[np.inf, 1.0]])), "A holds NaN or infinite entries"),
     ],

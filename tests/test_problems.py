@@ -254,7 +254,7 @@ def test_ls_instance_converts_array_likes():
 
 
 def test_ls_instance_rejects_mismatched_shapes():
-    with pytest.raises(ValueError, match="^A must be m x n with b of length m$"):
+    with pytest.raises(ValueError, match=r"^b has shape \(3,\), expected \(4,\)$"):
         LsInstance(A=np.eye(4, 3), b=np.ones(3), constraint=BoxSet(1.0))
 
 
@@ -281,7 +281,7 @@ def test_ls_instance_equals_only_itself():
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0)], ids=["no rows", "no columns"])
 def test_build_constrained_ls_rejects_empty_data(shape):
     # The instance that would carry the data to the build fails first.
-    with pytest.raises(ValueError, match=rf"^A has shape \({shape[0]}, {shape[1]}\)"):
+    with pytest.raises(ValueError, match=rf"^A must be a nonempty 2-D array, got shape \({shape[0]}, {shape[1]}\)"):
         build_constrained_ls(LsInstance(A=np.ones(shape), b=np.ones(shape[0]), constraint=BoxSet(1.0)))
 
 
