@@ -46,7 +46,6 @@ from .splitting import (
     ergodic_gap_bound,
     fit_contraction,
     gamma_threshold,
-    heuristic_update,
     initial_state,
     merit_dr,
     merit_pr,

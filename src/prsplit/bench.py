@@ -106,7 +106,7 @@ class BenchConfig:
             raise ValueError(f"pairs must not repeat, got {self.pairs}")
         _check_count(self.trials, "trials", 1)
         _check_count(self.base_seed, "base_seed")
-        if not self.methods or not set(self.methods) <= METHOD_STEPS.keys():
+        if not self.methods or not all(isinstance(m, str) and m in METHOD_STEPS for m in self.methods):
             raise ValueError(f"methods must be a nonempty subset of {tuple(METHOD_STEPS)}, got {self.methods}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError(f"methods must not repeat, got {self.methods}")

@@ -24,20 +24,23 @@ coupling term, and the two are related by merit_pr = merit_dr -
     max(|dx|, |dy|, |dz|) / max(|x_prev|, |y_prev|, |z_prev|, 1) < tol,
 
 where |dx| = k |z - y| reuses the norm of the gap trace, and one step-size
-rule: the heuristic of :func:`heuristic_update`, which halves gamma toward a
-floor whenever the iterates look unstable. One :class:`SolverConfig` holds
-every setting; the floor ``gamma1`` defaults to the start step, so a fixed
-step is the heuristic with nothing left to shrink. Its shrink factor, settle
-factor, drift limit and norm limit are the paper's fixed numbers, module
-constants that no config can change. The remaining helpers are convergence
-diagnostics: the explicit stationarity residual available after every step,
-the ergodic objective-gap bound that holds when g is convex, and a
-contraction-factor fit for linearly convergent tails.
+rule, the paper's: after step t, while gamma is above the floor ``gamma1``,
+a drift |y_t - y_{t-1}| above 1000 / t or a norm |y_t| above 1e10 sets
+gamma = max(gamma / 2, 0.9999 gamma1), so gamma settles just below the
+floor and never moves again. Those four numbers are module constants that
+no config can change; the floor defaults to the start step, so a fixed step
+is the rule with nothing left to shrink. :func:`run` checks x0 and
+:class:`SolverConfig` its fields once, and no iteration checks again what
+it derives from them. The remaining helpers are convergence diagnostics:
+the explicit stationarity residual available after every step, the ergodic
+objective-gap bound that holds when g is convex, and a contraction-factor
+fit for linearly convergent tails.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -56,7 +59,6 @@ __all__ = [
     "ergodic_gap_bound",
     "fit_contraction",
     "gamma_threshold",
-    "heuristic_update",
     "initial_state",
     "merit_dr",
     "merit_pr",
@@ -68,12 +70,14 @@ __all__ = [
 # Iterates beyond this norm abort the run as diverged.
 _DIVERGENCE_NORM = 1e12
 # So does a relative change >= 1 (each step moves the iterates by their own
-# size) this many steps in a row at a step the heuristic can no longer shrink,
+# size) this many steps in a row at a step the step-size rule can no longer shrink,
 # as when a bounded prox holds an unstable step's iterates below the norm guard;
-# while gamma can still shrink, the heuristic's own triggers answer instead.
+# while gamma can still shrink, the rule's own triggers answer instead.
 _STALL_STEPS = 100
 
-# The paper's fixed numbers of the step-size heuristic (see heuristic_update).
+# The paper's fixed numbers of run's step-size rule: above the floor, a drift
+# |y_t - y_{t-1}| > _DRIFT_LIMIT / t or a norm |y_t| > _NORM_LIMIT sets
+# gamma = max(_SHRINK * gamma, _SETTLE * floor).
 _SHRINK = 0.5
 _SETTLE = 0.9999
 _DRIFT_LIMIT = 1000.0
@@ -82,6 +86,9 @@ _NORM_LIMIT = 1e10
 # Each method's step factor k of x' = x + k (z' - y') and coupling c of its
 # merit f(y) + g(z) - c |y-z|^2/gamma + <x-y, z-y>/gamma.
 _METHODS = {"pr": (2.0, 1.5), "dr": (1.0, 0.5)}
+
+# The positive floats whose square is a finite normal float: 2**-511 up to the last float below 2**512.
+_SQUARABLE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -101,11 +108,10 @@ class SolverConfig:
     """Engine selection, step size and termination.
 
     The step starts at ``gamma0``, or, with that unset, at
-    0.99 * gamma_threshold(sigma, L) of the problem the engine is given. The
-    step-size heuristic of :func:`heuristic_update` may shrink it toward just
-    below the floor ``gamma1``, which needs an explicit gamma0, must not
-    exceed it and defaults to it, so an unset or equal floor keeps the step
-    fixed.
+    0.99 * gamma_threshold(sigma, L) of the problem the engine is given.
+    :func:`run`'s step-size rule may shrink it toward just below the floor
+    ``gamma1``, which needs an explicit gamma0, must not exceed it and
+    defaults to it, so an unset or equal floor keeps the step fixed.
     ``tol`` and ``max_iter`` live here alone; only ``prsplit solve --tol/--max-iter`` override them.
     Each field is checked at construction: a step positive and finite,
     ``tol`` nonnegative and finite, ``max_iter`` a Python or numpy integer
@@ -120,7 +126,7 @@ class SolverConfig:
     max_iter: int = 50_000
 
     def __post_init__(self):
-        if self.method not in _METHODS:
+        if not isinstance(self.method, str) or self.method not in _METHODS:
             raise ValueError(f"method must be 'pr' or 'dr', got {self.method!r}")
         for name in ("gamma0", "gamma1"):
             if getattr(self, name) is not None:
@@ -177,12 +183,21 @@ class StationarityResidual(NamedTuple):
 
 
 def gamma_threshold(sigma: float, lipschitz: float) -> float:
-    """Stationary step-size cap (3 sigma - 2 L) / L^2 for the PR merit descent."""
+    """Stationary step-size cap (3 sigma - 2 L) / L^2 for the PR merit descent.
+
+    L must be positive, with L^2 a finite normal float, so that the cap is
+    computed to full precision; anything else raises ValueError naming it.
+    """
     for name, value in (("sigma", sigma), ("lipschitz", lipschitz)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if lipschitz <= 0:
         raise ValueError("lipschitz modulus must be positive")
+    if not _SQUARABLE[0] <= lipschitz <= _SQUARABLE[1]:
+        raise ValueError(
+            f"lipschitz must lie in [{_SQUARABLE[0]}, {_SQUARABLE[1]}] for its square to be a finite normal float, "
+            f"got {lipschitz}"
+        )
     if 3.0 * sigma <= 2.0 * lipschitz:
         raise ValueError(
             "insufficient strong convexity: need 3*sigma > 2*lipschitz, "
@@ -197,7 +212,7 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _step(state: IterateState, problem: SplitProblem, gamma: float, factor: float) -> IterateState:
-    _check_step(gamma)
+    """One step at a gamma the caller has checked."""
     x = state.x
     y = problem.f.prox(gamma, x)
     z = problem.g.prox(gamma, 2.0 * y - x)
@@ -206,23 +221,25 @@ def _step(state: IterateState, problem: SplitProblem, gamma: float, factor: floa
 
 def pr_step(state: IterateState, problem: SplitProblem, gamma: float) -> IterateState:
     """One Peaceman-Rachford step: x' = x + 2 (z' - y'); gamma must be positive and finite."""
+    _check_step(gamma)
     return _step(state, problem, gamma, _METHODS["pr"][0])
 
 
 def dr_step(state: IterateState, problem: SplitProblem, gamma: float) -> IterateState:
     """One Douglas-Rachford step: x' = x + (z' - y'); gamma must be positive and finite."""
+    _check_step(gamma)
     return _step(state, problem, gamma, _METHODS["dr"][0])
 
 
 def _merit(problem: SplitProblem, y, z, x, gap: float, gamma: float, method: str) -> float:
-    """The merit of `method` at (y, z, x) given gap = |z-y|; +inf where f or g is."""
-    _check_step(gamma)
+    """The merit of `method` at (y, z, x) given gap = |z-y| and a checked gamma; +inf where f or g is."""
     inner = float((x - y) @ (z - y))
     return problem.f.value(y) + problem.g.value(z) - _METHODS[method][1] * gap**2 / gamma + inner / gamma
 
 
 def _checked_merit(problem: SplitProblem, y, z, x, gamma: float, method: str) -> float:
-    """:func:`_merit` at a caller's (y, z, x), each checked as a finite point of R^dim."""
+    """:func:`_merit` at a caller's checked gamma and (y, z, x), each checked as a finite point of R^dim."""
+    _check_step(gamma)
     y, z, x = (_as_vector(v, name, problem.dim, finite=True) for name, v in zip("yzx", (y, z, x)))
     return _merit(problem, y, z, x, _norm(z - y), gamma, method)
 
@@ -271,26 +288,6 @@ def stationarity_residual(
     return StationarityResidual(identity, practical)
 
 
-def heuristic_update(gamma: float, t: int, drift: float, y_norm: float, gamma1: float) -> float:
-    """Shrink gamma toward 0.9999 * gamma1 when the iterates look unstable.
-
-    No-op unless gamma > gamma1 and drift = |y_t - y_{t-1}| (0 at t = 1)
-    exceeds 1000 / t or y_norm = |y_t| exceeds 1e10; t must be a Python or
-    numpy integer (not a bool) of at least 1, and gamma and gamma1 must be
-    positive and finite, or ValueError names the argument.
-    Then the new value is max(gamma / 2, 0.9999 * gamma1), so gamma lands
-    just below gamma1 after finitely many shrinks and never moves again.
-    Those four numbers are the paper's and are fixed: only the floor gamma1
-    varies by method.
-    """
-    _check_step(gamma)
-    _check_step(gamma1, "gamma1")
-    _check_count(t, "t", 1)
-    if gamma > gamma1 and (drift > _DRIFT_LIMIT / t or y_norm > _NORM_LIMIT):
-        return max(_SHRINK * gamma, _SETTLE * gamma1)
-    return gamma
-
-
 def initial_state(x0: np.ndarray) -> IterateState:
     """The t = 0 state: only x is defined, from a finite 1-D x0, or ValueError."""
     return IterateState(x=_as_vector(x0, "x0", finite=True))
@@ -318,8 +315,9 @@ def run(
     divergence guard, or when the relative change stays at or above 1 for
     ``_STALL_STEPS`` steps in a row at a step at or below its floor; a
     non-finite or too large step is discarded, so the report always ends at
-    a finite state. The observer, if given, is called after every kept step
-    with the new state and the gamma that produced it.
+    a finite state. Between steps gamma follows the module's step-size rule.
+    The observer, if given, is called after every kept step with the new
+    state and the gamma that produced it.
     An x0 not finite or not of shape ``(problem.dim,)`` raises ValueError.
     """
     state = IterateState(x=_as_vector(x0, "x0", problem.dim, finite=True))
@@ -366,7 +364,8 @@ def run(
                 reason = "diverged"
                 break
         prev_norms = norms
-        gamma = heuristic_update(gamma, t, drift, norms[1], floor)
+        if gamma > floor and (drift > _DRIFT_LIMIT / t or norms[1] > _NORM_LIMIT):
+            gamma = max(_SHRINK * gamma, _SETTLE * floor)
 
     residual = None
     if state.t > 0:

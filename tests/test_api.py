@@ -1,6 +1,7 @@
-"""The public API has no stale exports, every public map checks its steps, points and counts one way each,
-no solve path calls the checked helpers kept for callers outside the package, and only the two callers that check
-their matrix reach the unchecked factorization."""
+"""The public API has no stale exports and still holds every name the benchmark imports, every public map checks
+its steps, points and counts one way each, a run checks them once however long it runs, no solve path calls the
+checked helpers kept for callers outside the package, and only the two callers that check their matrix reach the
+unchecked factorization."""
 
 import ast
 import importlib
@@ -35,7 +36,6 @@ from prsplit import (
     evaluate_fval,
     fit_contraction,
     gen_feasibility,
-    heuristic_update,
     initial_state,
     merit_dr,
     merit_pr,
@@ -49,7 +49,8 @@ from prsplit import (
     stationarity_residual,
     trial_seed,
 )
-from prsplit.bench import solver_config
+from prsplit import splitting
+from prsplit.bench import METHOD_STEPS, solver_config
 from prsplit.cli import main
 from prsplit.linalg import SpdFactorization
 from prsplit.oracles import ShiftedQuadraticProx
@@ -63,6 +64,24 @@ def test_every_name_in_all_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_every_name_the_benchmark_imports_from_the_package_resolves():
+    """Each `from prsplit... import name` and `import prsplit...` in perfbench/*.py, read as source only.
+
+    A library change that drops a name the benchmark imports fails here, not only in the benchmark's own
+    tests. Attribute reads on what those names return (such as an oracle prox's `lam_max`) are not checked.
+    """
+    imported = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "prsplit":
+                imported |= {(node.module, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {(alias.name, None) for alias in node.names if alias.name.split(".")[0] == "prsplit"}
+    assert {"initial_state", "spd_factor", "pr_step"} <= {name for _, name in imported}
+    for module, name in sorted(imported, key=str):
+        assert name is None or hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
 def test_package_reexports_only_public_names_of_its_modules():
@@ -121,8 +140,6 @@ STEP_TAKERS = {
     (dr_step, "gamma"): lambda gamma: dr_step(initial_state(np.ones(3)), _problem(), gamma),
     (merit_pr, "gamma"): lambda gamma: merit_pr(np.ones(3), np.zeros(3), np.ones(3), _problem(), gamma),
     (merit_dr, "gamma"): lambda gamma: merit_dr(np.ones(3), np.zeros(3), np.ones(3), _problem(), gamma),
-    (heuristic_update, "gamma"): lambda gamma: heuristic_update(gamma, 1, 0.0, 0.0, 0.1),
-    (heuristic_update, "gamma1"): lambda gamma: heuristic_update(0.1, 1, 0.0, 0.0, gamma),
     (stationarity_residual, "gamma"): lambda gamma: stationarity_residual(
         pr_step(initial_state(np.ones(3)), _problem(), 0.1), _problem(), gamma
     ),
@@ -144,7 +161,6 @@ COUNT_TAKERS = {
     (SparseBoxSet, "r"): (1, SparseBoxSet),
     (SplitProblem, "dim"): (1, lambda count: SplitProblem(_problem().f, _problem().g, count)),
     (SolverConfig, "max_iter"): (0, lambda count: SolverConfig(max_iter=count)),
-    (heuristic_update, "t"): (1, lambda count: heuristic_update(0.19, count, 0.0, 0.0, 0.1)),
     (ergodic_gap_bound, "n"): (
         1,
         lambda count: ergodic_gap_bound([np.ones(3)] * 2, lambda z: 0.0, *[np.zeros(3)] * 3, 0.05, 1.0, count),
@@ -313,6 +329,31 @@ def test_every_public_int_parameter_is_in_the_count_contract_test():
         parameters = inspect.signature(obj).parameters.values()
         found |= {(obj, p.name) for p in parameters if re.search(r"\bint\b", str(p.annotation))}
     assert found == set(COUNT_TAKERS) | COUNT_EXEMPT
+
+
+@pytest.mark.parametrize("rule", ["shrinking", "fixed", "default"])
+@pytest.mark.parametrize("method", ["pr", "dr"])
+def test_a_run_checks_its_steps_and_counts_once_however_long_it_runs(monkeypatch, method, rule):
+    # SolverConfig checks its fields and the end of a run its last gamma; no iteration checks a step or count again,
+    # whether the step may shrink, is fixed, or starts at the default below gamma_threshold (on least squares,
+    # whose moduli have one).
+    calls = []
+    for name in ("_check_step", "_check_count"):
+        check = getattr(splitting, name)
+        monkeypatch.setattr(splitting, name, lambda *args, check=check, name=name: calls.append(name) or check(*args))
+    if rule == "default":
+        A = np.random.default_rng(0).standard_normal((30, 12))
+        problem = build_constrained_ls(LsInstance(A / np.linalg.norm(A, 2), np.ones(30), BoxSet(0.3)))
+    else:
+        problem = (build_feasibility_pr if method == "pr" else build_feasibility_dr)(gen_feasibility(10, 40, 0))
+    gammas = {"shrinking": METHOD_STEPS[method], "fixed": METHOD_STEPS[method][:1], "default": ()}[rule]
+    counts = []
+    for steps in (10, 100):
+        calls.clear()
+        config = SolverConfig(*gammas, method=method, tol=0.0, max_iter=steps)
+        assert run(problem, config, np.zeros(problem.dim)).iterations == steps
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
 
 
 # ------------------------------------------ the checked helpers for outside callers

@@ -97,7 +97,7 @@ def test_bench_config_validation():
         BenchConfig(pairs=())
     with pytest.raises(ValueError):
         BenchConfig(pairs=((10, 40),), trials=0)
-    for methods in ((), ("newton",), ("pr", ""), ("", "")):
+    for methods in ((), ("newton",), ("pr", ""), ("", ""), (["pr"],)):
         # A method outside METHOD_STEPS fails here, not as a missing steps entry or a repeat.
         message = f"methods must be a nonempty subset of ('pr', 'dr'), got {methods}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -24,7 +24,6 @@ from prsplit.splitting import (
     ergodic_gap_bound,
     fit_contraction,
     gamma_threshold,
-    heuristic_update,
     initial_state,
     merit_dr,
     merit_pr,
@@ -70,6 +69,9 @@ def random_quadratic_sparse_problem(seed, dim=12, r=4):
 def test_gamma_threshold_values():
     assert_allclose(gamma_threshold(5.0, 6.0), 1.0 / 12.0, rtol=1e-15)
     assert_allclose(gamma_threshold(1.0, 1.0), 1.0, rtol=1e-15)
+    # The extreme moduli whose square is still a finite normal float give the cap 1 / L to full precision.
+    for modulus in (2.0**-511, np.sqrt(np.finfo(float).max)):
+        assert_allclose(gamma_threshold(modulus, modulus) * modulus, 1.0, rtol=1e-15)
 
 
 def test_gamma_threshold_boundary_rejected():
@@ -492,18 +494,38 @@ def reference_run(problem, config, x0):
     return state, reason, merits, gammas, gaps, steps, stationarity_residual(state, problem, gammas[-1])
 
 
+# label: (method, gamma0, tol, max_iter, each entry of x0) of the runs on f = |y|^2/2, g = 0, all at the floor 0.1
+HALVED_CASES = {
+    "halved-anchor": ("pr", 0.5, 1.0, 50_000, 1e10),
+    "halved-trigger": ("pr", 0.5, 0.0, 30, 500.0),
+    "halved-drift": ("pr", 0.5, 0.0, 30, 1000.0),
+    "halved-settle": ("pr", 0.19, 0.0, 12, 4e11),
+    "halved-settle-dr": ("dr", 0.19, 0.0, 12, 4e11),
+    "halved-floor-norm": ("pr", 0.1, 0.0, 12, 4e11),
+    "halved-anchor-dr": ("dr", 0.5, 1.0, 50_000, 1e10),
+    "halved-drift-dr": ("dr", 0.5, 0.0, 30, 2000.0),
+}
+
+
 def reference_case(label):
     """(problem, config, x0) of one run to replay through `reference_run`.
 
     PR whose heuristic shrinks gamma near t = 10, PR on the same instance at
     the fixed step 0.19, which stalls, once with no floor and once with its
     floor at that start, heuristic DR at 100x1000, fixed-step
-    least squares that converges, and two runs on f = |y|^2/2, g = 0, whose
+    least squares that converges, and runs on f = |y|^2/2, g = 0, whose
     norms shrink 2-3x per step and scale with x0. In "halved-anchor"
     |x0| = 2e10 puts the 1e10 norm trigger between |x_1| = |x0|/3 and
     |y_1| = |x0|/1.5, and tol = 1 stops the run at t = 2 only against the
     previous step's norms. In "halved-trigger" |x0| = 1000, so the drift
-    4|x0|/9 at t = 2 stays below 1000 / 2 but above 1000 / 3.
+    4|x0|/9 at t = 2 stays below 1000 / 2 but above 1000 / 3; in
+    "halved-drift" |x0| = 2000 puts it above 1000 / 2. In "halved-settle"
+    and "halved-floor-norm" |x0| = 8e11 keeps |y_t| above the 1e10 norm
+    trigger for the first steps, once with the start step 0.19 above the
+    floor 0.1 and once with the floor at the start step. "halved-anchor-dr"
+    and "halved-settle-dr" are DR runs of "halved-anchor" and
+    "halved-settle", and "halved-drift-dr" a DR run whose drift at
+    |x0| = 4000 beats 1000 / t at t = 2 and 3.
     """
     if label == "ls-fixed":
         rng = np.random.default_rng(4000)
@@ -512,12 +534,10 @@ def reference_case(label):
         scale = np.linalg.norm(A, 2)
         problem = build_constrained_ls(LsInstance(A=A / scale, b=b / scale, constraint=BoxSet(0.3)))
         return problem, SolverConfig(tol=1e-8), np.zeros(12)
-    if label == "halved-anchor":
-        config = SolverConfig(gamma0=0.5, gamma1=0.1, tol=1.0)
-        return halved_norm_problem(4), config, np.full(4, 1e10)
-    if label == "halved-trigger":
-        config = SolverConfig(gamma0=0.5, gamma1=0.1, tol=0.0, max_iter=30)
-        return halved_norm_problem(4), config, np.full(4, 500.0)
+    if label in HALVED_CASES:
+        method, gamma0, tol, max_iter, entry = HALVED_CASES[label]
+        config = SolverConfig(gamma0=gamma0, gamma1=0.1, method=method, tol=tol, max_iter=max_iter)
+        return halved_norm_problem(4), config, np.full(4, entry)
     method = label[:2]
     m, n = (150, 500) if method == "pr" else (100, 1000)
     inst = gen_feasibility(m, n, trial_seed(42, m, n, 0))
@@ -532,7 +552,7 @@ def reference_case(label):
 
 @pytest.mark.parametrize(
     "label",
-    ["pr-heuristic", "pr-stalled", "pr-floor-at-start", "dr-heuristic", "ls-fixed", "halved-anchor", "halved-trigger"],
+    ["pr-heuristic", "pr-stalled", "pr-floor-at-start", "dr-heuristic", "ls-fixed", *HALVED_CASES],
 )
 def test_run_matches_plain_reference_loop(label):
     problem, config, x0 = reference_case(label)
@@ -542,13 +562,25 @@ def test_run_matches_plain_reference_loop(label):
     if label in ("pr-stalled", "pr-floor-at-start"):
         assert (state.t, reason) == (101, "diverged")
     if label == "pr-heuristic":
-        assert len(set(gammas)) > 1  # the heuristic shrank gamma on this instance
-    if label in ("ls-fixed", "halved-anchor"):
+        # The drift trigger fired at t = 11 and 12, and the second shrink settled just below the floor.
+        assert sorted(set(gammas), reverse=True) == [0.19, 0.095, 0.9999 * config.gamma1]
+    if label == "pr-floor-at-start":
+        assert set(gammas) == {0.19}  # the drift trigger fires from t = 11 on, but a step at its floor never moves
+    if label in ("ls-fixed", "halved-anchor", "halved-anchor-dr"):
         assert reason == "converged"
-    if label == "halved-anchor":
+    if label in ("halved-anchor", "halved-anchor-dr"):
         assert gammas == [0.5, 0.25]  # the norm trigger fired at t = 1
     if label == "halved-trigger":
-        assert set(gammas) == {0.5}  # the drift at t = 2 never beat 1000 / t
+        assert set(gammas) == {0.5}  # the drift at t = 2 never beat 1000 / t: no trigger, no shrink above the floor
+    if label == "halved-drift":
+        assert gammas[:3] == [0.5, 0.5, 0.25] and set(gammas) == {0.5, 0.25}  # the drift trigger fired at t = 2 only
+    if label in ("halved-settle", "halved-settle-dr"):
+        # The norm trigger at t = 1 settled 0.19 just below the floor, not at 0.095; below it the trigger moves nothing.
+        assert gammas == [0.19] + [0.9999 * 0.1] * 11
+    if label == "halved-floor-norm":
+        assert set(gammas) == {0.1}  # both triggers fire at the first steps, but a step at its floor never moves
+    if label == "halved-drift-dr":
+        assert gammas[:4] == [0.5, 0.5, 0.25, 0.125] and set(gammas) == {0.5, 0.25, 0.125}
     np.testing.assert_array_equal(report.gamma_trace, gammas)
     np.testing.assert_array_equal(report.state.z, state.z)
     np.testing.assert_array_equal(report.state.x, state.x)
@@ -568,37 +600,6 @@ def test_run_matches_plain_reference_loop(label):
         # feasibility run drives the merit to ~1e-16 by cancellation.
         scale = float(np.max(np.abs(merits)))
         assert_allclose(report.merit_trace, merits, rtol=0, atol=1e-15 * scale)
-
-
-# ------------------------------------------------------------------- heuristic
-
-
-def drift_and_norm(y, y_prev):
-    """The two floats `heuristic_update` reads: |y - y_prev| and |y|."""
-    return float(np.linalg.norm(y - y_prev)), float(np.linalg.norm(y))
-
-
-def test_heuristic_update_shrinks_on_trigger():
-    y = np.full(3, 1e11)  # norm trigger
-    out = heuristic_update(0.19, 5, *drift_and_norm(y, y), 1.0 / 12.0)
-    assert_allclose(out, 0.095, rtol=1e-15)
-
-
-def test_heuristic_update_settles_just_below_floor():
-    y_prev = np.zeros(3)
-    y = np.full(3, 1e3)  # step trigger at t = 1
-    out = heuristic_update(0.09, 1, *drift_and_norm(y, y_prev), 1.0 / 12.0)
-    assert_allclose(out, 0.9999 / 12.0, rtol=1e-15)
-
-
-def test_heuristic_update_noop_below_floor():
-    y = np.full(3, 1e11)
-    assert heuristic_update(0.05, 5, *drift_and_norm(y, y), 1.0 / 12.0) == 0.05
-
-
-def test_heuristic_update_noop_without_trigger():
-    y = np.ones(3)
-    assert heuristic_update(0.19, 1000, *drift_and_norm(y, y), 1.0 / 12.0) == 0.19
 
 
 # --------------------------------------------------------- trace inequalities
@@ -675,8 +676,22 @@ def test_fit_contraction_needs_enough_points():
     "call, message",
     [
         (lambda: SolverConfig(method="newton"), "method must be 'pr' or 'dr', got 'newton'"),
+        (lambda: SolverConfig(method=["pr"]), "method must be 'pr' or 'dr', got ['pr']"),
+        (lambda: SolverConfig(method={"pr"}), "method must be 'pr' or 'dr', got {'pr'}"),
         (lambda: gamma_threshold(1.0, 0.0), "lipschitz modulus must be positive"),
-        (lambda: heuristic_update(0.0, 1, 0.0, 0.0, 0.1), "gamma must be positive and finite, got 0.0"),
+        # L^2 overflows, underflows to 0, or is subnormal, where the cap came out up to 7% too large; the last two
+        # moduli are the floats just outside the accepted range.
+        *[
+            (
+                lambda modulus=modulus: gamma_threshold(modulus, modulus),
+                "lipschitz must lie in [1.4916681462400413e-154, 1.3407807929942596e+154] for its square to be "
+                f"a finite normal float, got {modulus}",
+            )
+            for modulus in (
+                1.4e154, 1e-162, 1e-160, 2.3e-162, float(np.nextafter(2.0**-511, 0.0)),
+                float(np.nextafter(np.sqrt(np.finfo(float).max), np.inf)),
+            )
+        ],
         (lambda: initial_state(np.array([0.0, np.nan])), "x0 holds NaN or infinite entries"),
         (
             lambda: ergodic_gap_bound([np.zeros(2)], lambda z: 0.0, *[np.zeros(2)] * 3, 0.05, 1.0, 2),
@@ -701,7 +716,9 @@ def test_fit_contraction_needs_enough_points():
         ),
     ],
     ids=[
-        "method", "lipschitz", "heuristic gamma", "x0", "z-iterates", "nan iterate", "inf x_ref",
+        "method", "method list", "method set", "lipschitz", "lipschitz^2 overflows", "lipschitz^2 is 0",
+        "lipschitz^2 subnormal", "lipschitz^2 subnormal, cap past 0.99", "lipschitz just below range",
+        "lipschitz just above range", "x0", "z-iterates", "nan iterate", "inf x_ref",
         "gap lipschitz 0", "gap lipschitz nan",
     ],
 )
