@@ -33,8 +33,6 @@ from .problems import (
     distance_feasibility_problem,
     evaluate_fval,
     gen_feasibility,
-    load_instance,
-    save_instance,
 )
 from .splitting import (
     IterateState,

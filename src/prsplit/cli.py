@@ -30,7 +30,7 @@ import os
 import sys
 
 from .bench import METHOD_STEPS, PRESETS, BenchConfig, render_csv, render_markdown, run_bench, solve_trial
-from .problems import evaluate_fval, gen_feasibility, load_instance, save_instance
+from .problems import evaluate_fval, gen_feasibility
 from .splitting import SolverConfig
 
 
@@ -84,11 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--quiet", action="store_true", help="suppress per-cell progress on stderr")
 
     solve = sub.add_parser("solve", help="solve one feasibility instance")
-    solve.add_argument("--m", type=int, default=None, help="rows of a generated instance (default 100)")
-    solve.add_argument("--n", type=int, default=None, help="columns of a generated instance (default 1000)")
-    solve.add_argument("--seed", type=int, default=None, help="seed of a generated instance (default 0)")
-    solve.add_argument("--instance", default=None, help="load an instance .npz written by --save-instance")
-    solve.add_argument("--save-instance", default=None, help="write the instance as .npz to exactly this path")
+    solve.add_argument("--m", type=int, default=100, help="rows of the generated instance (default 100)")
+    solve.add_argument("--n", type=int, default=1000, help="columns of the generated instance (default 1000)")
+    solve.add_argument("--seed", type=int, default=0, help="seed of the generated instance (default 0)")
     solve.add_argument("--method", choices=tuple(METHOD_STEPS), default=SolverConfig.method)
     solve.add_argument("--tol", type=float, default=SolverConfig.tol)
     solve.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
@@ -118,24 +116,13 @@ def _cmd_bench(args) -> int:
 def _cmd_solve(args) -> int:
     gamma0, gamma1 = _steps(args.method, args.gamma0, args.gamma1)
     cfg = SolverConfig(gamma0=gamma0, gamma1=gamma1, method=args.method, tol=args.tol, max_iter=args.max_iter)
+    inst = gen_feasibility(args.m, args.n, args.seed)
 
-    if args.instance is not None:
-        given = [f"--{name}" for name in ("m", "n", "seed") if getattr(args, name) is not None]
-        if given:
-            raise ValueError(f"--instance reads the shape and seed from its file, so it takes no {', '.join(given)}")
-        inst = load_instance(args.instance)
-    else:
-        m = 100 if args.m is None else args.m
-        n = 1000 if args.n is None else args.n
-        inst = gen_feasibility(m, n, 0 if args.seed is None else args.seed)
-
-    # Opened first: a bad path fails before any save or solve, and a raise removes the file.
+    # Opened first: a bad path fails before the solve, and a raise removes the file.
     trace = None if args.trace is None else open(args.trace, "w", encoding="ascii")
     fvals: list[float] = []
     observer = None if trace is None else lambda state, gamma: fvals.append(evaluate_fval(state.z, inst))
     try:
-        if args.save_instance is not None:
-            save_instance(inst, args.save_instance)
         report, fval, outcome, _ = solve_trial(inst, cfg, observer)
     except BaseException:
         if trace is not None:

@@ -31,10 +31,7 @@ the band between (the band counts toward neither).
 from __future__ import annotations
 
 import math
-import re
 import weakref
-import zipfile
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,8 +60,6 @@ __all__ = [
     "distance_feasibility_problem",
     "evaluate_fval",
     "gen_feasibility",
-    "load_instance",
-    "save_instance",
 ]
 
 SUCCESS_THRESHOLD = 1e-12
@@ -78,8 +73,8 @@ class FeasibilityInstance:
     :class:`SparseBoxSet` checks r and bound; :class:`AffineSet` checks A and
     b, factors A A^T and raises :class:`RankDeficientError` without full row
     rank; r must not exceed n; x_true must hold n finite entries, at most r
-    nonzero. A x_true = b is the maker's part (:func:`save_instance` and
-    :func:`load_instance` test it). Modify no array in place. An instance
+    nonzero. A x_true = b is the maker's part (:func:`gen_feasibility` sets
+    b = A x_true). Modify no array in place. An instance
     equals only itself, and hashes by identity.
     """
 
@@ -298,79 +293,3 @@ def classify(fval: float) -> str:
     if fval > FAILURE_THRESHOLD:
         return "failure"
     return "undecided"
-
-
-def _check_seed_text(seed: str) -> None:
-    if not re.fullmatch(r"[0-9]+", seed):
-        raise ValueError(f"seed must be a nonnegative decimal integer, got {seed!r}")
-
-
-def _check_solves(A: np.ndarray, b: np.ndarray, x_true: np.ndarray) -> None:
-    residual, tol = np.linalg.norm(A @ x_true - b), 1e-10 * np.linalg.norm(A) * np.linalg.norm(x_true)
-    if not residual <= tol:
-        raise ValueError(f"x_true does not solve A x = b: |A x_true - b| = {residual:.3e} > {tol:.3e}")
-
-
-def save_instance(inst: FeasibilityInstance, path) -> None:
-    """Write an instance to `path`, with no suffix added, as one ``.npz`` archive.
-
-    The seed is stored as its decimal string, so any nonnegative integer
-    seed, even one past 64 bits, reloads exactly, as A, b, x_true, r and
-    bound do, and nothing is pickled. A seed, shape or x_true that
-    :func:`load_instance` would reject raises its ValueError, and nothing is written.
-    """
-    seed = str(inst.seed)
-    _check_seed_text(seed)
-    check_shape(inst.m, inst.n)
-    _check_solves(inst.A, inst.b, inst.x_true)
-    with open(path, "wb") as handle:
-        np.savez(handle, A=inst.A, b=inst.b, x_true=inst.x_true, r=inst.r, seed=seed, bound=float(inst.bound))
-
-
-# The arrays of an instance file, each with its dimension and the numpy type of its dtype.
-_FILE_ARRAYS = {
-    "A": (2, np.float64),
-    "b": (1, np.float64),
-    "x_true": (1, np.float64),
-    "r": (0, np.integer),
-    "seed": (0, np.str_),
-    "bound": (0, np.float64),
-}
-
-
-def load_instance(path) -> FeasibilityInstance:
-    """Read an instance written by :func:`save_instance`; ValueError if the file is not one.
-
-    A file that is not an ``.npz`` archive of plain arrays (empty, truncated,
-    text or ``.npy``) fails naming the file. The archive must hold exactly
-    the six arrays that :func:`save_instance` writes: float64 A (2-d), b and
-    x_true (1-d) and bound (0-d), an integer r and a seed string of decimal
-    digits, with a shape and seed :func:`gen_feasibility` accepts and b and
-    x_true to match it. The built :class:`FeasibilityInstance` checks the values.
-    Last, x_true must solve A x = b to rounding: |A x_true - b| <= 1e-10 *
-    |A|_F * |x_true| (2-norms), which bounds the rounding of A x_true for
-    any n below 4e5.
-    """
-    try:
-        with open(path, "rb") as handle:
-            data = np.load(handle, allow_pickle=False)
-            if not isinstance(data, np.lib.npyio.NpzFile):  # a .npy file loads as one array
-                raise ValueError
-            arrays = {key: np.asarray(data[key]) for key in data.files}
-    except (EOFError, ValueError, zipfile.BadZipFile, zlib.error):
-        raise ValueError(f"{path} is not an instance file: expected an .npz archive of arrays") from None
-    if sorted(arrays) != sorted(_FILE_ARRAYS):
-        raise ValueError(f"{path} must hold exactly the arrays {', '.join(_FILE_ARRAYS)}, got {', '.join(arrays)}")
-    for key, value in arrays.items():
-        ndim, kind = _FILE_ARRAYS[key]
-        if value.ndim != ndim or not np.issubdtype(value.dtype, kind):
-            raise ValueError(f"{key} must be a {ndim}-d {kind.__name__} array, got {value.ndim}-d {value.dtype}")
-    A, b, x_true, seed = arrays["A"], arrays["b"], arrays["x_true"], str(arrays["seed"])
-    _check_seed_text(seed)
-    (m, n), r, bound = A.shape, int(arrays["r"]), float(arrays["bound"])
-    check_shape(m, n)
-    if b.shape != (m,) or x_true.shape != (n,):
-        raise ValueError(f"A is {m} x {n}, so b needs {m} entries and x_true {n}; got {b.size} and {x_true.size}")
-    inst = FeasibilityInstance(A=A, b=b, r=r, bound=bound, seed=int(seed), x_true=x_true)
-    _check_solves(A, b, x_true)
-    return inst

@@ -186,7 +186,8 @@ def gamma_threshold(sigma: float, lipschitz: float) -> float:
     """Stationary step-size cap (3 sigma - 2 L) / L^2 for the PR merit descent.
 
     L must be positive, with L^2 a finite normal float, so that the cap is
-    computed to full precision; anything else raises ValueError naming it.
+    computed to full precision, and sigma at most L, as for any function
+    that is both; anything else raises ValueError naming it.
     """
     for name, value in (("sigma", sigma), ("lipschitz", lipschitz)):
         if not math.isfinite(value):
@@ -198,6 +199,8 @@ def gamma_threshold(sigma: float, lipschitz: float) -> float:
             f"lipschitz must lie in [{_SQUARABLE[0]}, {_SQUARABLE[1]}] for its square to be a finite normal float, "
             f"got {lipschitz}"
         )
+    if not sigma <= lipschitz:
+        raise ValueError(f"sigma must be at most lipschitz, got sigma={sigma}, lipschitz={lipschitz}")
     if 3.0 * sigma <= 2.0 * lipschitz:
         raise ValueError(
             "insufficient strong convexity: need 3*sigma > 2*lipschitz, "

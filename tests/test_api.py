@@ -179,7 +179,7 @@ COUNT_TAKERS = {
 COUNT_NAMES = {(SparseBoxSet, "r"): "cardinality cap r"}
 # Public int parameters outside the count contract: fields of the result records, the shape pair
 # that check_shape checks (with its own "m must be at least 5" message), and the instance record,
-# whose seed save_instance and load_instance check (a test fixture builds one with seed -1).
+# whose seed only gen_feasibility checks, as it draws from it (a test fixture builds one with seed -1).
 COUNT_EXEMPT = {
     *[(BenchRow, p) for p in ("m", "n", "successes", "failures", "undecided")],
     (SolverReport, "iterations"),

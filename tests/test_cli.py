@@ -13,9 +13,8 @@ import pytest
 
 import prsplit
 from prsplit import cli
-from prsplit.bench import DESK_PAIRS, FULL_PAIRS, METHOD_STEPS, PRESETS, BenchConfig, solver_config
+from prsplit.bench import DESK_PAIRS, FULL_PAIRS, METHOD_STEPS, PRESETS, BenchConfig, run_bench, solver_config, trial_seed
 from prsplit.cli import _build_parser, main
-from prsplit.problems import load_instance
 from prsplit.splitting import SolverConfig
 
 # The directory holding the imported package, for subprocesses to import the same copy.
@@ -112,27 +111,9 @@ def test_solve_prints_summary(capsys):
     assert "fval" in out
 
 
-def test_solve_trace_and_instance_round_trip(tmp_path, capsys):
+def test_solve_writes_a_trace(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
-    saved = tmp_path / "instance.npz"
-    code = main(
-        [
-            "solve",
-            "--m",
-            "10",
-            "--n",
-            "40",
-            "--seed",
-            "5",
-            "--trace",
-            str(trace),
-            "--save-instance",
-            str(saved),
-        ]
-    )
-    assert code == 0
-    first_out = capsys.readouterr().out
-
+    assert main(["solve", "--m", "10", "--n", "40", "--seed", "5", "--trace", str(trace)]) == 0
     lines = trace.read_text().splitlines()
     assert lines[0] == "t,gamma,merit,dz,fval"
     assert len(lines) >= 2
@@ -140,17 +121,18 @@ def test_solve_trace_and_instance_round_trip(tmp_path, capsys):
     assert int(first[0]) == 1
     assert all(np.isfinite(float(tok)) for tok in first[1:])
 
-    inst = load_instance(saved)
-    assert inst.m == 10 and inst.n == 40
 
-    # Re-solving from the saved instance reproduces the run, line for line, for each method.
-    assert main(["solve", "--instance", str(saved)]) == 0
-    assert capsys.readouterr().out == first_out
-    generated = ["--m", "10", "--n", "40", "--seed", "5"]
-    assert main(["solve", *generated, "--method", "dr"]) == 0
-    dr_out = capsys.readouterr().out
-    assert main(["solve", "--instance", str(saved), "--method", "dr"]) == 0
-    assert capsys.readouterr().out == dr_out
+def test_solve_reproduces_a_bench_trial_from_its_seed(capsys):
+    # A bench trial's instance is gen_feasibility(m, n, trial_seed(...)), so its seed is the whole instance.
+    cfg = BenchConfig(pairs=((50, 500),), trials=1, base_seed=42, methods=("pr",))
+    [row] = run_bench(cfg)
+    seed = trial_seed(cfg.base_seed, 50, 500, 0)
+    assert main(["solve", "--m", "50", "--n", "500", "--seed", str(seed), "--method", "pr"]) == 0
+    out = capsys.readouterr().out
+    assert f"seed={seed}\n" in out
+    iterations = next(line for line in out.splitlines() if line.startswith("iterations"))
+    assert int(iterations.split()[2]) == row.mean_iterations
+    assert f"fval        : {row.fval_max:.6e} -> " in out
 
 
 def test_solve_rejects_an_unwritable_trace_path_before_the_solve(tmp_path, monkeypatch, capsys):
@@ -163,15 +145,6 @@ def test_solve_rejects_an_unwritable_trace_path_before_the_solve(tmp_path, monke
     assert str(trace) in captured.err
 
 
-def test_solve_opens_the_trace_before_it_saves_the_instance(tmp_path, capsys):
-    saved, trace = tmp_path / "inst.npz", tmp_path / "missing" / "trace.csv"
-    assert main(["solve", "--m", "10", "--n", "40", "--save-instance", str(saved), "--trace", str(trace)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_solve_that_raises_leaves_no_trace_file(tmp_path, capsys):
     # A PR start step of 0.3 makes the shifted g-prox ill-posed (5 * 0.3 >= 1).
     trace = tmp_path / "trace.csv"
@@ -182,28 +155,18 @@ def test_solve_that_raises_leaves_no_trace_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_solve_rejects_a_shape_gen_feasibility_refuses(capsys):
+    assert main(["solve", "--m", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: m must be at least 5, got 3x1000\n"
+
+
 def test_solve_fixed_gamma(capsys):
     # A floor at the start step leaves the heuristic nothing to shrink.
     code = main(["solve", "--m", "10", "--n", "40", "--seed", "2", "--gamma0", "0.08", "--gamma1", "0.08"])
     assert code == 0
     assert "final gamma : 0.08" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize(
-    "flags",
-    [["--m", "7"], ["--n", "9"], ["--seed", "99"], ["--m", "7", "--n", "9", "--seed", "99"], ["--seed", "0"]],
-    ids=["m", "n", "seed", "all three", "the file's own seed"],
-)
-def test_solve_rejects_generator_flags_with_an_instance_file(flags, tmp_path, capsys):
-    # The file fixes the shape and seed, so --m, --n and --seed would be ignored.
-    path = tmp_path / "inst.npz"
-    assert main(["solve", "--m", "10", "--n", "40", "--max-iter", "1", "--save-instance", str(path)]) == 0
-    capsys.readouterr()
-    assert main(["solve", "--instance", str(path), "--max-iter", "1", *flags]) == 2
-    captured = capsys.readouterr()
-    given = ", ".join(flag for flag in flags if flag.startswith("--"))
-    assert captured.err == f"error: --instance reads the shape and seed from its file, so it takes no {given}\n"
-    assert captured.out == ""
 
 
 def test_step_defaults_come_from_method_steps(capsys):
@@ -315,40 +278,6 @@ def test_bench_without_trials_runs_the_preset_table_count(preset, monkeypatch, c
         # `prsplit bench` with no option runs exactly the library's default config.
         assert main(["bench", "--quiet"]) == 0
         assert configs[-1] == BenchConfig()
-
-
-def _truncate(path):
-    path.write_bytes(path.read_bytes()[:-100])
-
-
-def _repeat_row_0(path):
-    # Row 1 := row 0 and b[1] := b[0], so A x_true = b still holds.
-    with np.load(path) as data:
-        arrays = dict(data)
-    arrays["A"][1], arrays["b"][1] = arrays["A"][0], arrays["b"][0]
-    with open(path, "wb") as handle:
-        np.savez(handle, **arrays)
-
-
-@pytest.mark.parametrize("damage", [_truncate, _repeat_row_0], ids=["truncated", "rank deficient"])
-def test_solve_rejects_a_malformed_instance_file(damage, tmp_path, capsys):
-    # The CLI's contract only: exit 2 and one error line, load_instance's message.
-    # tests/test_problems.py checks each of load_instance's rejections.
-    path = tmp_path / "inst.npz"
-    assert main(["solve", "--m", "10", "--n", "40", "--max-iter", "1", "--save-instance", str(path)]) == 0
-    damage(path)
-    with pytest.raises(ValueError) as raised:
-        load_instance(path)
-    capsys.readouterr()
-    assert main(["solve", "--instance", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {raised.value}\n"
-
-
-def test_solve_rejects_missing_instance(capsys):
-    code = main(["solve", "--instance", "/nonexistent/path.txt"])
-    assert code == 2
 
 
 def _bench_rows(threads, pairs, trials):

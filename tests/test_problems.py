@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 from prsplit import oracles
 from prsplit.linalg import rng_from_seed
 from prsplit.oracles import (
-    AffineSet,
     BoxSet,
     ProxOracle,
     ProxShiftError,
@@ -31,8 +30,6 @@ from prsplit.problems import (
     classify,
     evaluate_fval,
     gen_feasibility,
-    load_instance,
-    save_instance,
 )
 from prsplit.splitting import SolverConfig, dr_step, gamma_threshold, initial_state, pr_step, run
 
@@ -78,6 +75,12 @@ def test_feasibility_instance_names_a_bad_x_true(x_true):
     A = tiny_instance().A
     with pytest.raises(ValueError, match=r"^x_true must hold n = 4 finite entries, at most r = 1 of them nonzero$"):
         FeasibilityInstance(A=A, b=np.zeros(2), r=1, bound=1e6, seed=-1, x_true=x_true)
+
+
+def test_feasibility_instance_rejects_a_cap_above_n():
+    inst = tiny_instance()
+    with pytest.raises(ValueError, match=r"^cardinality cap r = 5 exceeds the dimension n = 4$"):
+        FeasibilityInstance(A=inst.A, b=inst.b, r=5, bound=1e6, seed=-1, x_true=inst.x_true)
 
 
 def test_spd_factor_runs_once_per_instance(monkeypatch):
@@ -520,243 +523,3 @@ def test_classify_rejects_negative():
         classify(-1e-9)
     with pytest.raises(ValueError):
         classify(float("nan"))
-
-
-# --------------------------------------------------------------- serialization
-
-
-def test_instance_round_trip(tmp_path):
-    # Seeds past 64 bits too: the file holds the seed's decimal string.
-    path = tmp_path / "instance.npz"
-    for m, n, seed in ((10, 40, 1), (500, 4000, 7), (12, 40, 2**64 - 1), (12, 40, 2**70)):
-        inst = gen_feasibility(m, n, seed)
-        save_instance(inst, path)
-        loaded = load_instance(path)
-        assert (loaded.r, loaded.seed, loaded.bound) == (inst.r, seed, inst.bound)
-        assert (type(loaded.r), type(loaded.seed), type(loaded.bound)) == (int, int, float)
-        for name in ("A", "b", "x_true"):
-            assert getattr(loaded, name).tobytes() == getattr(inst, name).tobytes(), name
-
-
-def test_save_instance_writes_exactly_the_path_given(tmp_path):
-    save_instance(gen_feasibility(10, 40, 1), tmp_path / "x.txt")
-    assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]
-    assert load_instance(tmp_path / "x.txt").seed == 1
-
-
-def _with_x_true_off(inst):
-    x_true = inst.x_true.copy()
-    x_true[np.flatnonzero(x_true)[0]] *= 1 + 1e-8
-    return dataclasses.replace(inst, x_true=x_true)
-
-
-@pytest.mark.parametrize(
-    "make, match",
-    [
-        (tiny_instance, r"^seed must be a nonnegative decimal integer, got '-1'$"),
-        (lambda: dataclasses.replace(tiny_instance(), seed=0), r"^m must be at least 5, got 2x4$"),
-        (lambda: dataclasses.replace(gen_feasibility(10, 40, 1), seed=-1), r"got '-1'$"),
-        (lambda: dataclasses.replace(gen_feasibility(10, 40, 1), seed=2.5), r"got '2\.5'$"),
-        (lambda: dataclasses.replace(gen_feasibility(10, 40, 1), seed="abc"), r"got 'abc'$"),
-        (lambda: _with_x_true_off(gen_feasibility(12, 40, 78)), r"^x_true does not solve A x = b: "),
-        # The instance itself refuses the cap, so no such instance reaches the writer.
-        (lambda: dataclasses.replace(gen_feasibility(10, 40, 1), r=41), r"^cardinality cap r = 41 exceeds the dimension n = 40$"),
-    ],
-    ids=["tiny", "2x4", "seed -1", "seed 2.5", "seed abc", "x_true off", "r above n"],
-)
-def test_save_instance_writes_nothing_load_instance_would_reject(make, match, tmp_path):
-    path = tmp_path / "instance.npz"
-    with pytest.raises(ValueError, match=match):
-        save_instance(make(), path)
-    assert list(tmp_path.iterdir()) == []
-
-
-def saved_arrays(tmp_path, m=12):
-    """Path and arrays of a saved m x 40 instance (r = 3 at m = 12)."""
-    path = tmp_path / "instance.npz"
-    save_instance(gen_feasibility(m, 40, 78), path)
-    with np.load(path) as data:
-        return path, dict(data)
-
-
-def rejects(path, arrays, match, error=ValueError):
-    with open(path, "wb") as handle:
-        np.savez(handle, **arrays)
-    with pytest.raises(error, match=match):
-        load_instance(path)
-
-
-def not_an_instance_file(path):
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} is not an instance file: "):
-        load_instance(path)
-
-
-def test_load_instance_rejects_truncated_file(tmp_path):
-    path, _ = saved_arrays(tmp_path)
-    path.write_bytes(path.read_bytes()[:-100])
-    not_an_instance_file(path)
-
-
-def test_load_instance_rejects_empty_file(tmp_path):
-    path = tmp_path / "instance.npz"
-    path.write_bytes(b"")
-    not_an_instance_file(path)
-
-
-def old_text_lines(arrays):
-    """The plain-text layout instance files had before .npz: a header line, A's rows, b, x_true."""
-    m, n = arrays["A"].shape
-    header = f"{m} {n} {arrays['r']} {arrays['seed']} {float(arrays['bound'])!r}"
-    return [header] + [" ".join(repr(float(v)) for v in row) for row in (*arrays["A"], arrays["b"], arrays["x_true"])]
-
-
-@pytest.mark.parametrize("kind", ["text", "support layout", "npy", "object array", "bad crc", "bad deflate stream"])
-def test_load_instance_rejects_a_file_that_is_not_an_npz_of_plain_arrays(kind, tmp_path):
-    path, arrays = saved_arrays(tmp_path)
-    if kind in ("text", "support layout"):
-        lines = old_text_lines(arrays)
-        if kind == "support layout":  # the oldest: x_true as a line of support positions and a line of values
-            support = np.flatnonzero(arrays["x_true"])
-            lines[-1:] = [" ".join(map(str, support)), " ".join(repr(float(v)) for v in arrays["x_true"][support])]
-        path.write_text("\n".join(lines) + "\n")
-    elif kind == "npy":
-        with open(path, "wb") as handle:
-            np.save(handle, arrays["A"])
-    elif kind == "object array":  # loading it would unpickle
-        ragged = np.empty(2, dtype=object)
-        ragged[:] = [arrays["A"][0], arrays["A"][1, :-1]]
-        with open(path, "wb") as handle:
-            np.savez(handle, **dict(arrays, A=ragged))
-    else:  # one byte of A's stored or compressed data flipped
-        if kind == "bad deflate stream":
-            with open(path, "wb") as handle:
-                np.savez_compressed(handle, **arrays)
-        data = bytearray(path.read_bytes())
-        data[{"bad crc": 200, "bad deflate stream": 100}[kind]] ^= 0xFF
-        path.write_bytes(bytes(data))
-    not_an_instance_file(path)
-
-
-@pytest.mark.parametrize(
-    "change, got",
-    [
-        ("missing", "A, b, x_true, r, seed"),
-        ("missing seed", "A, b, x_true, r, bound"),
-        ("extra", "A, b, x_true, r, seed, bound, m"),
-    ],
-    ids=["missing", "missing seed", "extra"],
-)
-def test_load_instance_requires_exactly_the_instance_arrays(change, got, tmp_path):
-    path, arrays = saved_arrays(tmp_path)
-    if change == "extra":
-        arrays["m"] = np.array(12)
-    else:
-        del arrays["seed" if change == "missing seed" else "bound"]
-    message = f"{path} must hold exactly the arrays A, b, x_true, r, seed, bound, got {got}"
-    rejects(path, arrays, f"^{re.escape(message)}$")
-
-
-@pytest.mark.parametrize(
-    "name, convert, match",
-    [
-        ("A", lambda A: A.astype(str), r"^A must be a 2-d float64 array, got 2-d <U"),
-        ("A", lambda A: np.rint(A).astype(np.int64), r"^A must be a 2-d float64 array, got 2-d int64$"),
-        ("A", np.ravel, r"^A must be a 2-d float64 array, got 1-d float64$"),
-        ("b", lambda b: b.astype(np.float32), r"^b must be a 1-d float64 array, got 1-d float32$"),
-        ("x_true", lambda x: x[None], r"^x_true must be a 1-d float64 array, got 2-d float64$"),
-        ("r", lambda r: r.astype(float), r"^r must be a 0-d integer array, got 0-d float64$"),
-        ("r", np.atleast_1d, r"^r must be a 0-d integer array, got 1-d int64$"),
-        ("bound", lambda bound: bound.astype(np.int64), r"^bound must be a 0-d float64 array, got 0-d int64$"),
-        ("seed", lambda seed: seed.astype(np.int64), r"^seed must be a 0-d str_ array, got 0-d int64$"),
-    ],
-    ids=[
-        "string A", "integer A", "flat A", "float32 b", "2-d x_true",
-        "float r", "array r", "integer bound", "integer seed",
-    ],
-)
-def test_load_instance_names_an_array_of_the_wrong_dtype_or_dimension(name, convert, match, tmp_path):
-    path, arrays = saved_arrays(tmp_path)
-    arrays[name] = convert(arrays[name])
-    rejects(path, arrays, match)
-
-
-def test_load_instance_rejects_an_a_block_of_the_wrong_width(tmp_path):
-    path, arrays = saved_arrays(tmp_path)
-    arrays["A"] = arrays["A"][:, :-1]
-    rejects(path, arrays, r"^A is 12 x 39, so b needs 12 entries and x_true 39; got 12 and 40$")
-
-
-def test_load_instance_rejects_short_b_line(tmp_path):
-    # One entry short, or one too long.
-    path, arrays = saved_arrays(tmp_path)
-    for b, size in ((arrays["b"][:-1], 11), (np.append(arrays["b"], 0.0), 13)):
-        rejects(path, dict(arrays, b=b), rf"^A is 12 x 40, so b needs 12 entries and x_true 40; got {size} and 40$")
-
-
-def test_load_instance_rejects_more_than_r_support_positions(tmp_path):
-    path, arrays = saved_arrays(tmp_path)
-    arrays["x_true"][np.flatnonzero(arrays["x_true"] == 0.0)[0]] = 1.0
-    rejects(path, arrays, r"^x_true must hold n = 40 finite entries, at most r = 3 of them nonzero$")
-
-
-@pytest.mark.parametrize(
-    "field, value, match",
-    [
-        ("bound", np.nan, "bound must be positive"),
-        ("bound", -1.0, "bound must be positive"),
-        ("bound", 0.0, "bound must be positive"),
-        ("r", 0, "cardinality cap r must be an integer of at least 1, got 0"),
-        ("r", 41, r"^cardinality cap r = 41 exceeds the dimension n = 40$"),
-        ("seed", "1.5", r"^seed must be a nonnegative decimal integer, got '1\.5'$"),
-        ("seed", "-1", r"^seed must be a nonnegative decimal integer, got '-1'$"),
-        ("bound", "1e6x", r"^bound must be a 0-d float64 array, got 0-d <U4$"),
-    ],
-    ids=["nan bound", "negative bound", "zero bound", "zero r", "r above n", "float seed", "negative seed", "non-number bound"],
-)
-def test_load_instance_rejects_a_bad_header_r_or_bound(tmp_path, field, value, match):
-    # r, seed and bound: the scalars that the text layout kept in its header line.
-    path, arrays = saved_arrays(tmp_path)
-    arrays[field] = np.asarray(value)
-    rejects(path, arrays, match)
-
-
-def test_load_instance_rejects_a_shape_gen_feasibility_refuses(tmp_path):
-    # A consistent 1 x 3 instance: every array fits, yet m < 5.
-    arrays = dict(A=np.array([[1.0, 2.0, 3.0]]), b=np.ones(1), x_true=np.array([1.0, 0.0, 0.0]))
-    arrays.update(r=np.array(1), seed=np.array("0"), bound=np.array(1.0))
-    rejects(tmp_path / "instance.npz", arrays, r"^m must be at least 5, got 1x3$")
-
-
-def test_load_instance_rejects_an_x_true_that_does_not_solve_a_x_b(tmp_path):
-    path, arrays = saved_arrays(tmp_path)
-    arrays["x_true"][np.flatnonzero(arrays["x_true"])[0]] *= 1 + 1e-8
-    rejects(path, arrays, r"^x_true does not solve A x = b: \|A x_true - b\| = ")
-
-
-def test_load_instance_accepts_b_off_by_rounding(tmp_path):
-    path, arrays = saved_arrays(tmp_path)
-    arrays["b"][0] = np.nextafter(arrays["b"][0], np.inf)
-    with open(path, "wb") as handle:
-        np.savez(handle, **arrays)
-    assert load_instance(path).b[0] == arrays["b"][0]
-
-
-@pytest.mark.parametrize("name, index", [("A", 5), ("b", 13), ("x_true", 14)])
-def test_load_instance_rejects_non_finite_entries(tmp_path, name, index):
-    # The instance checks its data, so A's rows count from 0 as AffineSet's do.
-    path, arrays = saved_arrays(tmp_path, m=20)
-    arrays[name][index] = np.nan
-    match = {
-        "A": r"^A holds NaN or infinite entries, first in row 5$",
-        "b": r"^b holds NaN or infinite entries$",
-        "x_true": r"^x_true must hold n = 40 finite entries, at most r = 4 of them nonzero$",
-    }[name]
-    rejects(path, arrays, match)
-
-
-def test_load_instance_rejects_a_rank_deficient_a(tmp_path):
-    # A row 1 repeats row 0 and b entry 1 repeats entry 0, so A x_true = b still holds.
-    path, arrays = saved_arrays(tmp_path)
-    arrays["A"][1], arrays["b"][1] = arrays["A"][0], arrays["b"][0]
-    message = r"^A \(12 x 40\) does not have full row rank: its rows are linearly dependent$"
-    rejects(path, arrays, message, error=RankDeficientError)

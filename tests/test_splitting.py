@@ -679,6 +679,14 @@ def test_fit_contraction_needs_enough_points():
         (lambda: SolverConfig(method=["pr"]), "method must be 'pr' or 'dr', got ['pr']"),
         (lambda: SolverConfig(method={"pr"}), "method must be 'pr' or 'dr', got {'pr'}"),
         (lambda: gamma_threshold(1.0, 0.0), "lipschitz modulus must be positive"),
+        # No function is more strongly convex than it is smooth; the first two caps came out inf.
+        *[
+            (
+                lambda sigma=sigma, lipschitz=lipschitz: gamma_threshold(sigma, lipschitz),
+                f"sigma must be at most lipschitz, got sigma={sigma}, lipschitz={lipschitz}",
+            )
+            for sigma, lipschitz in ((1e308, 1.0), (1e300, 1e-150), (7.0, 6.0))
+        ],
         # L^2 overflows, underflows to 0, or is subnormal, where the cap came out up to 7% too large; the last two
         # moduli are the floats just outside the accepted range.
         *[
@@ -716,7 +724,8 @@ def test_fit_contraction_needs_enough_points():
         ),
     ],
     ids=[
-        "method", "method list", "method set", "lipschitz", "lipschitz^2 overflows", "lipschitz^2 is 0",
+        "method", "method list", "method set", "lipschitz", "sigma 1e308 over 1", "sigma 1e300 over 1e-150",
+        "sigma 7 over 6", "lipschitz^2 overflows", "lipschitz^2 is 0",
         "lipschitz^2 subnormal", "lipschitz^2 subnormal, cap past 0.99", "lipschitz just below range",
         "lipschitz just above range", "x0", "z-iterates", "nan iterate", "inf x_ref",
         "gap lipschitz 0", "gap lipschitz nan",
