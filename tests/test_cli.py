@@ -13,8 +13,19 @@ import pytest
 
 import prsplit
 from prsplit import cli
-from prsplit.bench import DESK_PAIRS, FULL_PAIRS, METHOD_STEPS, PRESETS, BenchConfig, run_bench, solver_config, trial_seed
+from prsplit.bench import (
+    DESK_PAIRS,
+    FULL_PAIRS,
+    METHOD_STEPS,
+    PRESETS,
+    BenchConfig,
+    run_bench,
+    solve_trial,
+    solver_config,
+    trial_seed,
+)
 from prsplit.cli import _build_parser, main
+from prsplit.problems import gen_feasibility
 from prsplit.splitting import SolverConfig
 
 # The directory holding the imported package, for subprocesses to import the same copy.
@@ -160,6 +171,78 @@ def test_solve_rejects_a_shape_gen_feasibility_refuses(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: m must be at least 5, got 3x1000\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--m", "4"], "m must be at least 5, got 4x1000"),
+        (["--m", "0"], "m must be at least 5, got 0x1000"),
+        (["--m", "100", "--n", "50"], "need n >= m, got 100x50"),
+        (["--n", "-1"], "need n >= m, got 100x-1"),
+        (["--seed", "-1"], "seed must be an integer of at least 0, got -1"),
+        (["--m", "4", "--seed", "-1"], "m must be at least 5, got 4x1000"),
+    ],
+    ids=["m 4", "m 0", "n below m", "negative n", "negative seed", "shape before seed"],
+)
+def test_solve_refuses_an_instance_before_it_opens_the_trace(flags, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "solve_trial", lambda *args: pytest.fail("solve_trial was called"))
+    assert main(["solve", *flags, "--trace", str(tmp_path / "trace.csv")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--m", "10.5"), ("--n", "1e3"), ("--seed", "abc"), ("--seed", "2.5")],
+    ids=["m 10.5", "n 1e3", "seed abc", "seed 2.5"],
+)
+def test_solve_parser_rejects_a_non_integer_instance_flag(flag, value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", flag, value])
+    assert info.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"prsplit solve: error: argument {flag}: invalid int value: '{value}'"
+
+
+@pytest.mark.parametrize(
+    "flags", [["--m", "3"], ["--seed", "-1"], ["--m", "50", "--n", "40"]], ids=["m 3", "seed -1", "n 40"]
+)
+def test_solve_refusal_exits_2_with_one_error_line_and_no_traceback(flags):
+    # The command as a user runs it: a fresh interpreter, its own exit status and stderr.
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    result = subprocess.run(
+        [sys.executable, "-m", "prsplit.cli", "solve", *flags], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+
+
+def test_solve_defaults_to_a_100x1000_instance_at_seed_0():
+    args = _build_parser().parse_args(["solve"])
+    assert (args.m, args.n, args.seed) == (100, 1000, 0)
+
+
+@pytest.mark.parametrize("method, trial", [("pr", 1), ("pr", 2), ("dr", 0), ("dr", 1), ("dr", 2)])
+def test_solve_reproduces_each_trial_of_a_bench_cell(method, trial, capsys):
+    # What the bench runs for one trial: the trial's seed, and the method's bench steps, which solve also defaults to.
+    cfg = BenchConfig(base_seed=42)
+    seed = trial_seed(cfg.base_seed, 50, 500, trial)
+    report, fval, outcome, _ = solve_trial(gen_feasibility(50, 500, seed), solver_config(cfg, method))
+    assert main(["solve", "--m", "50", "--n", "500", "--seed", str(seed), "--method", method]) == 0
+    out = capsys.readouterr().out
+    assert f"iterations  : {report.iterations} ({report.reason})\n" in out
+    assert f"fval        : {fval:.6e} -> {outcome}\n" in out
+
+
+@pytest.mark.parametrize("seed", [2**64 - 1, 2**70], ids=["2**64-1", "2**70"])
+def test_solve_takes_a_seed_past_64_bits(seed, capsys):
+    report, fval, _, _ = solve_trial(gen_feasibility(10, 40, seed), solver_config(BenchConfig(), "pr"))
+    assert main(["solve", "--m", "10", "--n", "40", "--seed", str(seed), "--method", "pr"]) == 0
+    out = capsys.readouterr().out
+    assert f"seed={seed}\n" in out
+    assert f"iterations  : {report.iterations} ({report.reason})\n" in out and f"fval        : {fval:.6e}" in out
 
 
 def test_solve_fixed_gamma(capsys):

@@ -68,8 +68,14 @@ def test_feasibility_instance_rejects_a_rank_deficient_a():
 
 @pytest.mark.parametrize(
     "x_true",
-    [np.zeros(3), np.array([0.0, 0.0, np.nan, 0.0]), np.array([0.0, 0.0, np.inf, 0.0]), np.array([1.0, 0.0, 2.0, 0.0])],
-    ids=["wrong length", "nan", "inf", "over the cap"],
+    [
+        np.zeros(3),
+        np.array([0.0, 0.0, np.nan, 0.0]),
+        np.array([0.0, 0.0, np.inf, 0.0]),
+        np.array([1.0, 0.0, 2.0, 0.0]),
+        np.array([[0.0, 0.0, 2.0, 0.0]]),
+    ],
+    ids=["wrong length", "nan", "inf", "over the cap", "2-d"],
 )
 def test_feasibility_instance_names_a_bad_x_true(x_true):
     A = tiny_instance().A
@@ -81,6 +87,17 @@ def test_feasibility_instance_rejects_a_cap_above_n():
     inst = tiny_instance()
     with pytest.raises(ValueError, match=r"^cardinality cap r = 5 exceeds the dimension n = 4$"):
         FeasibilityInstance(A=inst.A, b=inst.b, r=5, bound=1e6, seed=-1, x_true=inst.x_true)
+
+
+@pytest.mark.parametrize("name", ["A", "b", "x_true"])
+@pytest.mark.parametrize("convert", [lambda a: a.tolist(), lambda a: a.astype(np.int64)], ids=["list", "integer"])
+def test_feasibility_instance_converts_array_likes_to_float(name, convert):
+    # The tiny instance's entries are all integers, so either conversion keeps their values.
+    fields = {k: getattr(tiny_instance(), k) for k in ("A", "b", "r", "bound", "seed", "x_true")}
+    inst = FeasibilityInstance(**dict(fields, **{name: convert(fields[name])}))
+    value = getattr(inst, name)
+    assert isinstance(value, np.ndarray) and value.dtype == np.float64
+    assert np.array_equal(value, fields[name])
 
 
 def test_spd_factor_runs_once_per_instance(monkeypatch):
@@ -109,6 +126,59 @@ def test_gen_feasibility_deterministic():
     assert_allclose(first.A, second.A, atol=0)
     assert_allclose(first.b, second.b, atol=0)
     assert_allclose(first.x_true, second.x_true, atol=0)
+
+
+@pytest.mark.parametrize(
+    "m, n, seed",
+    [(10, 40, 1), (500, 4000, 7), (12, 40, 2**63 - 1), (12, 40, 2**64 - 1), (12, 40, 2**70)],
+    ids=["10x40", "500x4000", "seed 2**63-1", "seed 2**64-1", "seed 2**70"],
+)
+def test_gen_feasibility_rebuilds_an_instance_bit_for_bit(m, n, seed):
+    # The seed is the instance: drawing it again is how a run is reproduced, past 64 bits too.
+    first, second = gen_feasibility(m, n, seed), gen_feasibility(m, n, seed)
+    assert (second.r, second.seed, second.bound) == (-(-m // 5), seed, SparseBoxSet.bound)
+    assert (type(second.r), type(second.seed)) == (int, int)
+    for name in ("A", "b", "x_true"):
+        assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
+
+
+@pytest.mark.parametrize("m, n, seed", [(10, 40, 1), (23, 60, 2**70)])
+def test_gen_feasibility_draws_in_its_documented_order(m, n, seed):
+    # A row-major, then the r support values, then the support positions by a seeded shuffle.
+    rng, r = rng_from_seed(seed), -(-m // 5)
+    A, values, support = rng.standard_normal((m, n)), rng.standard_normal(r), rng.permutation(n)[:r]
+    inst = gen_feasibility(m, n, seed)
+    assert inst.A.tobytes() == A.tobytes()
+    assert np.array_equal(np.flatnonzero(inst.x_true), np.sort(support))
+    assert inst.x_true[support].tobytes() == values.tobytes()
+    assert inst.b.tobytes() == (A @ inst.x_true).tobytes()
+
+
+@pytest.mark.parametrize(
+    "m, n, message",
+    [
+        (4, 100, "m must be at least 5, got 4x100"),
+        (0, 0, "m must be at least 5, got 0x0"),
+        (-5, 10, "m must be at least 5, got -5x10"),
+        (50, 40, "need n >= m, got 50x40"),
+        (6, 5, "need n >= m, got 6x5"),
+        ("10", 40, "m and n must be integers, got '10'x40"),
+        (True, 40, "m and n must be integers, got Truex40"),
+        (10.0, 40, "m and n must be integers, got 10.0x40"),
+    ],
+    ids=["m 4", "empty", "negative m", "n below m", "n one below m", "string m", "bool m", "float m"],
+)
+def test_gen_feasibility_names_the_shape_it_refuses(m, n, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gen_feasibility(m, n, 0)
+
+
+@pytest.mark.parametrize("m, n", [(5, 5), (5, 6), (6, 6)])
+def test_gen_feasibility_plants_the_smallest_shapes(m, n):
+    inst = gen_feasibility(m, n, 3)
+    assert inst.A.shape == (m, n) and inst.r == -(-m // 5)
+    assert 0 < np.count_nonzero(inst.x_true) <= inst.r
+    assert evaluate_fval(inst.x_true, inst) <= 1e-24
 
 
 def test_gen_feasibility_seeds_differ():

@@ -1,7 +1,9 @@
-"""The README's Python examples run as written."""
+"""The README's examples run as written."""
 
 import re
 from pathlib import Path
+
+from prsplit.bench import trial_seed
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +16,10 @@ def test_readme_python_blocks_run_in_order():
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["report"].reason == "converged"
     assert len(namespace["states"]) == namespace["report"].iterations
+
+
+def test_readme_solve_command_uses_the_seed_of_the_bench_trial_it_names():
+    text = README.read_text(encoding="utf-8")
+    [seed] = re.findall(r"prsplit solve --m 50 --n 500 --seed (\d+) --method pr", text)
+    assert "the first 50x500 trial of `prsplit bench --seed 42`" in text and "trial_seed(42, 50, 500, 0)" in text
+    assert int(seed) == trial_seed(42, 50, 500, 0)

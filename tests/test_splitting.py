@@ -74,6 +74,13 @@ def test_gamma_threshold_values():
         assert_allclose(gamma_threshold(modulus, modulus) * modulus, 1.0, rtol=1e-15)
 
 
+@pytest.mark.parametrize("modulus", [1e-150, 1.0, 6.0, 1e150], ids=["1e-150", "1", "6", "1e150"])
+def test_gamma_threshold_takes_sigma_up_to_lipschitz_and_not_one_ulp_past(modulus):
+    assert_allclose(gamma_threshold(modulus, modulus) * modulus, 1.0, rtol=1e-15)
+    with pytest.raises(ValueError, match="^sigma must be at most lipschitz, got "):
+        gamma_threshold(np.nextafter(modulus, np.inf), modulus)
+
+
 def test_gamma_threshold_boundary_rejected():
     with pytest.raises(ValueError, match="insufficient strong convexity"):
         gamma_threshold(2.0 / 3.0, 1.0)
