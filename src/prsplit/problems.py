@@ -237,14 +237,14 @@ _SMOOTH_PROXES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 def _smooth_prox(A: np.ndarray, b: np.ndarray) -> ShiftedQuadraticProx:
     """The prox built from exactly these A and b arrays, built once while it lives.
 
-    A hit needs ``prox.A is A and prox.b is b``: the live prox holds both
-    arrays, so their ids cannot be reused by other data. Data that
+    A live entry's prox holds both of its arrays, so no other array can
+    carry their ids, and a hit is the prox of these very A and b. Data that
     :class:`LsInstance` converts (not float64) is a new array per instance
     and is not shared.
     """
     key = (id(A), id(b))
     prox = _SMOOTH_PROXES.get(key)
-    if prox is None or prox.A is not A or prox.b is not b:
+    if prox is None:
         prox = ShiftedQuadraticProx(A, b)
         _SMOOTH_PROXES[key] = prox
     return prox

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from prsplit.bench import DESK_PAIRS, FULL_PAIRS, BenchConfig, run_bench, solver_config, trial_seed
+from prsplit.bench import DESK_PAIRS, FULL_PAIRS, BenchConfig, run_bench, solve_trial, solver_config, trial_seed
 from prsplit.linalg import rng_from_seed
 from prsplit.oracles import (
     AffineSet,
@@ -127,6 +127,25 @@ def bench_rows():
     elapsed = time.perf_counter() - start
     cells = {(row.m, row.n, row.method): row for row in rows}
     return cfg, cells, elapsed
+
+
+@pytest.fixture(scope="session")
+def desk_pr_runs():
+    """Criteria 8 and 11: the gate's PR runs, through ``solve_trial``, on every desk shape.
+
+    Returns the bench's PR config, the step cap ``gamma_threshold(sigma, L)``
+    of the shifted feasibility split and the reports keyed by shape, in
+    trial order.
+    """
+    config = solver_config(BenchConfig(), "pr")
+    reports = {}
+    for m, n in DESK_PAIRS:
+        reports[(m, n)] = []
+        for trial in range(GATE_TRIALS):
+            inst = gen_feasibility(m, n, trial_seed(GATE_SEED, m, n, trial))
+            reports[(m, n)].append(solve_trial(inst, config)[0])
+    f = build_feasibility_pr(inst).f  # the shifted split's moduli are the same for every instance
+    return config, gamma_threshold(f.strong_convexity, f.grad_lipschitz), reports
 
 
 @pytest.fixture(scope="session")
@@ -422,7 +441,7 @@ def test_criteria_7a_7b_7c_hold_at_a_held_out_seed(heldout_rows):
         assert_pr_solves_full_scale(cfg, row)
 
 
-def test_criterion_8_termination_contract(ls_box_suite):
+def test_criterion_8_termination_contract(ls_box_suite, desk_pr_runs):
     with criterion("8", "converged runs end with small practical residual and y-z gap"):
         reports = []
         # Quadratic-plus-sparse problems at the standard tolerance.
@@ -441,11 +460,9 @@ def test_criterion_8_termination_contract(ls_box_suite):
                     reports.append((config.tol, run(builder(inst), config, np.zeros(n))))
         # The desk preset's PR runs at its largest m/n (150x500): the heuristic
         # settles gamma below 1/12, and every run must end at a stationary point.
+        config, _, desk_reports = desk_pr_runs
         m, n = max(DESK_PAIRS, key=lambda pair: Fraction(*pair))
-        config = solver_config(BenchConfig(), "pr")
-        for trial in range(GATE_TRIALS):
-            inst = gen_feasibility(m, n, trial_seed(GATE_SEED, m, n, trial))
-            report = run(build_feasibility_pr(inst), config, np.zeros(n))
+        for trial, report in enumerate(desk_reports[(m, n)]):
             assert report.reason == "converged", f"PR at {m}x{n}, trial {trial}: {report.reason}"
             reports.append((config.tol, report))
         # Box-constrained least-squares runs from the linear-convergence suite.
@@ -478,8 +495,9 @@ def test_criterion_9_boundedness(quad_suite):
                 assert first_merit >= floor - 1e-8
 
 
-# Rounding allowance of criterion 10, relative to 1 + |merit|. The largest
-# merit rise measured on its four runs was 2.7e-14.
+# Rounding allowance of criteria 10 and 11, relative to 1 + |merit|. The
+# largest merit rise measured on criterion 10's four runs was 2.7e-14, and
+# on criterion 11's runs after they enter the theory's range 3.2e-14.
 THEORY_ROUNDING = 1e-12
 
 
@@ -512,3 +530,26 @@ def test_criterion_10_theorem_on_the_feasibility_split():
             assert report.residual.practical <= 1e-6
             gap = report.gap_trace[-1]
             assert gap <= 10.0 * config.tol * max(1.0, float(np.linalg.norm(report.state.y)))
+
+
+def test_criterion_11_theorem_on_the_gate_pr_runs(desk_pr_runs):
+    description = "gate PR runs: merit nonincreasing from the first step below gamma_threshold on"
+    with criterion("11", description):
+        _, cap, reports = desk_pr_runs
+        entered = outside = rising = 0
+        for (m, n), shape_reports in reports.items():
+            for trial, report in enumerate(shape_reports):
+                merits = report.merit_trace
+                inside = np.flatnonzero(report.gamma_trace < cap)
+                if not inside.size:
+                    # Outside the theory: counted at criterion 1's tolerance, not asserted.
+                    outside += 1
+                    rising += np.max(np.diff(merits) - 1e-9 * (1.0 + np.abs(merits[:-1])), initial=0.0) > 0.0
+                    continue
+                entered += 1
+                # The step never moves again once below the cap, so these merits share one gamma.
+                merits = merits[inside[0]:]
+                slack = THEORY_ROUNDING * (1.0 + np.abs(merits[:-1]))
+                assert np.max(np.diff(merits) - slack, initial=0.0) <= 0.0, (m, n, trial)
+        assert entered, "no gate PR run reached a step below the cap"
+        print(f"criterion 11: {entered} of {entered + outside} runs reach a step below {cap:.6g}; {rising} of the rest rise")
