@@ -25,7 +25,7 @@ from prsplit.bench import (
     trial_seed,
 )
 from prsplit.cli import _build_parser, main
-from prsplit.problems import gen_feasibility
+from prsplit.problems import evaluate_fval, gen_feasibility
 from prsplit.splitting import SolverConfig
 
 # The directory holding the imported package, for subprocesses to import the same copy.
@@ -122,15 +122,22 @@ def test_solve_prints_summary(capsys):
     assert "fval" in out
 
 
-def test_solve_writes_a_trace(tmp_path, capsys):
+@pytest.mark.parametrize("method", ["pr", "dr"])
+def test_solve_writes_a_trace(method, tmp_path, capsys):
+    # Each row, bit for bit, from an independent solve of the same instance and its observed states.
     trace = tmp_path / "trace.csv"
-    assert main(["solve", "--m", "10", "--n", "40", "--seed", "5", "--trace", str(trace)]) == 0
+    assert main(["solve", "--m", "10", "--n", "40", "--seed", "5", "--method", method, "--trace", str(trace)]) == 0
+    inst = gen_feasibility(10, 40, 5)
+    states = []
+    report, _, _, _ = solve_trial(
+        inst, SolverConfig(*METHOD_STEPS[method], method=method), lambda state, gamma: states.append(state)
+    )
     lines = trace.read_text().splitlines()
     assert lines[0] == "t,gamma,merit,dz,fval"
-    assert len(lines) >= 2
-    first = lines[1].split(",")
-    assert int(first[0]) == 1
-    assert all(np.isfinite(float(tok)) for tok in first[1:])
+    assert len(lines) == report.iterations + 1 == len(states) + 1
+    for t, (line, gamma, merit, state) in enumerate(zip(lines[1:], report.gamma_trace, report.merit_trace, states), 1):
+        row = (gamma, merit, np.linalg.norm(state.z - state.y), evaluate_fval(state.z, inst))
+        assert line == ",".join([str(t), *(repr(float(v)) for v in row)])
 
 
 def test_solve_reproduces_a_bench_trial_from_its_seed(capsys):
