@@ -31,7 +31,7 @@ import sys
 
 from .bench import METHOD_STEPS, PRESETS, BenchConfig, render_csv, render_markdown, run_bench, solve_trial
 from .problems import evaluate_fval, gen_feasibility
-from .splitting import SolverConfig
+from .splitting import SolverConfig, _norm
 
 
 def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
@@ -120,8 +120,8 @@ def _cmd_solve(args) -> int:
 
     # Opened first: a bad path fails before the solve, and a raise removes the file.
     trace = None if args.trace is None else open(args.trace, "w", encoding="ascii")
-    fvals: list[float] = []
-    observer = None if trace is None else lambda state, gamma: fvals.append(evaluate_fval(state.z, inst))
+    observed: list[tuple[float, float]] = []  # (|z - y|, fval) of each step
+    observer = None if trace is None else lambda s, _: observed.append((_norm(s.z - s.y), evaluate_fval(s.z, inst)))
     try:
         report, fval, outcome, _ = solve_trial(inst, cfg, observer)
     except BaseException:
@@ -133,16 +133,15 @@ def _cmd_solve(args) -> int:
     if trace is not None:
         with trace:
             trace.write("t,gamma,merit,dz,fval\n")
-            for t, row in enumerate(zip(report.gamma_trace, report.merit_trace, report.gap_trace, fvals), 1):
-                trace.write(",".join([str(t), *(repr(float(v)) for v in row)]) + "\n")
+            for t, (gamma, merit, row) in enumerate(zip(report.gamma_trace, report.merit_trace, observed), 1):
+                trace.write(",".join([str(t), *(repr(float(v)) for v in (gamma, merit, *row))]) + "\n")
 
     print(f"method      : {args.method}")
     print(f"shape       : m={inst.m} n={inst.n} r={inst.r} seed={inst.seed}")
     print(f"iterations  : {report.iterations} ({report.reason})")
     print(f"fval        : {fval:.6e} -> {outcome}")
-    if report.residual is not None:
+    if report.iterations:  # a run with no step has no residual and no gamma
         print(f"residual    : practical {report.residual.practical:.3e}")
-    if report.iterations:
         print(f"final gamma : {report.gamma_trace[-1]:.6g}")
     return 0
 

@@ -12,7 +12,8 @@ eigenvalue, a blocked Cholesky fused with the inversion of its factor) call
 numpy's LAPACK and BLAS, so no second BLAS thread pool contends with numpy's.
 Of the two factorizations, :func:`spd_factor` checks its outside matrix, and
 its ``solve`` an outside right-hand side; an affine set factors its own Gram
-without a second scan.
+without a second scan. Every Gram matrix of the package is formed by
+:func:`_gram`, which names a row or column of A too large to square.
 
 The package checks its public arguments through five private helpers here,
 one per contract: a step through :func:`_check_step`, a count (a dimension, a
@@ -113,15 +114,36 @@ def spectral_norm_sq(A: np.ndarray, tol: float = 1e-10) -> float:
     rounding: its relative error is a small multiple of machine epsilon,
     far inside the 1e-6 margin that turns it into a curvature bound.
 
-    A must be a nonempty, finite 2-D array, or ValueError names it. `tol` must be
-    positive and finite and has no effect, because the result is exact; it
-    is accepted so existing positional callers keep working.
+    A must be a nonempty, finite 2-D array, or ValueError names it, and a
+    row (wide A) or column whose squared norm overflows is named as too
+    large (see :func:`_gram`). `tol` must be positive and finite and has no
+    effect, because the result is exact; it is accepted so existing
+    positional callers keep working.
     """
     _check_step(tol, "tol")
     A = _as_matrix(A, "A")
     if not np.any(A):
         raise ValueError("spectral_norm_sq needs a nonzero matrix")
-    return float(np.linalg.eigvalsh(A @ A.T if A.shape[0] < A.shape[1] else A.T @ A)[-1])
+    return float(np.linalg.eigvalsh(_gram(A, rows=A.shape[0] < A.shape[1]))[-1])
+
+
+def _gram(A: np.ndarray, rows: bool) -> np.ndarray:
+    """A A^T with `rows`, else A^T A, formed with no overflow warning and checked through its diagonal.
+
+    The diagonal holds the squared norms of A's rows (or columns), so one
+    scan of it, not of A, finds the first that is not finite: ValueError
+    names it as too large when its entries are finite, else as holding NaN
+    or inf.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = A @ A.T if rows else A.T @ A
+    bad = np.flatnonzero(~np.isfinite(np.diagonal(gram)))
+    if bad.size:
+        i, kind = int(bad[0]), "row" if rows else "column"
+        if np.isfinite(A[i] if rows else A[:, i]).all():
+            raise ValueError(f"A {kind} {i} is too large: its squared norm overflows")
+        raise ValueError(f"A holds NaN or infinite entries, first in {kind} {i}")
+    return gram
 
 
 # Diagonal blocks at or below this order are factored and inverted by

@@ -35,6 +35,7 @@ from .linalg import (
     _check_count,
     _check_step,
     _factor_in_place,
+    _gram,
 )
 
 # Safety margin on top of the computed largest eigenvalue of A^T A before it
@@ -113,9 +114,12 @@ class AffineSet:
     (m/2) x (m/2) block product while it factors. That Gram gets none of
     :func:`spd_factor`'s scans of an outside matrix: its diagonal checks
     every row of A, and the factor reads only its lower triangle.
-    Rank deficiency raises :class:`RankDeficientError` from the factorization
-    breakdown. ValueError names an A with no rows, a row of A holding NaN or
-    inf or too large for its squared norm to be finite, and a b holding NaN or inf.
+    Rank deficiency, an all-zero row included, raises :class:`RankDeficientError`
+    from the factorization breakdown. ValueError names an A with no rows, a
+    row of A holding NaN or inf or too large for its squared norm to be
+    finite, a nonzero row too small for its squared norm to be a normal float
+    (below ``np.finfo(float).tiny``, where the factor and the projection lose
+    their precision and then overflow), and a b holding NaN or inf.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -127,15 +131,11 @@ class AffineSet:
             raise ValueError("A has no rows: an affine set needs at least one equation")
         if not np.isfinite(self.b).all():
             raise ValueError("b holds NaN or infinite entries")
-        # The Gram's diagonal holds the squared row norms: no m x n isfinite temporary.
-        with np.errstate(invalid="ignore", over="ignore"):
-            gram = self.A @ self.A.T
-        bad_rows = np.flatnonzero(~np.isfinite(np.diagonal(gram)))
-        if bad_rows.size:
-            i = int(bad_rows[0])
-            if np.isfinite(self.A[i]).all():
-                raise ValueError(f"A row {i} is too large: its squared norm overflows")
-            raise ValueError(f"A holds NaN or infinite entries, first in row {i}")
+        gram = _gram(self.A, rows=True)
+        small = np.flatnonzero(np.diagonal(gram) < np.finfo(float).tiny)
+        small = small[np.any(self.A[small], axis=1)]  # an all-zero row is rank deficiency, below
+        if small.size:
+            raise ValueError(f"A row {int(small[0])} is too small: its squared norm underflows")
         try:
             self.gram_factor = SpdFactorization(_factor_in_place(gram))
         except NotPositiveDefiniteError as exc:
@@ -243,8 +243,10 @@ class ShiftedQuadraticProx:
 
     which is the same inverse pushed through the Woodbury identity.
 
-    A zero A raises ValueError. The shape and finiteness of A and b are
-    :class:`~prsplit.problems.LsInstance`'s to check, not checked again here.
+    ValueError names a row (wide route) or column of A whose squared norm
+    overflows, and says whether A is zero or, nonzero, too small for its
+    Gram matrix to have a positive eigenvalue. The shape and finiteness of A
+    and b are :class:`~prsplit.problems.LsInstance`'s to check, not checked again here.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -254,9 +256,10 @@ class ShiftedQuadraticProx:
         self.dim = n
         self.Atb = self.A.T @ self.b
         self._wide = m < n / 2
-        eigenvalues, self._V = np.linalg.eigh(self.A @ self.A.T if self._wide else self.A.T @ self.A)
+        eigenvalues, self._V = np.linalg.eigh(_gram(self.A, rows=self._wide))
         if not eigenvalues[-1] > 0:
-            raise ValueError("A is zero: its Gram matrix has no positive eigenvalue")
+            size = "too small" if np.any(self.A) else "zero"
+            raise ValueError(f"A is {size}: its Gram matrix has no positive eigenvalue")
         self._d = np.maximum(eigenvalues, 0.0)
         self.lam_max = float(eigenvalues[-1]) * _CURVATURE_MARGIN
 

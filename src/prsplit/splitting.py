@@ -23,7 +23,7 @@ coupling term, and the two are related by merit_pr = merit_dr -
 
     max(|dx|, |dy|, |dz|) / max(|x_prev|, |y_prev|, |z_prev|, 1) < tol,
 
-where |dx| = k |z - y| reuses the norm of the gap trace, and one step-size
+where |dx| = k |z - y| reuses the norm the merit takes, and one step-size
 rule, the paper's: after step t, while gamma is above the floor ``gamma1``,
 a drift |y_t - y_{t-1}| above 1000 / t or a norm |y_t| above 1e10 sets
 gamma = max(gamma / 2, 0.9999 gamma1), so gamma settles just below the
@@ -158,14 +158,15 @@ class IterateState:
 
 @dataclass(frozen=True)
 class SolverReport:
-    """Everything a finished run exposes.
+    """What :func:`run` decided: the final state, the iteration count, the
+    reason it stopped, the stationarity residual pair (None only for runs
+    that took no step) and, per step, the gamma used.
 
-    Per-iteration traces hold the merit value (PR or DR merit to match the
-    engine, +inf where f or g is), the gamma used, and |z - y|, which is
-    |x - x_prev| / k for the step factor k (2 for PR, 1 for DR);
-    ``run(..., observer=lambda state, gamma: states.append(state))`` keeps
-    the states.
-    The stationarity residual pair is None only for runs that took no step.
+    ``merit_trace`` (the PR or DR merit to match the engine, +inf where f or
+    g is) stays until the merit is served by an observer too. Any other
+    per-step value belongs to an observer that computes it from the states,
+    ``run(..., observer=lambda state, gamma: gaps.append(np.linalg.norm(state.z - state.y)))``
+    for |z - y|, which is |x - x_prev| / k for the step factor k (2 for PR, 1 for DR).
     """
 
     state: IterateState
@@ -173,7 +174,6 @@ class SolverReport:
     reason: str
     merit_trace: np.ndarray
     gamma_trace: np.ndarray
-    gap_trace: np.ndarray
     residual: "StationarityResidual | None"
 
 
@@ -334,7 +334,6 @@ def run(
     stalled = 0
     merits: list[float] = []
     gammas: list[float] = []
-    gaps: list[float] = []
 
     reason = "max_iter"
     for t in range(1, config.max_iter + 1):
@@ -350,7 +349,6 @@ def run(
         gap = _norm(z - y)
         merits.append(_merit(problem, y, z, x, gap, gamma, config.method))
         gammas.append(gamma)
-        gaps.append(gap)
         if observer is not None:
             observer(state, gamma)
 
@@ -379,7 +377,6 @@ def run(
         reason=reason,
         merit_trace=np.asarray(merits),
         gamma_trace=np.asarray(gammas),
-        gap_trace=np.asarray(gaps),
         residual=residual,
     )
 

@@ -69,6 +69,21 @@ def test_spectral_norm_sq_rejects_zero_matrix():
         spectral_norm_sq(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize(
+    "A, message",
+    [
+        (1e200 * np.ones((2, 3)), "A row 0 is too large: its squared norm overflows"),
+        (1e200 * np.ones((3, 2)), "A column 0 is too large: its squared norm overflows"),
+        (np.array([[1.0, 1.0], [1.0, 1e200], [1.0, 1.0]]), "A column 1 is too large: its squared norm overflows"),
+    ],
+    ids=["wide", "tall", "tall column 1"],
+)
+def test_spectral_norm_sq_names_a_squared_norm_that_overflows(A, message):
+    # Its Gram is A A^T for wide A, else A^T A; it used to come back NaN with a RuntimeWarning.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        spectral_norm_sq(A)
+
+
 def test_spd_factor_identity():
     factor = spd_factor(np.eye(3))
     assert_allclose(factor.inv_lower, np.eye(3), atol=0)

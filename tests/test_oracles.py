@@ -23,7 +23,14 @@ from prsplit.oracles import (
     quadratic_oracle,
     shift_split,
 )
-from prsplit.problems import FeasibilityInstance, build_feasibility_pr, distance_feasibility_problem, evaluate_fval
+from prsplit.problems import (
+    FeasibilityInstance,
+    LsInstance,
+    build_constrained_ls,
+    build_feasibility_pr,
+    distance_feasibility_problem,
+    evaluate_fval,
+)
 from prsplit.splitting import gamma_threshold
 
 
@@ -144,6 +151,41 @@ def test_affine_set_names_the_row_of_a_nan_or_an_overflowing_norm():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match=f"^A .*{message}"):
                 AffineSet(A, np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "scale, rows, message",
+    [
+        (1e-155, {}, "A row 0 is too small: its squared norm underflows"),
+        (1e-160, {}, "A row 0 is too small: its squared norm underflows"),
+        (1e-200, {}, "A row 0 is too small: its squared norm underflows"),
+        (1.0, {1: 1e-160}, "A row 1 is too small: its squared norm underflows"),
+        (1e-200, {0: 0.0}, "A row 1 is too small: its squared norm underflows"),
+        (1.0, {1: 0.0}, r"A \(2 x 5\) does not have full row rank"),
+    ],
+    ids=["1e-155", "1e-160", "1e-200", "one tiny row", "zero row before a tiny one", "zero row"],
+)
+def test_affine_set_names_a_row_whose_squared_norm_underflows(scale, rows, message):
+    # Below the normal floats the factor loses its precision, and the projection
+    # overflows (s = 1e-155, 1e-160) or the factor breaks down (1e-200). An
+    # all-zero row stays rank deficiency.
+    A = scale * rng_from_seed(60).standard_normal((2, 5))
+    for i, value in rows.items():
+        A[i] = value
+    with pytest.raises(ValueError, match=f"^{message}") as info:
+        AffineSet(A, np.ones(2))
+    assert isinstance(info.value, RankDeficientError) == ("full row rank" in message)
+
+
+def test_affine_set_projects_exactly_down_to_rows_of_normal_squared_norm():
+    G = rng_from_seed(60).standard_normal((2, 5))
+    edge = np.sqrt(np.finfo(float).tiny / np.min(np.sum(G**2, axis=1)))
+    A = 1.01 * edge * G
+    x = AffineSet(A, np.ones(2)).project(np.zeros(5))
+    assert_allclose(A @ x, np.ones(2), rtol=1e-14)
+    assert_allclose(x, kkt_projection(G, np.ones(2) / (1.01 * edge), np.zeros(5)), rtol=1e-13)
+    with pytest.raises(ValueError, match="too small"):
+        AffineSet(0.99 * edge * G, np.ones(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -367,6 +409,24 @@ def test_shifted_quadratic_prox_one_eigensolve_serves_every_gamma(shape, monkeyp
 def test_shifted_quadratic_prox_rejects_zero_matrix():
     with pytest.raises(ValueError, match="A is zero"):
         ShiftedQuadraticProx(np.zeros((4, 6)), np.ones(4))
+
+
+@pytest.mark.parametrize(
+    "A, message",
+    [
+        (1e200 * np.ones((3, 2)), "A column 0 is too large: its squared norm overflows"),
+        (np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1e200]]), "A column 1 is too large: its squared norm overflows"),
+        (1e200 * np.ones((2, 6)), "A row 0 is too large: its squared norm overflows"),
+        (np.array([[1.0] * 6, [1.0] * 4 + [1e200, 1.0]]), "A row 1 is too large: its squared norm overflows"),
+        (1e-200 * np.ones((3, 2)), "A is too small: its Gram matrix has no positive eigenvalue"),
+        (1e-200 * np.ones((2, 6)), "A is too small: its Gram matrix has no positive eigenvalue"),
+    ],
+    ids=["tall large", "tall column 1", "wide large", "wide row 1", "tall tiny", "wide tiny"],
+)
+def test_constrained_ls_names_a_gram_that_overflows_or_underflows(A, message):
+    # The tall route's Gram is A^T A, whose diagonal holds column norms; the wide route's (m < n/2) is A A^T.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_constrained_ls(LsInstance(A, np.ones(A.shape[0]), BoxSet(1.0)))
 
 
 def test_shifted_quadratic_prox_rejects_bad_step_or_point():
