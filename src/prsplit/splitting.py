@@ -402,9 +402,10 @@ def ergodic_gap_bound(
     where L is the gradient Lipschitz modulus of the smooth part before the
     shift and (z_ref, x_ref) is the limit the run converges to (in practice
     the terminal point of a high-precision reference run); gamma and L must
-    be positive and finite, n an integer of at least 1, and x0, x_ref and
-    z_ref finite 1-D arrays of one length. Returns
-    (lhs, rhs); the caller asserts lhs <= rhs.
+    be positive and finite, n an integer of at least 1, and x0, x_ref, z_ref
+    and the first n z-iterates finite 1-D arrays of one length; anything
+    else raises ValueError naming the argument. Returns (lhs, rhs); the
+    caller asserts lhs <= rhs.
     """
     _check_step(gamma)
     _check_step(grad_lipschitz, "grad_lipschitz")
@@ -413,7 +414,7 @@ def ergodic_gap_bound(
         raise ValueError(f"need at least {n} z-iterates, got {len(z_iters)}")
     z_ref = _as_vector(z_ref, "z_ref", finite=True)
     x0, x_ref = (_as_vector(v, name, z_ref.size, finite=True) for name, v in (("x0", x0), ("x_ref", x_ref)))
-    z_bar = np.mean(np.asarray(z_iters[:n], dtype=float), axis=0)
+    z_bar = np.mean([_as_vector(z, "z_iters", z_ref.size, finite=True) for z in z_iters[:n]], axis=0)
     lhs = objective(z_bar) - objective(z_ref)
     dist_sq = float(np.linalg.norm(x0 - x_ref)) ** 2
     rhs = (1.0 / gamma - _SHIFT_WEIGHT * grad_lipschitz) * dist_sq / (40.0 * gamma * n * grad_lipschitz)

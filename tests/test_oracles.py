@@ -429,13 +429,6 @@ def test_constrained_ls_names_a_gram_that_overflows_or_underflows(A, message):
         build_constrained_ls(LsInstance(A, np.ones(A.shape[0]), BoxSet(1.0)))
 
 
-def test_shifted_quadratic_prox_rejects_bad_step_or_point():
-    # The step and the point's shape are test_api's step and point contract tables.
-    prox = ShiftedQuadraticProx(rng_from_seed(52).standard_normal((4, 6)), np.ones(4))
-    with pytest.raises(ValueError, match="^w holds NaN or infinite entries$"):
-        prox(0.01, np.array([0.0, np.nan, 0.0, 0.0, 0.0, 0.0]))
-
-
 def test_prox_shifted_halfsqdist_origin_fixed_point():
     prox = pr_feasibility_f_prox(np.array([[1.0, 1.0]]), np.array([0.0]))  # 0 in C
     out = prox(0.04, np.zeros(2))

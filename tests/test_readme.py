@@ -1,11 +1,15 @@
 """The README's examples run as written."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import prsplit
 from prsplit.bench import trial_seed
 from prsplit.cli import _build_parser
 
@@ -45,3 +49,18 @@ def test_readme_cli_lines_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}")
+
+
+def test_readme_pytest_k_commands_select_a_test():
+    """Every `pytest ... -k EXPR` the README cites, in a code block or inline, collects a test: a renamed one fails."""
+    found = re.findall(r"^(pytest .* -k .*)$|`(pytest [^`]* -k [^`]*)`", README.read_text(encoding="utf-8"), re.M)
+    assert found
+    package_root = str(Path(prsplit.__file__).resolve().parents[1])  # so the subprocess imports this same copy
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    for command in (block or inline for block, inline in found):
+        args = ["--collect-only", "-q", "-p", "no:cacheprovider", *shlex.split(command, comments=True)[1:]]
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", *args],
+            cwd=README.parent, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, f"README command collects no test: {command}\n{result.stdout}"

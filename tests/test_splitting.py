@@ -729,6 +729,15 @@ def test_fit_contraction_needs_enough_points():
             lambda: fit_contraction([np.zeros(2)] * 3, np.array([np.inf, 0.0]), tail=2),
             "x_ref holds NaN or infinite entries",
         ),
+        # Unchecked, iterates longer than z_ref averaged to a false pass and a NaN iterate to a NaN gap.
+        (
+            lambda: ergodic_gap_bound([np.zeros(3)], lambda z: 0.0, *[np.zeros(2)] * 3, 0.05, 1.0, 1),
+            "z_iters has shape (3,), expected (2,)",
+        ),
+        (
+            lambda: ergodic_gap_bound([np.zeros(2), np.array([0.0, np.nan])], sum, *[np.zeros(2)] * 3, 0.05, 1.0, 2),
+            "z_iters holds NaN or infinite entries",
+        ),
         (
             lambda: ergodic_gap_bound([np.zeros(2)], lambda z: 0.0, *[np.zeros(2)] * 3, 0.05, 0.0, 1),
             "grad_lipschitz must be positive and finite, got 0.0",
@@ -743,7 +752,7 @@ def test_fit_contraction_needs_enough_points():
         "sigma 7 over 6", "lipschitz^2 overflows", "lipschitz^2 is 0",
         "lipschitz^2 subnormal", "lipschitz^2 subnormal, cap past 0.99", "lipschitz just below range",
         "lipschitz just above range", "x0", "z-iterates", "nan iterate", "inf x_ref",
-        "gap lipschitz 0", "gap lipschitz nan",
+        "long z-iterate", "nan z-iterate", "gap lipschitz 0", "gap lipschitz nan",
     ],
 )
 def test_boundary_errors_name_their_cause(call, message):
