@@ -418,12 +418,16 @@ def test_gate_table_iterations_and_outcomes_are_pinned(gate_pass):
 
 
 def test_criterion_7c_pr_success_in_easiest_regime(full_scale_pr):
-    cells, runs = full_scale_pr[GATE_SEED]
+    cells, _ = full_scale_pr[GATE_SEED]
     m, n = FULL_SCALE_PAIR
     with criterion("7c", f"PR solves at least 90% of trials at the full grid's largest m/n, {m}x{n}"):
         assert_pr_solves_full_scale(cells)
-    # The spot check, pinned to its behavior band: PR solves trial 0 in a couple hundred iterations.
-    report, _, outcome = runs[(m, n, "pr")][0]
+
+
+def test_full_scale_spot_check(full_scale_pr):
+    """7c's recorded trial 0, pinned to its behavior band: PR solves it in a couple hundred iterations."""
+    _, runs = full_scale_pr[GATE_SEED]
+    report, _, outcome = runs[(*FULL_SCALE_PAIR, "pr")][0]
     assert outcome == "success" and 50 <= report.iterations <= 400
 
 
