@@ -110,11 +110,11 @@ class BenchConfig:
             raise ValueError(f"methods must be a nonempty subset of {tuple(METHOD_STEPS)}, got {self.methods}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError(f"methods must not repeat, got {self.methods}")
-        for method in self.methods:
+        for method in dict.fromkeys((*self.methods, *self.steps)):  # every entry, for a method run or not
             pair = self.steps.get(method)
             if not isinstance(pair, tuple) or len(pair) != 2:
                 raise ValueError(f"steps must map method {method!r} to a (gamma0, gamma1) pair, got {pair!r}")
-            solver_config(self, method)  # bad steps fail here, before any solve
+            solver_config(self, method)  # an unknown method or a bad step fails here, before any solve
 
 
 @dataclass(frozen=True)
@@ -203,6 +203,7 @@ def run_bench(cfg: BenchConfig, progress=None) -> list[BenchRow]:
     finished. `progress`, if given, is called with one line of text per
     (pair, method) row, once all trials of the pair are done.
     """
+    configs = {method: solver_config(cfg, method) for method in cfg.methods}
     rows: list[BenchRow] = []
     for m, n in cfg.pairs:
         results: dict[str, list] = {method: [] for method in cfg.methods}
@@ -213,9 +214,9 @@ def run_bench(cfg: BenchConfig, progress=None) -> list[BenchRow]:
                 for method in cfg.methods:
                     results[method].append(_FAILED_TRIAL)
                 continue
-            for method in cfg.methods:
+            for method, config in configs.items():
                 try:
-                    report, fval, outcome, seconds = solve_trial(inst, solver_config(cfg, method))
+                    report, fval, outcome, seconds = solve_trial(inst, config)
                     results[method].append((report.iterations, fval, outcome, seconds))
                 except (ValueError, np.linalg.LinAlgError):
                     results[method].append(_FAILED_TRIAL)

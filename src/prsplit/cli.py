@@ -137,7 +137,7 @@ def _cmd_solve(args) -> int:
                 trace.write(",".join([str(t), *(repr(float(v)) for v in (gamma, merit, *row))]) + "\n")
 
     print(f"method      : {args.method}")
-    print(f"shape       : m={inst.m} n={inst.n} r={inst.r} seed={inst.seed}")
+    print(f"shape       : m={inst.m} n={inst.n} r={inst.r} seed={args.seed}")
     print(f"iterations  : {report.iterations} ({report.reason})")
     print(f"fval        : {fval:.6e} -> {outcome}")
     if report.iterations:  # a run with no step has no residual and no gamma

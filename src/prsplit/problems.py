@@ -82,7 +82,6 @@ class FeasibilityInstance:
     b: np.ndarray
     r: int
     bound: float
-    seed: int
     x_true: np.ndarray
     _dset: SparseBoxSet = field(init=False, repr=False)
     _cset: AffineSet = field(init=False, repr=False)
@@ -175,7 +174,7 @@ def gen_feasibility(m: int, n: int, seed: int) -> FeasibilityInstance:
     support = rng.permutation(n)[:r]
     x_true = np.zeros(n)
     x_true[support] = values
-    return FeasibilityInstance(A=A, b=A @ x_true, r=r, bound=SparseBoxSet.bound, seed=seed, x_true=x_true)
+    return FeasibilityInstance(A=A, b=A @ x_true, r=r, bound=SparseBoxSet.bound, x_true=x_true)
 
 
 def distance_feasibility_problem(cset: AffineSet, dset) -> SplitProblem:

@@ -34,22 +34,8 @@ from numpy.testing import assert_allclose
 from prsplit import bench
 from prsplit.bench import DESK_PAIRS, FULL_PAIRS, BenchConfig, run_bench, solve_trial, solver_config, trial_seed
 from prsplit.linalg import rng_from_seed
-from prsplit.oracles import (
-    AffineSet,
-    BoxSet,
-    ProxOracle,
-    SparseBoxSet,
-    quadratic_oracle,
-    shift_split,
-)
-from prsplit.problems import (
-    LsInstance,
-    build_constrained_ls,
-    build_feasibility_dr,
-    build_feasibility_pr,
-    distance_feasibility_problem,
-    gen_feasibility,
-)
+from prsplit.oracles import AffineSet, BoxSet, SparseBoxSet, shift_split
+from prsplit.problems import build_feasibility_dr, build_feasibility_pr, distance_feasibility_problem, gen_feasibility
 from prsplit.splitting import (
     SolverConfig,
     SplitProblem,
@@ -59,6 +45,8 @@ from prsplit.splitting import (
     merit_pr,
     run,
 )
+
+from helpers import kkt_projection, ls_box_problem, quadratic_sparse_problem
 
 
 GATE_TRIALS = 20
@@ -82,20 +70,6 @@ def criterion(label, description):
     print(f"ACCEPTANCE {label}: PASS - {description}")
 
 
-def make_quadratic_sparse_problem(seed, dim=20, r=5):
-    """Random strongly convex quadratic (eigenvalues in [1, 1.4], so
-    3*sigma > 2*L) plus a sparse-box indicator."""
-    rng = rng_from_seed(seed)
-    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    eigenvalues = rng.uniform(1.0, 1.4, size=dim)
-    Q = (basis * eigenvalues) @ basis.T
-    c = rng.standard_normal(dim)
-    f = quadratic_oracle(Q, c)
-    dset = SparseBoxSet(r=r)
-    g = ProxOracle(prox=lambda gamma, w: dset.project(w), value=dset.indicator)
-    return SplitProblem(f=f, g=g, dim=dim)
-
-
 # --------------------------------------------------------------------- suites
 
 
@@ -105,7 +79,7 @@ def quad_suite():
     records = []
     start = time.perf_counter()
     for i in range(50):
-        problem = make_quadratic_sparse_problem(1000 + i)
+        problem = quadratic_sparse_problem(1000 + i, dim=20, r=5)
         sigma = problem.f.strong_convexity
         lipschitz = problem.f.grad_lipschitz
         gamma = 0.99 * gamma_threshold(sigma, lipschitz)
@@ -189,22 +163,10 @@ def convex_box_suite():
 
 @pytest.fixture(scope="session")
 def ls_box_suite():
-    """Criteria 6, 8: 10 strongly convex box-constrained least-squares runs.
-
-    The data is normalized by its spectral norm; that only changes units
-    (the iterate sequence is identical under the induced step rescaling)
-    and keeps the absolute residual tolerances of the termination contract
-    meaningful.
-    """
+    """Criteria 6, 8: 10 strongly convex box-constrained least-squares runs."""
     records = []
     for i in range(10):
-        rng = rng_from_seed(4000 + i)
-        A = rng.standard_normal((30, 12))
-        b = rng.standard_normal(30)
-        scale = np.linalg.norm(A, 2)
-        A /= scale
-        b /= scale
-        problem = build_constrained_ls(LsInstance(A=A, b=b, constraint=BoxSet(0.3)))
+        problem = ls_box_problem(4000 + i)
         reference = run(problem, SolverConfig(tol=1e-13, max_iter=50_000), np.zeros(12))
         states = []
         working = run(
@@ -232,21 +194,24 @@ def test_criterion_1_merit_monotone(quad_suite):
 
 def test_criterion_2_quantified_decrease(quad_suite):
     records, _ = quad_suite
-    with criterion("2", "per-step merit drop below (-3*sigma + 2*L + gamma*L^2)/2 * |dy|^2"):
+    description = "per-step merit drop below (-3*sigma + 2*L + gamma*L^2)/2 * |dy|^2; 2|y - z| <= (1 + gamma*L) |dy|"
+    with criterion("2", description):
         for problem, gamma, report, states in records:
             sigma = problem.f.strong_convexity
             lipschitz = problem.f.grad_lipschitz
             rate = 0.5 * (-3.0 * sigma + 2.0 * lipschitz + gamma * lipschitz**2)
-            ys = [state.y for state in states]
-            for t in range(len(ys) - 1):
-                dy_sq = float(np.linalg.norm(ys[t + 1] - ys[t])) ** 2
+            assert rate < 0.0
+            for t in range(len(states) - 1):
+                dy = float(np.linalg.norm(states[t + 1].y - states[t].y))
                 drop = report.merit_trace[t + 1] - report.merit_trace[t]
-                assert drop <= rate * dy_sq + 1e-9
+                assert drop <= rate * dy**2 + 1e-9
+                gap = float(np.linalg.norm(states[t].y - states[t].z))
+                assert 2.0 * gap <= (1.0 + gamma * lipschitz) * dy + 1e-9
 
 
 def test_criterion_3_merit_formula_equivalence():
     with criterion("3", "three merit expressions agree to 1e-9 relative on 1000 random triples"):
-        problems = [make_quadratic_sparse_problem(2000 + i, dim=12, r=4) for i in range(5)]
+        problems = [quadratic_sparse_problem(2000 + i, dim=12, r=4) for i in range(5)]
         dset = SparseBoxSet(r=4)
         rng = rng_from_seed(2100)
         for k in range(1000):
@@ -297,9 +262,7 @@ def test_criterion_4_projection_oracles():
             A = rng.standard_normal((m, n))
             b = rng.standard_normal(m)
             w = rng.standard_normal(n)
-            system = np.block([[np.eye(n), A.T], [A, np.zeros((m, m))]])
-            expected = np.linalg.solve(system, np.concatenate([w, b]))[:n]
-            assert_allclose(AffineSet(A, b).project(w), expected, atol=1e-8, rtol=1e-8)
+            assert_allclose(AffineSet(A, b).project(w), kkt_projection(A, b, w), atol=1e-8, rtol=1e-8)
 
 
 def test_criterion_5_ergodic_bound(convex_box_suite):
@@ -444,7 +407,7 @@ def test_criterion_8_termination_contract(ls_box_suite, gate_pass):
         reports = []
         # Quadratic-plus-sparse problems at the standard tolerance.
         for i in range(10):
-            problem = make_quadratic_sparse_problem(5000 + i)
+            problem = quadratic_sparse_problem(5000 + i, dim=20, r=5)
             gamma = 0.99 * gamma_threshold(problem.f.strong_convexity, problem.f.grad_lipschitz)
             config = SolverConfig(gamma0=gamma, tol=1e-8)
             reports.append((config.tol, run(problem, config, np.zeros(problem.dim))))

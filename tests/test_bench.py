@@ -110,6 +110,13 @@ def test_bench_config_validation():
         BenchConfig(pairs=((10, 40),), steps={**bench.METHOD_STEPS, "dr": (50.0, float("nan"))})
     with pytest.raises(ValueError, match=r"^the floor gamma1 = 0\.3 must not exceed the start step gamma0 = 0\.19$"):
         BenchConfig(pairs=((10, 40),), steps={**bench.METHOD_STEPS, "pr": (0.19, 0.3)})
+    # Every entry of steps is checked, also one for a method the config does not run.
+    with pytest.raises(ValueError, match=r"^gamma0 must be positive and finite, got -1\.0$"):
+        BenchConfig(pairs=((10, 40),), methods=("pr",), steps={**bench.METHOD_STEPS, "dr": (-1.0, -1.0)})
+    with pytest.raises(ValueError, match=r"^steps must map method 'zz' to a \(gamma0, gamma1\) pair, got 1$"):
+        BenchConfig(pairs=((10, 40),), steps={**bench.METHOD_STEPS, "zz": 1})
+    with pytest.raises(ValueError, match=r"^method must be 'pr' or 'dr', got 'zz'$"):
+        BenchConfig(pairs=((10, 40),), steps={**bench.METHOD_STEPS, "zz": (0.1, 0.05)})
     with pytest.raises(ValueError, match="m must be at least 5"):
         BenchConfig(pairs=((10, 40), (4, 10)))
     with pytest.raises(ValueError, match="need n >= m"):
@@ -221,11 +228,12 @@ def test_run_bench_rows_aggregate_solve_trial():
 
 
 def test_run_bench_reports_each_pair_after_all_its_trials(monkeypatch):
-    events = []
+    events, configs = [], []
     real_solve_trial = bench.solve_trial
 
     def logged(inst, config):
         events.append(("solve", inst.m, config.method))
+        configs.append(config)
         return real_solve_trial(inst, config)
 
     monkeypatch.setattr(bench, "solve_trial", logged)
@@ -235,6 +243,8 @@ def test_run_bench_reports_each_pair_after_all_its_trials(monkeypatch):
         expected += [("solve", m, method) for _trial in range(2) for method in ("pr", "dr")]
         expected += [f"m={m} n=40 pr", f"m={m} n=40 dr"]
     assert events == expected
+    # Each method's SolverConfig is built once and handed to all its trials (the list keeps every id distinct).
+    assert len({id(config) for config in configs}) == 2
 
 
 def test_run_bench_counts_a_raising_build_as_failure(monkeypatch):

@@ -213,13 +213,21 @@ def test_solve_parser_rejects_a_non_integer_instance_flag(flag, value, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--m", "3"], ["--seed", "-1"], ["--m", "50", "--n", "40"]], ids=["m 3", "seed -1", "n 40"]
+    "args",
+    [
+        ["solve", "--m", "3"],
+        ["solve", "--seed", "-1"],
+        ["solve", "--m", "50", "--n", "40"],
+        # A step flag is checked even for a method that --methods leaves out.
+        ["bench", "--pairs", "10x40", "--trials", "1", "--methods", "pr", "--dr-gamma0", "-1"],
+    ],
+    ids=["m 3", "seed -1", "n 40", "bench dr-gamma0 -1"],
 )
-def test_solve_refusal_exits_2_with_one_error_line_and_no_traceback(flags):
+def test_refusal_exits_2_with_one_error_line_and_no_traceback(args):
     # The command as a user runs it: a fresh interpreter, its own exit status and stderr.
     env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
     result = subprocess.run(
-        [sys.executable, "-m", "prsplit.cli", "solve", *flags], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", "prsplit.cli", *args], capture_output=True, text=True, env=env, timeout=60
     )
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1

@@ -33,12 +33,14 @@ from prsplit.problems import (
 )
 from prsplit.splitting import SolverConfig, dr_step, gamma_threshold, initial_state, pr_step, run
 
+from helpers import count_solver_calls, kkt_projection
+
 
 def tiny_instance():
     """Hand-checkable 2 x 4 instance with a single planted nonzero."""
     A = np.array([[1.0, 2.0, 0.0, -1.0], [0.0, 1.0, 3.0, 1.0]])
     x_true = np.array([0.0, 0.0, 2.0, 0.0])
-    return FeasibilityInstance(A=A, b=A @ x_true, r=1, bound=1e6, seed=-1, x_true=x_true)
+    return FeasibilityInstance(A=A, b=A @ x_true, r=1, bound=1e6, x_true=x_true)
 
 
 # ------------------------------------------------------------ instance checks
@@ -46,7 +48,7 @@ def tiny_instance():
 
 def test_feasibility_instance_is_frozen():
     inst = tiny_instance()
-    for name in ("A", "b", "r", "bound", "seed", "x_true"):
+    for name in ("A", "b", "r", "bound", "x_true"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(inst, name, getattr(inst, name))
 
@@ -63,7 +65,7 @@ def test_feasibility_instance_rejects_a_rank_deficient_a():
     A = np.vstack([inst.A, inst.A[0]])
     message = r"^A \(3 x 4\) does not have full row rank: its rows are linearly dependent$"
     with pytest.raises(RankDeficientError, match=message):
-        FeasibilityInstance(A=A, b=A @ inst.x_true, r=1, bound=1e6, seed=-1, x_true=inst.x_true)
+        FeasibilityInstance(A=A, b=A @ inst.x_true, r=1, bound=1e6, x_true=inst.x_true)
 
 
 @pytest.mark.parametrize(
@@ -80,20 +82,20 @@ def test_feasibility_instance_rejects_a_rank_deficient_a():
 def test_feasibility_instance_names_a_bad_x_true(x_true):
     A = tiny_instance().A
     with pytest.raises(ValueError, match=r"^x_true must hold n = 4 finite entries, at most r = 1 of them nonzero$"):
-        FeasibilityInstance(A=A, b=np.zeros(2), r=1, bound=1e6, seed=-1, x_true=x_true)
+        FeasibilityInstance(A=A, b=np.zeros(2), r=1, bound=1e6, x_true=x_true)
 
 
 def test_feasibility_instance_rejects_a_cap_above_n():
     inst = tiny_instance()
     with pytest.raises(ValueError, match=r"^cardinality cap r = 5 exceeds the dimension n = 4$"):
-        FeasibilityInstance(A=inst.A, b=inst.b, r=5, bound=1e6, seed=-1, x_true=inst.x_true)
+        FeasibilityInstance(A=inst.A, b=inst.b, r=5, bound=1e6, x_true=inst.x_true)
 
 
 @pytest.mark.parametrize("name", ["A", "b", "x_true"])
 @pytest.mark.parametrize("convert", [lambda a: a.tolist(), lambda a: a.astype(np.int64)], ids=["list", "integer"])
 def test_feasibility_instance_converts_array_likes_to_float(name, convert):
     # The tiny instance's entries are all integers, so either conversion keeps their values.
-    fields = {k: getattr(tiny_instance(), k) for k in ("A", "b", "r", "bound", "seed", "x_true")}
+    fields = {k: getattr(tiny_instance(), k) for k in ("A", "b", "r", "bound", "x_true")}
     inst = FeasibilityInstance(**dict(fields, **{name: convert(fields[name])}))
     value = getattr(inst, name)
     assert isinstance(value, np.ndarray) and value.dtype == np.float64
@@ -128,8 +130,8 @@ def test_gen_feasibility_cardinality_rule():
 def test_gen_feasibility_rebuilds_an_instance_bit_for_bit(m, n, seed):
     # The seed is the instance: drawing it again is how a run is reproduced, past 64 bits too.
     first, second = gen_feasibility(m, n, seed), gen_feasibility(m, n, seed)
-    assert (second.r, second.seed, second.bound) == (-(-m // 5), seed, SparseBoxSet.bound)
-    assert (type(second.r), type(second.seed)) == (int, int)
+    assert (second.r, second.bound) == (-(-m // 5), SparseBoxSet.bound)
+    assert type(second.r) is int
     for name in ("A", "b", "x_true"):
         assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
 
@@ -194,33 +196,9 @@ def test_gen_feasibility_rejects_a_non_integer_shape():
 # ----------------------------------------------------------- feasibility split
 
 
-def test_build_feasibility_pr_moduli_and_threshold():
-    problem = build_feasibility_pr(tiny_instance())
-    assert problem.f.strong_convexity / problem.f.grad_lipschitz == pytest.approx(5.0 / 6.0)
-    assert gamma_threshold(problem.f.strong_convexity, problem.f.grad_lipschitz) == pytest.approx(
-        1.0 / 12.0
-    )
-
-
 def test_build_feasibility_pr_gprox_at_zero():
     problem = build_feasibility_pr(tiny_instance())
     assert_allclose(problem.g.prox(0.05, np.zeros(4)), np.zeros(4), atol=0)
-
-
-def test_build_feasibility_pr_gprox_scaling():
-    inst = tiny_instance()
-    problem = build_feasibility_pr(inst)
-    dset = inst.sparse_set()
-    rng = np.random.default_rng(0)
-    for gamma in (0.02, 1.0 / 13.0):
-        w = rng.standard_normal(4)
-        assert_allclose(problem.g.prox(gamma, w), dset.project(w / (1 - 5 * gamma)))
-
-
-def test_build_feasibility_pr_gprox_ill_posed():
-    problem = build_feasibility_pr(tiny_instance())
-    with pytest.raises(ProxShiftError):
-        problem.g.prox(0.2, np.zeros(4))
 
 
 def test_feasibility_pr_step_matches_hand_formulas():
@@ -277,12 +255,13 @@ def test_feasibility_pr_matches_generic_shift_split():
         return 0.5 * float(gap @ gap) + 2.5 * float(y @ y)
 
     rng = np.random.default_rng(4)
-    for gamma in (0.01, 0.05, 0.08):
+    # 0.19 is the bench's PR start step, just below 1/5, where the g-prox stops being well-posed.
+    for gamma in (0.01, 0.05, 0.08, 0.02, 1.0 / 13.0, 0.19):
         w = rng.standard_normal(15)
         system = row_pinv @ A + (5.0 + 1.0 / gamma) * np.eye(15)
         f_ref_prox = np.linalg.solve(system, w / gamma + row_pinv @ b)
         assert_allclose(problem.f.prox(gamma, w), f_ref_prox, atol=1e-10)
-        assert_allclose(problem.g.prox(gamma, w), dset.project(w / (1 - 5 * gamma)), atol=1e-10)
+        assert_allclose(problem.g.prox(gamma, w), dset.project(w / (1 - 5 * gamma)), rtol=1e-12)
         assert_allclose(problem.f.value(w), f_ref_value(w), atol=1e-10)
         z = problem.g.prox(gamma, w)
         assert_allclose(problem.g.value(z), dset.indicator(z) - 2.5 * float(z @ z), atol=1e-10)
@@ -390,21 +369,13 @@ def test_build_constrained_ls_retains_one_factor_and_no_gram():
     assert retained_second <= 32 * n * 8
 
 
-def count_eighs(monkeypatch):
-    """Record each np.linalg.eigh call from here on."""
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append("eigh") or eigh(M))
-    return calls
-
-
 def ls_data(m=6, n=15, seed=43):
     return rng_from_seed(seed).standard_normal((m, n)), rng_from_seed(seed + 1).standard_normal(m)
 
 
 def test_build_constrained_ls_shares_prox_across_constraint_sets(monkeypatch):
     A, b = ls_data()
-    calls = count_eighs(monkeypatch)
+    calls = count_solver_calls(monkeypatch)
     box = build_constrained_ls(LsInstance(A=A, b=b, constraint=BoxSet(0.5)))
     cap = build_constrained_ls(LsInstance(A=A, b=b, constraint=SparseBoxSet(r=3)))
     assert calls == ["eigh"]
@@ -419,7 +390,7 @@ def test_build_constrained_ls_does_not_share_prox_across_arrays(other, monkeypat
     if other == "float32 A":
         A = A.astype(np.float32)
     A2, b2 = {"A copy": (A.copy(), b), "new b": (A, b + 1.0), "float32 A": (A, b)}[other]
-    calls = count_eighs(monkeypatch)
+    calls = count_solver_calls(monkeypatch)
     first = build_constrained_ls(LsInstance(A=A, b=b, constraint=BoxSet(0.5)))
     second = build_constrained_ls(LsInstance(A=A2, b=b2, constraint=BoxSet(0.5)))
     assert calls == ["eigh", "eigh"]
@@ -558,9 +529,7 @@ def test_evaluate_fval_matches_kkt_oracle():
     rng = np.random.default_rng(23)
     for _ in range(5):
         z = rng.standard_normal(24)
-        m = inst.m
-        system = np.block([[np.eye(24), inst.A.T], [inst.A, np.zeros((m, m))]])
-        nearest = np.linalg.solve(system, np.concatenate([z, inst.b]))[:24]
+        nearest = kkt_projection(inst.A, inst.b, z)
         assert_allclose(evaluate_fval(z, inst), 0.5 * np.linalg.norm(z - nearest) ** 2, rtol=1e-8)
 
 
