@@ -111,10 +111,12 @@ class BenchConfig:
         if len(set(self.methods)) != len(self.methods):
             raise ValueError(f"methods must not repeat, got {self.methods}")
         for method in dict.fromkeys((*self.methods, *self.steps)):  # every entry, for a method run or not
+            if method not in METHOD_STEPS:
+                raise ValueError(f"steps keys must be methods in {tuple(METHOD_STEPS)}, got {method!r}")
             pair = self.steps.get(method)
             if not isinstance(pair, tuple) or len(pair) != 2:
                 raise ValueError(f"steps must map method {method!r} to a (gamma0, gamma1) pair, got {pair!r}")
-            solver_config(self, method)  # an unknown method or a bad step fails here, before any solve
+            solver_config(self, method)  # a bad step fails here, before any solve
 
 
 @dataclass(frozen=True)

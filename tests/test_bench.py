@@ -92,35 +92,62 @@ def test_bench_config_keeps_a_read_only_copy_of_steps_covering_every_method():
         small_config(methods=("pr",), steps={"pr": 0.19})
 
 
-def test_bench_config_validation():
-    with pytest.raises(ValueError):
-        BenchConfig(pairs=())
-    with pytest.raises(ValueError):
-        BenchConfig(pairs=((10, 40),), trials=0)
-    for methods in ((), ("newton",), ("pr", ""), ("", ""), (["pr"],)):
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        pytest.param(dict(pairs=()), "need at least one (m, n) pair", id="no pairs"),
+        pytest.param(dict(trials=0), "trials must be an integer of at least 1, got 0", id="trials 0"),
         # A method outside METHOD_STEPS fails here, not as a missing steps entry or a repeat.
-        message = f"methods must be a nonempty subset of ('pr', 'dr'), got {methods}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            BenchConfig(pairs=((10, 40),), methods=methods)
-    with pytest.raises(ValueError, match="must not repeat"):
-        BenchConfig(pairs=((10, 40),), methods=("pr", "pr"))
-    with pytest.raises(ValueError, match=r"^pairs must not repeat, got \(\(10, 40\), \(10, 40\)\)$"):
-        BenchConfig(pairs=((10, 40), (10, 40)))
-    with pytest.raises(ValueError, match="gamma1"):
-        BenchConfig(pairs=((10, 40),), steps={**bench.METHOD_STEPS, "dr": (50.0, float("nan"))})
-    with pytest.raises(ValueError, match=r"^the floor gamma1 = 0\.3 must not exceed the start step gamma0 = 0\.19$"):
-        BenchConfig(pairs=((10, 40),), steps={**bench.METHOD_STEPS, "pr": (0.19, 0.3)})
-    # Every entry of steps is checked, also one for a method the config does not run.
-    with pytest.raises(ValueError, match=r"^gamma0 must be positive and finite, got -1\.0$"):
-        BenchConfig(pairs=((10, 40),), methods=("pr",), steps={**bench.METHOD_STEPS, "dr": (-1.0, -1.0)})
-    with pytest.raises(ValueError, match=r"^steps must map method 'zz' to a \(gamma0, gamma1\) pair, got 1$"):
-        BenchConfig(pairs=((10, 40),), steps={**bench.METHOD_STEPS, "zz": 1})
-    with pytest.raises(ValueError, match=r"^method must be 'pr' or 'dr', got 'zz'$"):
-        BenchConfig(pairs=((10, 40),), steps={**bench.METHOD_STEPS, "zz": (0.1, 0.05)})
-    with pytest.raises(ValueError, match="m must be at least 5"):
-        BenchConfig(pairs=((10, 40), (4, 10)))
-    with pytest.raises(ValueError, match="need n >= m"):
-        BenchConfig(pairs=((10, 40), (12, 10)))
+        *[
+            pytest.param(
+                dict(methods=methods), f"methods must be a nonempty subset of ('pr', 'dr'), got {methods}", id=name
+            )
+            for name, methods in [
+                ("methods ()", ()),
+                ("methods newton", ("newton",)),
+                ("methods pr and empty", ("pr", "")),
+                ("methods two empty", ("", "")),
+                ("methods list", (["pr"],)),
+            ]
+        ],
+        pytest.param(dict(methods=("pr", "pr")), "methods must not repeat, got ('pr', 'pr')", id="methods repeat"),
+        pytest.param(
+            dict(pairs=((10, 40), (10, 40))), "pairs must not repeat, got ((10, 40), (10, 40))", id="pairs repeat"
+        ),
+        pytest.param(
+            dict(steps={**bench.METHOD_STEPS, "dr": (50.0, float("nan"))}),
+            "gamma1 must be positive and finite, got nan",
+            id="dr gamma1 nan",
+        ),
+        pytest.param(
+            dict(steps={**bench.METHOD_STEPS, "pr": (0.19, 0.3)}),
+            "the floor gamma1 = 0.3 must not exceed the start step gamma0 = 0.19",
+            id="pr floor above start",
+        ),
+        # Every entry of steps is checked, also one for a method the config does not run.
+        pytest.param(
+            dict(methods=("pr",), steps={**bench.METHOD_STEPS, "dr": (-1.0, -1.0)}),
+            "gamma0 must be positive and finite, got -1.0",
+            id="dr gamma0 -1 not run",
+        ),
+        # An unknown key is named as such, whatever its value.
+        pytest.param(
+            dict(steps={**bench.METHOD_STEPS, "zz": 1}),
+            "steps keys must be methods in ('pr', 'dr'), got 'zz'",
+            id="unknown key, not a pair",
+        ),
+        pytest.param(
+            dict(steps={**bench.METHOD_STEPS, "zz": (0.1, 0.05)}),
+            "steps keys must be methods in ('pr', 'dr'), got 'zz'",
+            id="unknown key, a pair",
+        ),
+        pytest.param(dict(pairs=((10, 40), (4, 10))), "m must be at least 5, got 4x10", id="m 4"),
+        pytest.param(dict(pairs=((10, 40), (12, 10))), "need n >= m, got 12x10", id="n below m"),
+    ],
+)
+def test_bench_config_validation(overrides, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BenchConfig(**{"pairs": ((10, 40),), **overrides})
 
 
 def test_bench_config_accepts_numpy_integer_counts():

@@ -240,7 +240,12 @@ def test_build_feasibility_dr_oracle_contracts():
     assert_allclose(problem.f.prox(0.8, w), w, atol=1e-12)
 
 
-def test_feasibility_pr_matches_generic_shift_split():
+# 0.19 is the bench's PR start step, just below 1/5, where the g-prox stops being well-posed.
+SHIFT_SPLIT_STEPS = (0.01, 0.05, 0.08, 0.02, 1.0 / 13.0, 0.19)
+
+
+@pytest.mark.parametrize("case", range(len(SHIFT_SPLIT_STEPS)), ids=[f"gamma={g:.4g}" for g in SHIFT_SPLIT_STEPS])
+def test_feasibility_pr_matches_generic_shift_split(case):
     # Dual route: the shift_split-built problem against dense references.
     # The f-prox solves its optimality system
     # (A^T (A A^T)^-1 A + 5 I + I / gamma) y = w / gamma + A^T (A A^T)^-1 b.
@@ -254,30 +259,28 @@ def test_feasibility_pr_matches_generic_shift_split():
         gap = row_pinv @ (A @ y - b)
         return 0.5 * float(gap @ gap) + 2.5 * float(y @ y)
 
-    rng = np.random.default_rng(4)
-    # 0.19 is the bench's PR start step, just below 1/5, where the g-prox stops being well-posed.
-    for gamma in (0.01, 0.05, 0.08, 0.02, 1.0 / 13.0, 0.19):
-        w = rng.standard_normal(15)
-        system = row_pinv @ A + (5.0 + 1.0 / gamma) * np.eye(15)
-        f_ref_prox = np.linalg.solve(system, w / gamma + row_pinv @ b)
-        assert_allclose(problem.f.prox(gamma, w), f_ref_prox, atol=1e-10)
-        assert_allclose(problem.g.prox(gamma, w), dset.project(w / (1 - 5 * gamma)), rtol=1e-12)
-        assert_allclose(problem.f.value(w), f_ref_value(w), atol=1e-10)
-        z = problem.g.prox(gamma, w)
-        assert_allclose(problem.g.value(z), dset.indicator(z) - 2.5 * float(z @ z), atol=1e-10)
+    gamma = SHIFT_SPLIT_STEPS[case]
+    w = np.random.default_rng(4).standard_normal((case + 1, 15))[case]  # each step has its own draw of one stream
+    system = row_pinv @ A + (5.0 + 1.0 / gamma) * np.eye(15)
+    f_ref_prox = np.linalg.solve(system, w / gamma + row_pinv @ b)
+    assert_allclose(problem.f.prox(gamma, w), f_ref_prox, atol=1e-10)
+    assert_allclose(problem.g.prox(gamma, w), dset.project(w / (1 - 5 * gamma)), rtol=1e-12)
+    assert_allclose(problem.f.value(w), f_ref_value(w), atol=1e-10)
+    z = problem.g.prox(gamma, w)
+    assert_allclose(problem.g.value(z), dset.indicator(z) - 2.5 * float(z @ z), atol=1e-10)
 
 
 # ------------------------------------------------------- constrained least sq.
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name", ["A", "b"])
-def test_ls_instance_names_non_finite_data(name):
+def test_ls_instance_names_non_finite_data(name, value):
     # LsInstance is the one check of the data; ShiftedQuadraticProx repeats none.
-    for value in (np.nan, np.inf, -np.inf):
-        data = {"A": np.eye(4, 3), "b": np.ones(4)}
-        data[name][1] = value
-        with pytest.raises(ValueError, match=f"^{name} holds NaN or infinite entries"):
-            LsInstance(A=data["A"], b=data["b"], constraint=BoxSet(1.0))
+    data = {"A": np.eye(4, 3), "b": np.ones(4)}
+    data[name][1] = value
+    with pytest.raises(ValueError, match=f"^{name} holds NaN or infinite entries"):
+        LsInstance(A=data["A"], b=data["b"], constraint=BoxSet(1.0))
 
 
 def test_ls_instance_converts_array_likes():
